@@ -24,12 +24,13 @@ from .errors import (
 )
 from .gqsp import assemble_and_extract, synthesize_angles
 from .operators import (
+    TOL,
     HermitianOperator,
     Projector,
     check_subnormalized,
     spectral_norm,
 )
-from .signfun import SIGN_GRID_POINTS, eval_fourier, fourier_sign
+from .signfun import fourier_sign
 from .serialization import (
     angles_document,
     canonical_hash,
@@ -59,9 +60,20 @@ _PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
 def _require(doc: dict, key: str):
+    if not isinstance(doc, dict):
+        raise ValidationError(f"expected a JSON object with {key!r}, got {type(doc).__name__}")
     if key not in doc:
         raise ValidationError(f"config is missing required key {key!r}")
     return doc[key]
+
+
+def _number(doc: dict, key: str, cast=float, default=None):
+    """doc[key] converted by ``cast``; the key is required when default is None."""
+    value = _require(doc, key) if default is None else doc.get(key, default)
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"config key {key!r} must be a number, got {value!r}") from None
 
 
 def _site_product(ops: dict, sites: int) -> np.ndarray:
@@ -97,14 +109,16 @@ def generate_hamiltonian(source: dict, rng: np.random.Generator) -> np.ndarray:
     """
     kind = _require(source, "type")
     if kind == "random":
-        dim = int(_require(source, "dim"))
+        dim = _number(source, "dim", int)
+        if dim > TOL.max_total_dim:
+            raise ResourceError(f"hamiltonian dimension {dim} exceeds budget {TOL.max_total_dim}")
         mat = sample_gue(rng, dim)
         return mat / spectral_norm(mat)
     if kind == "tfim":
         H = _tfim_matrix(
-            int(_require(source, "sites")),
-            float(source.get("coupling", 1.0)),
-            float(source.get("field", 1.0)),
+            _number(source, "sites", int),
+            _number(source, "coupling", float, 1.0),
+            _number(source, "field", float, 1.0),
         )
         return H / max(1.0, spectral_norm(H))
     if kind == "file":
@@ -145,22 +159,22 @@ def run_experiment(H, A, config: CoolingConfig, seed: int, trials: int, stopping
 
 def _parse_run_config(doc: dict):
     config = CoolingConfig(
-        epsilon=float(_require(doc, "epsilon")),
-        steps=int(_require(doc, "steps")),
-        delta=None if doc.get("delta") is None else float(doc["delta"]),
+        epsilon=_number(doc, "epsilon"),
+        steps=_number(doc, "steps", int),
+        delta=None if doc.get("delta") is None else _number(doc, "delta"),
         mode=doc.get("mode", "exact_spectral"),
-        margin=float(doc.get("margin", 1e-6)),
+        margin=_number(doc, "margin", float, 1e-6),
     )
-    target = doc.get("target_estimate")
-    stopping = None if target is None else StoppingRule(float(target))
+    target = None if doc.get("target_estimate") is None else _number(doc, "target_estimate")
+    stopping = None if target is None else StoppingRule(target)
     return config, stopping
 
 
 def cmd_run(args) -> int:
     doc = read_json(args.config)
-    seed = args.seed if args.seed is not None else int(doc.get("seed", 0))
-    trials = args.trials if args.trials is not None else int(doc.get("trials", 1))
-    config, stopping = _parse_run_config(doc)
+    config, stopping = _parse_run_config(doc)  # first, as it also checks doc is an object
+    seed = args.seed if args.seed is not None else _number(doc, "seed", int, 0)
+    trials = args.trials if args.trials is not None else _number(doc, "trials", int, 1)
 
     setup_rng = np.random.default_rng(seed)
     H = generate_hamiltonian(_require(doc, "hamiltonian"), setup_rng)
@@ -194,15 +208,6 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _sign_bounds(S) -> tuple[float, float]:
-    grid = np.linspace(-np.pi, np.pi, SIGN_GRID_POINTS)
-    vals = eval_fourier(S, grid).real
-    band = (np.abs(grid) >= S.epsilon / 2.0) & (np.abs(grid) <= np.pi - S.epsilon / 2.0)
-    max_abs = float(np.max(np.abs(vals)))
-    band_error = float(np.max(np.abs(vals[band] - np.sign(grid[band]))))
-    return max_abs, band_error
-
-
 def _random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(raw)
@@ -222,13 +227,12 @@ def _laurent_sum(P, U: np.ndarray) -> np.ndarray:
 
 def cmd_signpoly(args) -> int:
     S = fourier_sign(args.epsilon, args.delta)
-    max_abs, band_error = _sign_bounds(S)
     print(
         f"signpoly: epsilon={args.epsilon} delta={args.delta} degree={S.degree} "
-        f"max_abs={max_abs:.9f} band_error={band_error:.3e}"
+        f"max_abs={S.max_abs:.9f} band_error={S.band_error:.3e}"
     )
     if args.out is not None:
-        write_json(args.out, certification_document(S, max_abs, band_error))
+        write_json(args.out, certification_document(S))
         print(f"wrote {args.out}")
     return 0
 
@@ -284,11 +288,10 @@ def _certify_checks(epsilons, deltas, seed):
             name = f"sign epsilon={eps} delta={delta}"
             try:
                 S = fourier_sign(eps, delta)
-                max_abs, band_error = _sign_bounds(S)
                 polys.append(S)
                 yield name, True, (
-                    f"degree={S.degree} max_abs={max_abs:.9f} "
-                    f"band_error={band_error:.3e}"
+                    f"degree={S.degree} max_abs={S.max_abs:.9f} "
+                    f"band_error={S.band_error:.3e}"
                 )
             except DyncoolError as exc:
                 yield name, False, str(exc)

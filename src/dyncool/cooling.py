@@ -17,6 +17,10 @@ Three interchangeable constructions of the sign operator:
 - "exact_reflection": the ideal limit I - 2P(below cutoff), no polynomial
   error at all.
 
+The step unitary depends only on (H, A, config) and the measured bin, so
+``run`` builds it once per visited bin, with every check an uncached step
+makes (range guard, Hermiticity, eig reconstruction, unitarity), and reuses it.
+
 The coherent variant keeps the energy register as an explicit tensor factor
 instead of sampling it; one step is block-diagonal over register values,
 which is what makes it checkable against the sampled route branch by branch.
@@ -41,6 +45,7 @@ from .operators import (
     eig,
     evolve,
     projector_below,
+    reflection,
     spectral_norm,
 )
 from .signfun import FourierPolynomial, fourier_sign, spectral_values
@@ -149,14 +154,10 @@ class Trajectory:
 
 
 def _state_vec(state, dim: int) -> np.ndarray:
-    vec = state.amplitudes if hasattr(state, "amplitudes") else np.asarray(state)
-    vec = np.asarray(vec, dtype=complex)
+    vec = (state if isinstance(state, StateVector) else StateVector(state)).amplitudes
     if vec.shape != (dim,):
         raise ValidationError(f"state must have shape ({dim},), got {vec.shape}")
-    norm = np.linalg.norm(vec)
-    if abs(norm - 1.0) > 1e-10:
-        raise ValidationError(f"state norm {norm:.12f} differs from 1")
-    return vec / norm
+    return vec / np.linalg.norm(vec)
 
 
 def random_initial_state(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -179,8 +180,8 @@ def qpe_project(
     amps = dec.eigenvectors.conj().T @ state
     weights = np.abs(amps) ** 2
     bins = np.floor(dec.eigenvalues / epsilon + 0.5).astype(int)
-    labels = np.unique(bins)
-    probs = np.array([weights[bins == b].sum() for b in labels])
+    labels, inverse = np.unique(bins, return_inverse=True)
+    probs = np.bincount(inverse, weights=weights)
     probs = np.clip(probs, 0.0, None)
     total = probs.sum()
     if total <= 0.0:
@@ -202,8 +203,7 @@ def build_hsign(
 ) -> np.ndarray:
     """Smoothed (or exact) sign of H - cutoff under the configured mode."""
     if config.mode == "exact_reflection":
-        P = projector_below(dec, cutoff)
-        return np.eye(P.dim) - 2.0 * P.entries
+        return reflection(projector_below(dec, cutoff)).entries
     if S is None:
         raise ValidationError(f"mode {config.mode!r} needs the sign polynomial")
     shifted = dec.eigenvalues - cutoff
@@ -215,16 +215,23 @@ def build_hsign(
             f"{np.max(np.abs(dec.eigenvalues)):.6f}"
         )
     if config.mode == "exact_spectral":
-        vals = spectral_values(S, dec, cutoff)
-        mat = (dec.eigenvectors * vals) @ dec.eigenvectors.conj().T
-        return (mat + mat.conj().T) / 2.0
+        return dec.apply(spectral_values(S, dec, cutoff), hermitian=True)
     # gqsp_circuit: encode the polynomial of e^{i(H - cutoff)}
     if angles is None:
         angles, _, _ = synthesize_angles(S, margin=config.margin)
-    phases = np.exp(1j * shifted)
-    U = (dec.eigenvectors * phases) @ dec.eigenvectors.conj().T
+    U = dec.apply(np.exp(1j * shifted))
     block = assemble_and_extract(angles, U).block
     return (block + block.conj().T) / 2.0
+
+
+def _kick_unitary(hsign: np.ndarray, a_mat: np.ndarray, delta: float) -> np.ndarray:
+    htilde = HermitianOperator(hsign + 0.5 * np.sqrt(delta) * a_mat)
+    return evolve(htilde, default_time(delta)).entries
+
+
+def _step_unitary(dec, a_mat, cutoff, config, S=None, angles=None) -> np.ndarray:
+    """The step operator at one cutoff: the sign kick of ``cooling_step``."""
+    return _kick_unitary(build_hsign(dec, cutoff, config, S, angles), a_mat, config.delta)
 
 
 def cooling_step(
@@ -237,9 +244,7 @@ def cooling_step(
     angles=None,
 ) -> np.ndarray:
     """Evolve under H_sign + (sqrt(delta)/2) A for the step time."""
-    hsign = build_hsign(dec, cutoff, config, S, angles)
-    htilde = HermitianOperator(hsign + 0.5 * np.sqrt(config.delta) * A)
-    return evolve(htilde, config.time).entries @ state
+    return _step_unitary(dec, A, cutoff, config, S, angles) @ state
 
 
 def query_costs(epsilon: float, delta: float, sign_degree: int) -> tuple[int, int]:
@@ -275,6 +280,9 @@ def run(
     or the terminal one) lands two or more bins above step s's estimate,
     i.e. past the cutoff-plus-half-bin line the sign construction defends.
     The trajectory counts as a success when no step leaks.
+
+    Step unitaries are kept per measured bin in a dict local to the call:
+    at most min(steps, occupied energy bins) dense d x d complex matrices.
     """
     H = H if isinstance(H, HermitianOperator) else HermitianOperator(H)
     check_subnormalized(H, "hamiltonian")
@@ -312,6 +320,7 @@ def run(
 
     records = []
     prev_bin = None
+    unitaries = {}  # bin index -> step unitary
     for step in range(config.steps):
         bin_idx, estimate, state = qpe_project(dec, state, config.epsilon, rng)
         if records and prev_bin is not None:
@@ -319,8 +328,10 @@ def run(
         if stopping is not None and stopping.satisfied(estimate):
             prev_bin = None
             break
-        cutoff = estimate + config.epsilon
-        state = cooling_step(dec, state, a_mat, cutoff, config, S, angles)
+        if bin_idx not in unitaries:
+            cutoff = estimate + config.epsilon
+            unitaries[bin_idx] = _step_unitary(dec, a_mat, cutoff, config, S, angles)
+        state = unitaries[bin_idx] @ state
         tail = dec.eigenvalues >= estimate + 1.5 * config.epsilon
         amps = dec.eigenvectors[:, tail].conj().T @ state
         records.append(
@@ -407,14 +418,10 @@ def coherent_step(
     reg = 2**n
     dim = dec.eigenvalues.size
     width = 2.0 * np.pi / reg
-    t = default_time(delta)
     blocks = np.asarray(joint, dtype=complex).reshape(reg, dim).copy()
     for j in range(reg):
         if np.linalg.norm(blocks[j]) == 0.0:
             continue
-        vals = spectral_values(S, dec, j * width + width)
-        hsign = (dec.eigenvectors * vals) @ dec.eigenvectors.conj().T
-        hsign = (hsign + hsign.conj().T) / 2.0
-        htilde = HermitianOperator(hsign + 0.5 * np.sqrt(delta) * a_mat)
-        blocks[j] = evolve(htilde, t).entries @ blocks[j]
+        hsign = dec.apply(spectral_values(S, dec, j * width + width), hermitian=True)
+        blocks[j] = _kick_unitary(hsign, a_mat, delta) @ blocks[j]
     return blocks.reshape(-1)

@@ -197,8 +197,13 @@ class SpectralDecomposition:
     def dim(self) -> int:
         return self.eigenvalues.shape[0]
 
+    def apply(self, vals: np.ndarray, hermitian: bool = False) -> np.ndarray:
+        """V diag(vals) V^dagger; ``hermitian`` symmetrizes away rounding asymmetry."""
+        mat = (self.eigenvectors * vals) @ self.eigenvectors.conj().T
+        return (mat + mat.conj().T) / 2.0 if hermitian else mat
+
     def reconstruct(self) -> np.ndarray:
-        return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.conj().T
+        return self.apply(self.eigenvalues)
 
 
 @dataclass(frozen=True)
@@ -230,14 +235,10 @@ def eig(H: HermitianOperator) -> SpectralDecomposition:
     return dec
 
 
-def _phase_apply(dec: SpectralDecomposition, phases: np.ndarray) -> np.ndarray:
-    return (dec.eigenvectors * phases) @ dec.eigenvectors.conj().T
-
-
 def evolve(H: HermitianOperator, t: float) -> UnitaryOperator:
     """exp(-iHt) through the eigendecomposition."""
     dec = eig(H)
-    return UnitaryOperator(_phase_apply(dec, np.exp(-1j * dec.eigenvalues * t)), tol=H.tol)
+    return UnitaryOperator(dec.apply(np.exp(-1j * dec.eigenvalues * t)), tol=H.tol)
 
 
 def reflection(P: Projector) -> UnitaryOperator:

@@ -136,7 +136,10 @@ def _complex_pairs(values) -> list:
 
 
 def _pairs_to_complex(pairs, count: int, what: str) -> np.ndarray:
-    arr = np.asarray(pairs, dtype=np.float64)
+    try:
+        arr = np.asarray(pairs, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{what} must be numeric [re, im] pairs") from None
     if arr.shape != (count, 2):
         raise ValidationError(f"{what} must be {count} [re, im] pairs, got {arr.shape}")
     return arr[:, 0] + 1j * arr[:, 1]
@@ -151,8 +154,10 @@ def matrix_document(M) -> dict:
 
 
 def matrix_from_document(doc: dict) -> np.ndarray:
-    dim = int(doc["dim"])
-    flat = _pairs_to_complex(doc["entries"], dim * dim, "matrix entries")
+    dim = doc.get("dim") if isinstance(doc, dict) else None
+    if not isinstance(dim, int) or dim < 1:
+        raise ValidationError(f"matrix document needs a positive integer 'dim', got {dim!r}")
+    flat = _pairs_to_complex(doc.get("entries"), dim * dim, "matrix entries")
     return flat.reshape(dim, dim)
 
 
@@ -259,11 +264,7 @@ def run_record(config: CoolingConfig, seed: int, H, A, trajectories, source=None
     return doc
 
 
-def certification_document(
-    S: FourierPolynomial,
-    max_abs: float | None = None,
-    band_error: float | None = None,
-) -> dict:
+def certification_document(S: FourierPolynomial) -> dict:
     """Provenance of a certified sign polynomial (bounds it was checked to)."""
     doc = {
         "format_version": FORMAT_VERSION,
@@ -273,10 +274,10 @@ def certification_document(
         "degree": int(S.degree),
         "polynomial": polynomial_document(S),
     }
-    if max_abs is not None:
-        doc["max_abs"] = float(max_abs)
-    if band_error is not None:
-        doc["band_error"] = float(band_error)
+    if S.max_abs is not None:
+        doc["max_abs"] = float(S.max_abs)
+    if S.band_error is not None:
+        doc["band_error"] = float(S.band_error)
     return doc
 
 

@@ -14,7 +14,7 @@ the grid checks, not the defining formulas, are the contract.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebval
@@ -86,7 +86,8 @@ class FourierPolynomial:
     """Laurent polynomial sum_{n=-k}^{m} a_n z^n evaluated on the unit circle.
 
     ``epsilon``/``delta`` carry the sign-approximation parameters when the
-    polynomial came from the sign construction, else None.
+    polynomial came from the sign construction, else None; ``max_abs`` and
+    ``band_error`` then hold its certified grid measurements.
     """
 
     coeffs: np.ndarray
@@ -94,6 +95,8 @@ class FourierPolynomial:
     m: int
     epsilon: float | None = None
     delta: float | None = None
+    max_abs: float | None = None
+    band_error: float | None = None
 
     def __post_init__(self):
         coeffs = np.array(self.coeffs, dtype=np.complex128)
@@ -233,8 +236,6 @@ def fourier_sign(
         raise RangeError(f"epsilon must lie in (0, 0.7], got {epsilon}")
     eps_eff = 2.0 * np.sin(epsilon / 2.0)
     S = to_fourier(build_sign_poly(eps_eff, delta, tol=tol))
-    S = FourierPolynomial(S.coeffs, S.k, S.m, epsilon=epsilon, delta=delta)
-
     grid = np.linspace(-np.pi, np.pi, SIGN_GRID_POINTS)
     vals = eval_fourier(S, grid)
     if np.max(np.abs(vals.imag)) > 1e-12:
@@ -253,7 +254,7 @@ def fourier_sign(
         raise CertificationError(
             f"degree {S.degree} exceeds the documented bound at epsilon={epsilon}"
         )
-    return S
+    return FourierPolynomial(S.coeffs, S.k, S.m, epsilon, delta, max_abs, band_error)
 
 
 def apply_spectral(
@@ -277,9 +278,7 @@ def apply_spectral(
     vals = eval_fourier(S, shifted)
     if np.max(np.abs(vals.imag)) > 1e-10:
         raise CertificationError("spectral transform produced non-real eigenvalues")
-    mat = (dec.eigenvectors * vals.real) @ dec.eigenvectors.conj().T
-    mat = (mat + mat.conj().T) / 2.0
-    return HermitianOperator(mat, tol=H.tol)
+    return HermitianOperator(dec.apply(vals.real, hermitian=True), tol=H.tol)
 
 
 def spectral_values(

@@ -13,6 +13,7 @@ from dyncool.cli import (
 )
 from dyncool.cooling import CoolingConfig
 from dyncool.errors import ResourceError, ValidationError
+from dyncool.operators import TOL
 from dyncool.serialization import (
     CSV_COLUMNS,
     angles_from_document,
@@ -80,6 +81,12 @@ class TestGenerators:
         write_json(str(path), matrix_document(np.diag([2.0, -2.0])))
         with pytest.raises(ValidationError):
             generate_hamiltonian({"type": "file", "path": str(path)}, None)
+
+    def test_random_dimension_cap(self):
+        with pytest.raises(ResourceError):
+            generate_hamiltonian(
+                {"type": "random", "dim": TOL.max_total_dim + 1}, np.random.default_rng(0)
+            )
 
     def test_unknown_types_rejected(self):
         with pytest.raises(ValidationError):
@@ -172,6 +179,24 @@ class TestRunCommand:
         path.write_text(json.dumps({"epsilon": 0.25}))
         assert main(["run", "--config", path.as_posix()]) == 1
         assert "missing required key" in capsys.readouterr().err
+
+    def test_matrix_document_without_dim_exits_nonzero(self, tmp_path, capsys):
+        hpath = tmp_path / "h.json"
+        hpath.write_text(json.dumps({"entries": [[0.5, 0.0]]}))
+        cfg = write_config(tmp_path, hamiltonian={"type": "file", "path": str(hpath)})
+        assert main(["run", "--config", cfg]) == 1
+        assert "error: matrix document needs a positive integer 'dim'" in capsys.readouterr().err
+
+    def test_non_numeric_value_exits_nonzero(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, epsilon="abc")
+        assert main(["run", "--config", cfg]) == 1
+        assert "error: config key 'epsilon' must be a number" in capsys.readouterr().err
+
+    def test_config_that_is_a_list_exits_nonzero(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text(json.dumps([{"epsilon": 0.25}]))
+        assert main(["run", "--config", str(path)]) == 1
+        assert "error: expected a JSON object" in capsys.readouterr().err
 
     def test_oversized_file_hamiltonian_exits_nonzero(self, tmp_path, capsys):
         hpath = tmp_path / "h.json"

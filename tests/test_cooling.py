@@ -8,7 +8,9 @@ coherent branches.
 import numpy as np
 import pytest
 
+from dyncool import cooling
 from dyncool.cooling import (
+    MODES,
     CoolingConfig,
     StoppingRule,
     build_hsign,
@@ -23,6 +25,7 @@ from dyncool.cooling import (
 )
 from dyncool.dyson import default_time, sample_gue
 from dyncool.errors import RangeError, ValidationError
+from dyncool.gqsp import synthesize_angles
 from dyncool.operators import HermitianOperator, eig, evolve, spectral_norm
 from dyncool.signfun import apply_spectral, fourier_sign
 
@@ -92,6 +95,26 @@ class TestQpeProject:
             freq = counts.get(int(b), 0) / draws
             sigma = np.sqrt(p * (1 - p) / draws)
             assert abs(freq - p) <= 3.0 * sigma, f"bin {b}: {freq} vs {p}"
+
+    def test_matches_per_label_reference(self):
+        # many eigenvalues per bin, so the grouped sums are long enough for
+        # the summation order to matter; the drawn bins must still agree
+        lam = np.repeat(np.linspace(-0.9, 0.9, 4), 10) + np.linspace(0, 1e-3, 40)
+        dec = eig(HermitianOperator(np.diag(lam)))
+        for seed in range(50):
+            state = random_initial_state(np.random.default_rng(seed), 40)
+            amps = dec.eigenvectors.conj().T @ state
+            weights = np.abs(amps) ** 2
+            bins = np.floor(dec.eigenvalues / 0.3 + 0.5).astype(int)
+            labels = np.unique(bins)
+            probs = np.array([weights[bins == b].sum() for b in labels])
+            ref_rng, rng = np.random.default_rng((seed, 1)), np.random.default_rng((seed, 1))
+            expected = int(ref_rng.choice(labels, p=probs / probs.sum()))
+            got, _, collapsed = qpe_project(dec, state, 0.3, rng)
+            assert got == expected
+            sel = bins == got
+            ref = dec.eigenvectors[:, sel] @ amps[sel]
+            assert np.linalg.norm(collapsed - ref / np.linalg.norm(ref)) <= 1e-12
 
     def test_estimate_clamped_to_unit_interval(self):
         rng = np.random.default_rng(11)
@@ -226,6 +249,14 @@ class TestRunInvariants:
         assert len(traj.steps) == 0
         assert traj.final_energy_estimate == pytest.approx(-0.5)
 
+    def test_rejects_non_finite_initial_state(self):
+        rng = np.random.default_rng(31)
+        H = random_hermitian(rng, 4, norm=0.9)
+        cfg = CoolingConfig(epsilon=0.25, steps=2)
+        bad = np.array([np.nan, 0.0, 0.0, 0.0], dtype=complex)
+        with pytest.raises(ValidationError):
+            run(H, np.zeros((4, 4)), cfg, rng, initial_state=bad)
+
     def test_rejects_oversized_operators(self):
         rng = np.random.default_rng(29)
         H = random_hermitian(rng, 4, norm=1.2)
@@ -235,6 +266,62 @@ class TestRunInvariants:
         H = random_hermitian(rng, 4, norm=0.9)
         with pytest.raises(ValidationError):
             run(H, 3.0 * np.eye(4), cfg, rng)
+
+
+class TestStepCache:
+    """``run`` builds the step unitary once per visited bin; a hand-written
+    loop over the public ``cooling_step`` rebuilds it at every step."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_cached_run_equals_uncached_loop(self, mode, monkeypatch):
+        rng = np.random.default_rng(6)
+        H = random_hermitian(rng, 6, norm=1.0)
+        A = normalized_gue(rng, 6)
+        cfg = CoolingConfig(epsilon=0.3, steps=10, delta=0.8, mode=mode)
+        built = []
+        step_unitary = cooling._step_unitary
+        monkeypatch.setattr(
+            cooling, "_step_unitary", lambda *a: built.append(a[2]) or step_unitary(*a)
+        )
+        traj = run(H, A, cfg, np.random.default_rng((6, 1)))
+        monkeypatch.undo()
+
+        dec = eig(H)
+        S = angles = None
+        if mode != "exact_reflection":
+            S = fourier_sign(cfg.epsilon, cfg.delta)
+            if mode == "gqsp_circuit":
+                angles, _, _ = synthesize_angles(S, margin=cfg.margin)
+        per_eiH, per_UA = query_costs(cfg.epsilon, cfg.delta, 0 if S is None else S.degree)
+        rng = np.random.default_rng((6, 1))
+        state = random_initial_state(rng, 6)
+        bins = []
+        assert len(traj.steps) == cfg.steps
+        for s in traj.steps:
+            b, estimate, state = qpe_project(dec, state, cfg.epsilon, rng)
+            state = cooling_step(dec, state, A, estimate + cfg.epsilon, cfg, S, angles)
+            bins.append(b)
+            tail = dec.eigenvalues >= estimate + 1.5 * cfg.epsilon
+            leak = np.sum(np.abs(dec.eigenvectors[:, tail].conj().T @ state) ** 2)
+            assert s.bin_index == b
+            assert abs(s.true_energy - np.real(state.conj() @ H.entries @ state)) <= 1e-12
+            assert abs(s.ground_overlap - abs(dec.eigenvectors[:, 0].conj() @ state) ** 2) <= 1e-12
+            assert abs(s.leakage_weight - leak) <= 1e-12
+            assert (s.queries_eiH, s.queries_UA) == (per_eiH * (s.step + 1), per_UA * (s.step + 1))
+        final_bin, _, state = qpe_project(dec, state, cfg.epsilon, rng)
+        assert traj.final_bin == final_bin
+        assert abs(traj.final_true_energy - np.real(state.conj() @ H.entries @ state)) <= 1e-12
+        bins.append(final_bin)
+        assert [s.leak_event for s in traj.steps] == [
+            bins[i + 1] >= bins[i] + 2 for i in range(cfg.steps)
+        ]
+        # the trajectory leaves a bin and later returns to it, so the cache is hit
+        steps = bins[:-1]
+        assert any(
+            steps[j] != steps[i] and steps[i] in steps[j + 1 :]
+            for i in range(cfg.steps) for j in range(i + 1, cfg.steps)
+        )
+        assert len(built) == len(set(steps))
 
 
 class TestToyModel:

@@ -100,6 +100,16 @@ class TestFourierSign:
         band = (np.abs(grid) >= 0.1) & (np.abs(grid) <= np.pi - 0.1)
         assert np.max(np.abs(vals.real[band] - np.sign(grid[band]))) <= 0.05 + 1e-9
 
+    def test_carries_its_grid_measurements(self):
+        S = fourier_sign(0.2, 0.05)
+        grid = np.linspace(-np.pi, np.pi, 100_001)
+        vals = eval_fourier(S, grid).real
+        band = (np.abs(grid) >= 0.1) & (np.abs(grid) <= np.pi - 0.1)
+        assert S.max_abs == float(np.max(np.abs(vals)))
+        assert S.band_error == float(np.max(np.abs(vals[band] - np.sign(grid[band]))))
+        assert (S.epsilon, S.delta) == (0.2, 0.05)
+        assert FourierPolynomial(S.coeffs, S.k, S.m).max_abs is None
+
     def test_odd_on_circle(self):
         S = fourier_sign(0.3, 0.1)
         x = np.linspace(0.0, np.pi, 1000)

@@ -43,6 +43,7 @@ from .signfun import (
     apply_spectral,
     build_sign_poly,
     eval_fourier,
+    eval_fourier_grid,
     eval_poly,
     fourier_sign,
     spectral_values,

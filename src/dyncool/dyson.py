@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from math import ceil, factorial
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from .errors import RangeError, ResolutionError, ValidationError
 from .operators import HermitianOperator, eig, evolve, spectral_norm
@@ -56,7 +55,12 @@ MAX_EXPANSION_ORDER = 8
 
 
 def _cumsimp(y: np.ndarray, x: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Cumulative Simpson that preserves complex dtype (scipy casts to real)."""
+    """Cumulative Simpson that preserves complex dtype (scipy casts to real).
+
+    scipy is imported at first use, which keeps it off the package import.
+    """
+    from scipy.integrate import cumulative_simpson
+
     if np.iscomplexobj(y):
         re = cumulative_simpson(y.real, x=x, axis=axis, initial=0.0)
         im = cumulative_simpson(y.imag, x=x, axis=axis, initial=0.0)

@@ -6,7 +6,8 @@ Given P with |P| < 1 on the unit circle, `complete` finds the partner Q with
 sequence: one base rotation, then m steps interleaving controlled-U and k
 steps interleaving controlled-U^dag. `assemble_and_extract` multiplies the
 sequence back out and reports the top-left block plus structural query
-counts, which is the reconstruction contract the tests certify.
+counts, which is the reconstruction contract the tests certify. Checks on
+the uniform circle grid evaluate it with one inverse FFT (`eval_fourier_grid`).
 
 Peeling invariant: the partial product's first block column is a pair of
 Laurent polynomials with |.|^2 summing to 1 on the circle; each inverse step
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MarginError, NumericError, SynthesisError, ValidationError
-from .signfun import FourierPolynomial, eval_fourier
+from .signfun import FourierPolynomial, eval_fourier_grid
 
 __all__ = [
     "COMPLETION_GRID_POINTS",
@@ -85,16 +86,19 @@ class AngleSequence:
 
 @dataclass(frozen=True)
 class CompletionPair:
-    """P and its unit-circle complement Q, certified on a dense grid."""
+    """P and its unit-circle complement Q, certified on a dense grid.
+
+    ``identity_residual`` is max ||P|^2 + |Q|^2 - 1| over the uniform grid,
+    each polynomial evaluated by `eval_fourier_grid`; above 1e-8 it fails.
+    """
 
     P: FourierPolynomial
     Q: FourierPolynomial
     identity_residual: float = field(init=False)
 
     def __post_init__(self):
-        grid = np.linspace(-np.pi, np.pi, COMPLETION_GRID_POINTS)
-        total = np.abs(eval_fourier(self.P, grid)) ** 2
-        total += np.abs(eval_fourier(self.Q, grid)) ** 2
+        total = np.abs(eval_fourier_grid(self.P, COMPLETION_GRID_POINTS)) ** 2
+        total += np.abs(eval_fourier_grid(self.Q, COMPLETION_GRID_POINTS)) ** 2
         residual = float(np.max(np.abs(total - 1.0)))
         object.__setattr__(self, "identity_residual", residual)
         if residual > 1e-8:
@@ -181,8 +185,7 @@ def complete(P: FourierPolynomial, margin: float = 1e-4) -> CompletionPair:
     if margin < 1e-6:
         raise ValidationError(f"margin must be >= 1e-6, got {margin}")
     P = _trim_support(P)
-    grid = np.linspace(-np.pi, np.pi, COMPLETION_GRID_POINTS)
-    max_abs = float(np.max(np.abs(eval_fourier(P, grid))))
+    max_abs = float(np.max(np.abs(eval_fourier_grid(P, COMPLETION_GRID_POINTS))))
     # 1e-9 slack keeps inputs rescaled exactly onto the margin from failing
     # the check by rounding noise
     if max_abs > 1.0 - margin + 1e-9:
@@ -318,8 +321,7 @@ def synthesize_angles(
     Returns (angles, pair, scale): scale < 1 means the encoded polynomial is
     scale * P, a deliberate approximation error bounded by the margin.
     """
-    grid = np.linspace(-np.pi, np.pi, COMPLETION_GRID_POINTS)
-    max_abs = float(np.max(np.abs(eval_fourier(P, grid))))
+    max_abs = float(np.max(np.abs(eval_fourier_grid(P, COMPLETION_GRID_POINTS))))
     scale = 1.0
     if max_abs > 1.0 - margin + 1e-9:
         scale = (1.0 - margin) / max_abs

@@ -1,10 +1,15 @@
 """End-to-end checks of the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dyncool
 from dyncool.cli import (
     generate_hamiltonian,
     generate_perturbation,
@@ -41,6 +46,21 @@ def write_config(tmp_path, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def test_import_loads_no_scipy():
+    # scipy is needed only by the Dyson quadrature, imported at first use
+    src = str(Path(dyncool.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = (
+        "import sys, dyncool.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        check=True, timeout=60,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 class TestGenerators:

@@ -9,6 +9,7 @@ from dyncool.signfun import (
     apply_spectral,
     build_sign_poly,
     eval_fourier,
+    eval_fourier_grid,
     eval_poly,
     fourier_sign,
     to_fourier,
@@ -78,6 +79,12 @@ class TestToFourier:
         assert np.max(np.abs(eval_fourier(S, x) - eval_poly(P, np.sin(x)))) <= 1e-10
 
 
+def _random_laurent(k, m, seed=7):
+    rng = np.random.default_rng(seed)
+    n = k + m + 1
+    return FourierPolynomial(rng.normal(size=n) + 1j * rng.normal(size=n), k=k, m=m)
+
+
 class TestEvalFourier:
     def test_against_direct_sum(self):
         rng = np.random.default_rng(5)
@@ -88,6 +95,22 @@ class TestEvalFourier:
             coeffs[i] * np.exp(1j * (i - 2) * x) for i in range(7)
         )
         assert np.max(np.abs(eval_fourier(S, x) - direct)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "make,points",
+        [
+            (lambda: fourier_sign(0.2, 0.05), 100_001),
+            (lambda: fourier_sign(0.05, 1 / 64), 100_001),  # degree 329
+            (lambda: _random_laurent(2, 4), 10_001),
+            (lambda: _random_laurent(6, 6), 9),  # 13 modes alias onto 8 bins
+        ],
+        ids=["sign_0.2_0.05", "sign_0.05_1/64", "random_k2_m4", "wraparound_k6_m6"],
+    )
+    def test_grid_matches_horner(self, make, points):
+        S = make()
+        grid = np.linspace(-np.pi, np.pi, points)
+        horner = eval_fourier(S, grid)
+        assert np.max(np.abs(eval_fourier_grid(S, points) - horner)) <= 1e-12
 
 
 class TestFourierSign:
@@ -103,12 +126,27 @@ class TestFourierSign:
     def test_carries_its_grid_measurements(self):
         S = fourier_sign(0.2, 0.05)
         grid = np.linspace(-np.pi, np.pi, 100_001)
-        vals = eval_fourier(S, grid).real
+        vals = eval_fourier_grid(S, 100_001).real
         band = (np.abs(grid) >= 0.1) & (np.abs(grid) <= np.pi - 0.1)
         assert S.max_abs == float(np.max(np.abs(vals)))
         assert S.band_error == float(np.max(np.abs(vals[band] - np.sign(grid[band]))))
         assert (S.epsilon, S.delta) == (0.2, 0.05)
         assert FourierPolynomial(S.coeffs, S.k, S.m).max_abs is None
+
+    @pytest.mark.parametrize(
+        "eps,delta,degree",
+        [
+            (0.3, 0.1, 33),
+            (0.2, 1 / 16, 57),
+            (0.1, 1 / 32, 139),
+            (0.1, 0.01, 181),
+            (0.05, 1 / 64, 329),
+            (0.7, 0.5, 7),
+        ],
+    )
+    def test_pinned_degrees(self, eps, delta, degree):
+        # a mis-scaled Chebyshev projection moves these (139 became 153)
+        assert fourier_sign(eps, delta).degree == degree
 
     def test_odd_on_circle(self):
         S = fourier_sign(0.3, 0.1)

@@ -57,6 +57,7 @@ from .gqsp import (
     assemble_and_extract,
     complete,
     compute_angles,
+    eval_angles,
     rotation_matrix,
     synthesize_angles,
 )

@@ -10,16 +10,20 @@ the cutoff through the leakage channel, bounded per step by delta.
 Three interchangeable constructions of the sign operator:
 
 - "exact_spectral": evaluate the certified polynomial on the spectrum.
-- "gqsp_circuit": multiply out the synthesized rotation sequence against
-  e^{i(H - cutoff)} and take the Hermitian part of the encoded block. Agrees
-  with the spectral route to ~1e-12; exists so the whole circuit-level
-  pipeline is exercised end to end.
+- "gqsp_circuit": evaluate the synthesized rotation sequence at each
+  eigenphase of e^{i(H - cutoff)} (`gqsp.eval_angles`, a product of 2x2
+  matrices) and take the Hermitian part of the encoded block. Agrees with
+  the spectral route to ~1e-12; exists so the synthesized angles, not only
+  the polynomial, drive the trajectory.
 - "exact_reflection": the ideal limit I - 2P(below cutoff), no polynomial
   error at all.
 
-The step unitary depends only on (H, A, config) and the measured bin, so
-``run`` builds it once per visited bin, with every check an uncached step
-makes (range guard, Hermiticity, eig reconstruction, unitarity), and reuses it.
+``run`` works in H's eigenbasis: it carries the state as eigen-amplitudes
+V^dag psi, so a measurement is a bin sum of |amplitude|^2 and the energy,
+ground overlap and leakage are weighted sums. The step unitary depends only
+on (H, A, config) and the measured bin, so ``run`` builds it once per
+visited bin, with every check an uncached step makes (range guard,
+Hermiticity, eig reconstruction, unitarity), and reuses it in the eigenbasis.
 
 The coherent variant keeps the energy register as an explicit tensor factor
 instead of sampling it; one step is block-diagonal over register values,
@@ -36,7 +40,7 @@ import numpy as np
 
 from .dyson import default_time
 from .errors import RangeError, ValidationError
-from .gqsp import assemble_and_extract, synthesize_angles
+from .gqsp import eval_angles, synthesize_angles
 from .operators import (
     HermitianOperator,
     SpectralDecomposition,
@@ -165,6 +169,31 @@ def random_initial_state(rng: np.random.Generator, dim: int) -> np.ndarray:
     return vec / np.linalg.norm(vec)
 
 
+def _energy_bins(eigenvalues: np.ndarray, epsilon: float):
+    """Distinct bin labels and each eigenvalue's index into them."""
+    bins = np.floor(eigenvalues / epsilon + 0.5).astype(int)
+    return np.unique(bins, return_inverse=True)
+
+
+def _draw_index(probs: np.ndarray, rng: np.random.Generator) -> int:
+    """Index drawn with weights ``probs``: the inverse-CDF draw that
+    ``rng.choice(n, p=probs / probs.sum())`` makes, from the same one double."""
+    cdf = probs.cumsum()
+    if not cdf[-1] > 0.0:
+        raise ValidationError("state has no weight on any energy bin")
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
+def _measure(amps, labels, inverse, epsilon, rng) -> tuple[int, float, np.ndarray]:
+    """Bin measurement on eigen-amplitudes: (bin, estimate, collapsed amplitudes)."""
+    probs = np.bincount(inverse, weights=np.abs(amps) ** 2)
+    idx = _draw_index(probs, rng)
+    collapsed = np.where(inverse == idx, amps, 0.0) / np.sqrt(probs[idx])
+    chosen = int(labels[idx])
+    return chosen, min(1.0, max(-1.0, chosen * epsilon)), collapsed
+
+
 def qpe_project(
     dec: SpectralDecomposition,
     state: np.ndarray,
@@ -177,21 +206,11 @@ def qpe_project(
     estimate is the bin center clamped to [-1, 1] (the spectrum is
     subnormalized, so clamping only trims centers that poke past the edge).
     """
-    amps = dec.eigenvectors.conj().T @ state
-    weights = np.abs(amps) ** 2
-    bins = np.floor(dec.eigenvalues / epsilon + 0.5).astype(int)
-    labels, inverse = np.unique(bins, return_inverse=True)
-    probs = np.bincount(inverse, weights=weights)
-    probs = np.clip(probs, 0.0, None)
-    total = probs.sum()
-    if total <= 0.0:
-        raise ValidationError("state has no weight on any energy bin")
-    chosen = int(rng.choice(labels, p=probs / total))
-    sel = bins == chosen
-    collapsed = dec.eigenvectors[:, sel] @ amps[sel]
-    collapsed = collapsed / np.linalg.norm(collapsed)
-    energy = float(np.clip(chosen * epsilon, -1.0, 1.0))
-    return chosen, energy, collapsed
+    labels, inverse = _energy_bins(dec.eigenvalues, epsilon)
+    chosen, energy, amps = _measure(
+        dec.eigenvectors.conj().T @ state, labels, inverse, epsilon, rng
+    )
+    return chosen, energy, dec.eigenvectors @ amps
 
 
 def build_hsign(
@@ -216,12 +235,10 @@ def build_hsign(
         )
     if config.mode == "exact_spectral":
         return dec.apply(spectral_values(S, dec, cutoff), hermitian=True)
-    # gqsp_circuit: encode the polynomial of e^{i(H - cutoff)}
+    # gqsp_circuit: the encoded block of e^{i(H - cutoff)} is V diag(p) V^dag
     if angles is None:
         angles, _, _ = synthesize_angles(S, margin=config.margin)
-    U = dec.apply(np.exp(1j * shifted))
-    block = assemble_and_extract(angles, U).block
-    return (block + block.conj().T) / 2.0
+    return dec.apply(eval_angles(angles, np.exp(1j * shifted)).real, hermitian=True)
 
 
 def _kick_unitary(hsign: np.ndarray, a_mat: np.ndarray, delta: float) -> np.ndarray:
@@ -281,8 +298,10 @@ def run(
     i.e. past the cutoff-plus-half-bin line the sign construction defends.
     The trajectory counts as a success when no step leaks.
 
-    Step unitaries are kept per measured bin in a dict local to the call:
-    at most min(steps, occupied energy bins) dense d x d complex matrices.
+    The state is carried as eigen-amplitudes, and step unitaries, turned
+    into the eigenbasis, are kept per measured bin in a dict local to the
+    call: at most min(steps, occupied energy bins) dense d x d complex
+    matrices.
     """
     H = H if isinstance(H, HermitianOperator) else HermitianOperator(H)
     check_subnormalized(H, "hamiltonian")
@@ -290,6 +309,7 @@ def run(
     if spectral_norm(a_mat) > 1.0 + 1e-10:
         raise ValidationError("perturbation must have spectral norm <= 1")
     dec = eig(H)
+    lam, vecs = dec.eigenvalues, dec.eigenvectors
     dim = H.dim
 
     state = (
@@ -297,14 +317,14 @@ def run(
         if initial_state is None
         else _state_vec(initial_state, dim)
     )
-    ground_mask = dec.eigenvalues <= dec.eigenvalues[0] + 1e-12
+    amps = vecs.conj().T @ state
+    labels, inverse = _energy_bins(lam, config.epsilon)
+    ground_mask = lam <= lam[0] + 1e-12
 
-    def ground_overlap(vec):
-        amps = dec.eigenvectors[:, ground_mask].conj().T @ vec
-        return float(np.sum(np.abs(amps) ** 2))
-
-    def true_energy(vec):
-        return float(np.real(vec.conj() @ (H.entries @ vec)))
+    def observe(amps):
+        """True energy, ground overlap and the weights |amplitude|^2."""
+        weights = np.abs(amps) ** 2
+        return float(lam @ weights), float(weights[ground_mask].sum()), weights
 
     S = angles = None
     sign_degree = 0
@@ -315,14 +335,13 @@ def run(
             angles = _angles_cached(config.epsilon, config.delta, config.margin)
     per_eiH, per_UA = query_costs(config.epsilon, config.delta, sign_degree)
 
-    initial_energy = true_energy(state)
-    initial_overlap = ground_overlap(state)
+    initial_energy, initial_overlap, _ = observe(amps)
 
     records = []
     prev_bin = None
-    unitaries = {}  # bin index -> step unitary
+    unitaries = {}  # bin index -> step unitary in the eigenbasis, V^dag U V
     for step in range(config.steps):
-        bin_idx, estimate, state = qpe_project(dec, state, config.epsilon, rng)
+        bin_idx, estimate, amps = _measure(amps, labels, inverse, config.epsilon, rng)
         if records and prev_bin is not None:
             records[-1]["leak_event"] = bin_idx >= prev_bin + 2
         if stopping is not None and stopping.satisfied(estimate):
@@ -330,18 +349,18 @@ def run(
             break
         if bin_idx not in unitaries:
             cutoff = estimate + config.epsilon
-            unitaries[bin_idx] = _step_unitary(dec, a_mat, cutoff, config, S, angles)
-        state = unitaries[bin_idx] @ state
-        tail = dec.eigenvalues >= estimate + 1.5 * config.epsilon
-        amps = dec.eigenvectors[:, tail].conj().T @ state
+            step_u = _step_unitary(dec, a_mat, cutoff, config, S, angles)
+            unitaries[bin_idx] = vecs.conj().T @ step_u @ vecs
+        amps = unitaries[bin_idx] @ amps
+        energy, overlap, weights = observe(amps)
         records.append(
             {
                 "step": step,
                 "bin_index": bin_idx,
                 "energy_estimate": estimate,
-                "true_energy": true_energy(state),
-                "ground_overlap": ground_overlap(state),
-                "leakage_weight": float(np.sum(np.abs(amps) ** 2)),
+                "true_energy": energy,
+                "ground_overlap": overlap,
+                "leakage_weight": float(weights[lam >= estimate + 1.5 * config.epsilon].sum()),
                 "queries_eiH": per_eiH * (step + 1),
                 "queries_UA": per_UA * (step + 1),
                 "leak_event": False,
@@ -349,10 +368,11 @@ def run(
         )
         prev_bin = bin_idx
 
-    final_bin, final_estimate, state = qpe_project(dec, state, config.epsilon, rng)
+    final_bin, final_estimate, amps = _measure(amps, labels, inverse, config.epsilon, rng)
     if records and prev_bin is not None:
         records[-1]["leak_event"] = final_bin >= prev_bin + 2
 
+    final_energy, final_overlap, _ = observe(amps)
     steps = tuple(StepResult(**rec) for rec in records)
     leaks = sum(1 for s in steps if s.leak_event)
     return Trajectory(
@@ -361,8 +381,8 @@ def run(
         initial_ground_overlap=initial_overlap,
         final_bin=final_bin,
         final_energy_estimate=final_estimate,
-        final_true_energy=true_energy(state),
-        final_ground_overlap=ground_overlap(state),
+        final_true_energy=final_energy,
+        final_ground_overlap=final_overlap,
         leak_events=leaks,
         success=leaks == 0,
     )

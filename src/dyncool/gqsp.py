@@ -8,6 +8,8 @@ steps interleaving controlled-U^dag. `assemble_and_extract` multiplies the
 sequence back out and reports the top-left block plus structural query
 counts, which is the reconstruction contract the tests certify. Checks on
 the uniform circle grid evaluate it with one inverse FFT (`eval_fourier_grid`).
+When U is known through its eigenphases, `eval_angles` evaluates the same
+sequence per eigenphase as a product of 2x2 matrices, in O(deg * d).
 
 Peeling invariant: the partial product's first block column is a pair of
 Laurent polynomials with |.|^2 summing to 1 on the circle; each inverse step
@@ -34,6 +36,7 @@ __all__ = [
     "complete",
     "compute_angles",
     "assemble_and_extract",
+    "eval_angles",
     "synthesize_angles",
 ]
 
@@ -311,6 +314,31 @@ def assemble_and_extract(angles: AngleSequence, U) -> AssembledBlock:
     return AssembledBlock(
         block=G[:n, :n], unitary=G, cu_applications=cu, cu_dag_applications=cudag
     )
+
+
+def eval_angles(angles: AngleSequence, z) -> np.ndarray:
+    """Top-left entry of the rotation sequence at each eigenphase z of U.
+
+    On an eigenvector of U with eigenvalue z, every factor that
+    `assemble_and_extract` multiplies acts on the pair (|0>|v>, |1>|v>) as a
+    2x2 matrix, so its block is V diag(eval_angles(angles, z)) V^dag. Only
+    the first column (top, bottom) of the 2x2 product is carried:
+    controlled-U multiplies top by z, controlled-U^dag multiplies bottom by
+    conj(z), and each rotation mixes the pair.
+    """
+    z = np.asarray(z, dtype=complex)
+    lam = np.zeros(angles.theta.size)
+    lam[0] = angles.lam
+    rotations = np.moveaxis(rotation_matrix(angles.theta, angles.phi, lam), -1, 0)
+    col = np.outer(rotations[0][:, 0], np.ones_like(z))
+    for j in range(1, angles.m + 1):
+        col[0] *= z
+        col = rotations[j] @ col
+    zbar = z.conj()
+    for j in range(angles.m + 1, angles.m + angles.k + 1):
+        col[1] *= zbar
+        col = rotations[j] @ col
+    return col[0]
 
 
 def synthesize_angles(

@@ -10,6 +10,7 @@ half-written document.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from hashlib import sha256
@@ -59,7 +60,7 @@ CSV_COLUMNS = (
 
 
 def _fmt_float(x: float) -> str:
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         raise ValidationError(f"cannot serialize non-finite value {x}")
     text = "%.17g" % x
     # keep the token a float so parsing preserves type and the sign of zero

@@ -15,6 +15,8 @@ Only numpy and the standard library are used, so importing the package
 loads no scipy: the Chebyshev projection's DCT-II is an FFT of the even
 extension, erf is `math.erf` applied elementwise, and a uniform grid on the
 circle (`eval_fourier_grid`) costs one inverse FFT instead of a Horner pass.
+Values at a spectrum (`spectral_values`) are one table of exponentials times
+the coefficients; Horner `eval_fourier` remains for arbitrary points.
 """
 
 from __future__ import annotations
@@ -208,10 +210,10 @@ def build_sign_poly(
     coeffs = np.array(coeffs[: keep + 1])
 
     grid = np.linspace(-1.0, 1.0, SIGN_GRID_POINTS)
-    max_abs = float(np.max(np.abs(chebval(grid, coeffs))))
-    coeffs *= _RESCALE / max(max_abs, 1.0)
-
     vals = chebval(grid, coeffs)
+    scale = _RESCALE / max(float(np.max(np.abs(vals))), 1.0)
+    coeffs *= scale
+    vals *= scale
     max_abs = float(np.max(np.abs(vals)))
     band = np.abs(grid) >= epsilon / 2.0
     band_error = float(np.max(np.abs(vals[band] - np.sign(grid[band]))))
@@ -304,15 +306,20 @@ def apply_spectral(
         raise RangeError(
             f"eigenvalue {bad:.6f} leaves ({lo:.4f}, {hi:.4f}) after shift {shift:.6f}"
         )
-    vals = eval_fourier(S, shifted)
-    if np.max(np.abs(vals.imag)) > 1e-10:
-        raise CertificationError("spectral transform produced non-real eigenvalues")
-    return HermitianOperator(dec.apply(vals.real, hermitian=True), tol=H.tol)
+    vals = spectral_values(S, dec, shift)
+    return HermitianOperator(dec.apply(vals, hermitian=True), tol=H.tol)
 
 
 def spectral_values(
     S: FourierPolynomial, dec: SpectralDecomposition, shift: float
 ) -> np.ndarray:
-    """Per-eigenvalue transform values without the range guard (periodic eval)."""
-    vals = eval_fourier(S, dec.eigenvalues - shift)
+    """Per-eigenvalue transform values without the range guard (periodic eval).
+
+    The Laurent sum at all eigenvalues is one d x (k+m+1) exponential table
+    times the coefficients; the values must be real (a sign transform is).
+    """
+    x = dec.eigenvalues - shift
+    vals = np.exp(1j * np.outer(x, np.arange(-S.k, S.m + 1))) @ S.coeffs
+    if np.max(np.abs(vals.imag)) > 1e-10:
+        raise CertificationError("spectral transform produced non-real eigenvalues")
     return vals.real

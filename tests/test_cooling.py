@@ -8,7 +8,7 @@ coherent branches.
 import numpy as np
 import pytest
 
-from dyncool import cooling
+from dyncool import cooling, gqsp
 from dyncool.cooling import (
     MODES,
     CoolingConfig,
@@ -115,6 +115,20 @@ class TestQpeProject:
             sel = bins == got
             ref = dec.eigenvectors[:, sel] @ amps[sel]
             assert np.linalg.norm(collapsed - ref / np.linalg.norm(ref)) <= 1e-12
+
+    def test_bin_draw_is_rng_choice(self):
+        # the inverse-CDF draw must pick what rng.choice picks and consume
+        # the same stream, or every seeded trajectory would change
+        source = np.random.default_rng(5)
+        for trial in range(2000):
+            n = int(source.integers(1, 30))
+            probs = source.random(n) * (source.random(n) < 0.8)
+            probs[source.integers(n)] += 1e-3
+            labels = np.arange(n) - n // 2
+            ours, theirs = np.random.default_rng((5, trial)), np.random.default_rng((5, trial))
+            got = labels[cooling._draw_index(probs, ours)]
+            assert got == theirs.choice(labels, p=probs / probs.sum())
+            assert ours.bit_generator.state == theirs.bit_generator.state
 
     def test_estimate_clamped_to_unit_interval(self):
         rng = np.random.default_rng(11)
@@ -322,6 +336,20 @@ class TestStepCache:
             for i in range(cfg.steps) for j in range(i + 1, cfg.steps)
         )
         assert len(built) == len(set(steps))
+
+
+class TestCircuitMode:
+    def test_run_does_not_assemble_the_dense_product(self, monkeypatch):
+        def boom(*args):
+            raise AssertionError("assemble_and_extract called inside run")
+
+        monkeypatch.setattr(gqsp, "assemble_and_extract", boom)
+        monkeypatch.setattr(cooling, "assemble_and_extract", boom, raising=False)
+        rng = np.random.default_rng(8)
+        H = random_hermitian(rng, 6, norm=1.0)
+        cfg = CoolingConfig(epsilon=0.3, steps=6, delta=0.5, mode="gqsp_circuit")
+        traj = run(H, normalized_gue(rng, 6), cfg, rng)
+        assert len(traj.steps) == cfg.steps
 
 
 class TestToyModel:

@@ -15,10 +15,17 @@ from dyncool.gqsp import (
     assemble_and_extract,
     complete,
     compute_angles,
+    eval_angles,
     rotation_matrix,
     synthesize_angles,
 )
-from dyncool.signfun import FourierPolynomial, build_sign_poly, eval_fourier, to_fourier
+from dyncool.signfun import (
+    FourierPolynomial,
+    build_sign_poly,
+    eval_fourier,
+    fourier_sign,
+    to_fourier,
+)
 
 from conftest import random_unitary
 
@@ -191,3 +198,35 @@ class TestAssemble:
         U = random_unitary(rng, 3)
         res = assemble_and_extract(angles, U)
         assert np.linalg.norm(res.block - scale * laurent_sum(P, U)) <= 1e-7
+
+
+class TestEvalAngles:
+    """Per-eigenphase evaluation against the dense product it replaces in
+    the cooling loop: the block of U = V diag(z) V^dag is V diag(p(z)) V^dag."""
+
+    @staticmethod
+    def dense_and_eigen(angles, rng, dim):
+        V = random_unitary(rng, dim)
+        z = np.exp(1j * rng.uniform(-np.pi, np.pi, dim))
+        block = assemble_and_extract(angles, (V * z) @ V.conj().T).block
+        return block, (V * eval_angles(angles, z)) @ V.conj().T
+
+    def test_matches_assembled_block_for_random_angles(self):
+        rng = np.random.default_rng(43)
+        for k, m in [(0, 0), (0, 5), (4, 0), tuple(rng.integers(1, 8, 2))]:
+            angles = AngleSequence(
+                rng.uniform(0, np.pi / 2, k + m + 1),
+                rng.uniform(-np.pi, np.pi, k + m + 1),
+                float(rng.uniform(-np.pi, np.pi)),
+                k=int(k),
+                m=int(m),
+            )
+            for dim in (1, 5):
+                block, eigen = self.dense_and_eigen(angles, rng, dim)
+                assert np.max(np.abs(block - eigen)) <= 1e-12, (k, m, dim)
+
+    def test_matches_assembled_block_for_sign_sequence(self):
+        angles, _, _ = synthesize_angles(fourier_sign(0.1, 1.0 / 32.0), margin=1e-6)
+        assert angles.k == angles.m == 139
+        block, eigen = self.dense_and_eigen(angles, np.random.default_rng(47), 6)
+        assert np.max(np.abs(block - eigen)) <= 1e-12

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from dyncool import CoolingConfig, FourierPolynomial, AngleSequence, run
+from dyncool.cooling import StepResult, Trajectory
 from dyncool.errors import ValidationError
 from dyncool.serialization import (
     CSV_COLUMNS,
@@ -156,6 +157,28 @@ class TestTrajectoryFormats:
         assert bits(float(first[2])) == bits(step.energy_estimate)
         assert bits(float(first[4])) == bits(step.ground_overlap)
         assert int(first[6]) == step.queries_eiH
+
+    def test_csv_bytes_pinned(self):
+        def traj(success, rows):
+            steps = tuple(
+                StepResult(i, b, e, t, g, w, 10 * (i + 1), 4 * (i + 1), False)
+                for i, (b, e, t, g, w) in enumerate(rows)
+            )
+            return Trajectory(steps, 0.0, 0.0, 0, 0.0, 0.0, 0.0, int(not success), success)
+
+        trajectories = [
+            traj(True, [(-2, -0.5, -0.48321, 0.9, 1e-20), (-2, np.float64(-0.5), 1 / 3, 1.0, 0.0)]),
+            traj(False, [(4, 1.0, -0.0, 2.5e-300, 6.02214076e23)]),
+        ]
+        config = CoolingConfig(epsilon=0.25, steps=2, delta=0.5)
+        assert trajectory_csv_text(trajectories, config) == (
+            "# dyncool-trajectories v1 epsilon=0.25 delta=0.5 steps=2 mode=exact_spectral\n"
+            "trial,step,energy_estimate,true_energy,ground_overlap,leakage_weight,"
+            "queries_eiH,queries_UA,success\n"
+            "0,0,-0.5,-0.48320999999999997,0.90000000000000002,9.9999999999999995e-21,10,4,1\n"
+            "0,1,-0.5,0.33333333333333331,1.0,0.0,20,8,1\n"
+            "1,0,1.0,-0.0,2.5e-300,6.0221407599999999e+23,10,4,0\n"
+        )
 
     def test_csv_file_write(self, small_run, tmp_path):
         H, A, config, trajectories = small_run

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dyncool import HermitianOperator, RangeError, ValidationError
+from dyncool import CertificationError, HermitianOperator, RangeError, ValidationError, eig
 from dyncool.signfun import (
     C_DEG,
     FourierPolynomial,
@@ -12,6 +12,7 @@ from dyncool.signfun import (
     eval_fourier_grid,
     eval_poly,
     fourier_sign,
+    spectral_values,
     to_fourier,
 )
 from conftest import random_hermitian
@@ -113,6 +114,15 @@ class TestEvalFourier:
         assert np.max(np.abs(eval_fourier_grid(S, points) - horner)) <= 1e-12
 
 
+    @pytest.mark.parametrize("eps,delta", [(0.1, 1 / 32), (0.05, 1 / 64)])
+    def test_spectral_values_match_horner(self, eps, delta):
+        S = fourier_sign(eps, delta)
+        dec = eig(random_hermitian(np.random.default_rng(9), 16, norm=1.0))
+        for shift in (-0.7, 0.0, 0.35, 2.5):  # 2.5 wraps part of the spectrum
+            horner = eval_fourier(S, dec.eigenvalues - shift).real
+            assert np.max(np.abs(spectral_values(S, dec, shift) - horner)) <= 1e-12
+
+
 class TestFourierSign:
     def test_circle_conditions(self):
         S = fourier_sign(0.2, 0.05)
@@ -171,6 +181,12 @@ class TestApplySpectral:
         vals, vecs = np.linalg.eigh(H.entries)
         oracle = (vecs * eval_fourier(S, vals - 0.3).real) @ vecs.conj().T
         assert np.max(np.abs(out.entries - oracle)) <= 1e-10
+
+    def test_rejects_non_real_transform(self):
+        S = FourierPolynomial([0.0, 0.5j], k=0, m=1)  # 0.5i e^{ix}, not real
+        H = HermitianOperator(np.diag([-0.5, 0.5]))
+        with pytest.raises(CertificationError):
+            apply_spectral(S, H, 0.0)
 
     def test_range_guard(self):
         S = fourier_sign(0.2, 0.1)

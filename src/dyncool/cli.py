@@ -238,10 +238,14 @@ def cmd_signpoly(args) -> int:
 
 
 def cmd_gqsp(args) -> int:
+    if args.check_dim < 1:
+        raise ValidationError(f"--check-dim must be at least 1, got {args.check_dim}")
     if args.poly is not None:
         doc = read_json(args.poly)
         # accept a bare polynomial document or one nested in a certification
-        P = polynomial_from_document(doc.get("polynomial", doc))
+        if isinstance(doc, dict):
+            doc = doc.get("polynomial", doc)
+        P = polynomial_from_document(doc)
     elif args.epsilon is not None and args.delta is not None:
         P = fourier_sign(args.epsilon, args.delta)
     else:

@@ -1,13 +1,15 @@
 """Angle synthesis for Laurent-polynomial block encodings.
 
 Given P with |P| < 1 on the unit circle, `complete` finds the partner Q with
-|P|^2 + |Q|^2 = 1 (spectral factorization through the roots of
-1 - P(z)P*(1/z*)), and `compute_angles` peels the pair into a rotation
-sequence: one base rotation, then m steps interleaving controlled-U and k
-steps interleaving controlled-U^dag. `assemble_and_extract` multiplies the
-sequence back out and reports the top-left block plus structural query
-counts, which is the reconstruction contract the tests certify. Checks on
-the uniform circle grid evaluate it with one inverse FFT (`eval_fourier_grid`).
+|P|^2 + |Q|^2 = 1 from the outer function of 1 - |P|^2 (the Weiss
+construction: FFTs of log(1 - |P|^2) on an N-point circle grid, N doubled
+until the coefficients past Q's degree are negligible), in O(N log N).
+`compute_angles` peels the pair into a rotation sequence: one base
+rotation, then m steps interleaving controlled-U and k steps interleaving
+controlled-U^dag. `assemble_and_extract` multiplies the sequence back out
+and reports the top-left block plus structural query counts, which is the
+reconstruction contract the tests certify. Checks on the uniform circle
+grid evaluate it with one inverse FFT (`eval_fourier_grid`).
 When U is known through its eigenphases, `eval_angles` evaluates the same
 sequence per eigenphase as a product of 2x2 matrices, in O(deg * d).
 
@@ -43,6 +45,12 @@ __all__ = [
 COMPLETION_GRID_POINTS = 10_001
 
 _DEGENERATE_LEAD = 1e-12
+
+# The discarded coefficients of the outer function near N/2 are the size of
+# log(1 - |P|^2)'s Fourier series at N/2; the kept ones carry its aliasing
+# error, about the square of that, far below the 1e-8 identity certificate.
+_OUTER_TAIL = 1e-8
+_OUTER_MAX_POINTS = 1 << 21
 
 
 def rotation_matrix(theta: float, phi: float, lam: float = 0.0) -> np.ndarray:
@@ -134,56 +142,59 @@ def _trim_support(S: FourierPolynomial) -> FourierPolynomial:
     )
 
 
-def _polish_roots(w: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    """Newton-refine roots of the ascending-coefficient polynomial ``w``.
+def _outer_complement(a: np.ndarray) -> np.ndarray:
+    """Ascending coefficients of Q, of P's width, with |Q|^2 = 1 - |P|^2.
 
-    Companion-matrix roots of high-degree factorizations carry ~1e-8 errors
-    when the polynomial nearly touches zero on the circle; a few Newton steps
-    in the original basis recover them. Steps that do not reduce |w(r)| are
-    discarded.
+    ``a`` holds P's coefficients ascending; the power offset is irrelevant
+    because only |P| enters. The outer function O = exp(h), where h is the
+    analytic half of log(1 - |P|^2) with half its constant mode, has no zeros
+    in the disk and |O|^2 = 1 - |P|^2 on the circle. Q(z) = z^width O*(1/z*)
+    (O's coefficients conjugated and reversed) has the same modulus, all its
+    roots inside the disk and the real positive leading coefficient O(0).
+
+    Each pass costs four FFTs of length N, in place where numpy allows: N
+    starts at a power of two >= 64 (width + 1) and doubles until every
+    discarded coefficient of O (index width + 1 up to N/2) is below
+    ``_OUTER_TAIL``.
     """
-    roots = roots.copy()
-    desc = w[::-1]
-    ddesc = (w[1:] * np.arange(1, w.size))[::-1]
-    for _ in range(3):
-        f = np.polyval(desc, roots)
-        fp = np.polyval(ddesc, roots)
-        safe = np.abs(fp) > 0
-        trial = roots.copy()
-        trial[safe] -= f[safe] / fp[safe]
-        better = np.abs(np.polyval(desc, trial)) < np.abs(f)
-        roots[better] = trial[better]
-    return roots
-
-
-def _monic_from_roots(roots: np.ndarray) -> np.ndarray:
-    """Monic polynomial coefficients (ascending) recovered through the DFT.
-
-    Evaluating the root product on an oversampled circle grid keeps every
-    value a plain product (no cancellation), so the transformed coefficients
-    stay accurate even for hundreds of near-circle roots where coefficient
-    convolution loses ~8 digits.
-    """
-    deg = roots.size
-    if deg == 0:
-        return np.ones(1, dtype=complex)
-    M = 1
-    while M < 4 * (deg + 1):
-        M *= 2
-    z = np.exp(2j * np.pi * np.arange(M) / M)
-    vals = np.ones(M, dtype=complex)
-    for r in roots:
-        vals *= z - r
-    return np.fft.fft(vals)[: deg + 1] / M
+    width = a.size - 1
+    points = 1 << (64 * (width + 1) - 1).bit_length()
+    while points <= _OUTER_MAX_POINTS:
+        f = np.abs(np.fft.ifft(a, n=points, norm="forward"))
+        f *= f
+        np.subtract(1.0, f, out=f)
+        low = float(np.min(f))
+        if not low > 0.0:
+            raise NumericError(
+                f"1 - |P|^2 reaches {low:.3e} on the {points}-point circle grid"
+            )
+        np.log(f, out=f)
+        h = np.fft.rfft(f, norm="forward")
+        del f
+        h[0] *= 0.5
+        h[-1] *= 0.5  # the Nyquist mode is shared with its negative twin
+        outer = np.fft.ifft(h, n=points, norm="forward")
+        del h
+        np.exp(outer, out=outer)
+        np.fft.fft(outer, norm="forward", out=outer)
+        tail = float(np.max(np.abs(outer[width + 1 : points // 2 + 1])))
+        if tail <= _OUTER_TAIL:
+            return np.conj(outer[width::-1])
+        points *= 2
+    raise NumericError(
+        f"outer-function tail stays above {_OUTER_TAIL:.0e} "
+        f"up to {_OUTER_MAX_POINTS} grid points"
+    )
 
 
 def complete(P: FourierPolynomial, margin: float = 1e-4) -> CompletionPair:
     """Find Q with |P|^2 + |Q|^2 = 1 on the unit circle.
 
-    Requires grid max |P| <= 1 - margin (margin >= 1e-6): the factored
-    polynomial 1 - |P|^2 must stay strictly positive so its roots split
-    cleanly into conjugate-reciprocal pairs off the circle. Q is rebuilt
-    from the in-disk roots, normalized through the constant Fourier mode.
+    Requires grid max |P| <= 1 - margin (margin >= 1e-6), so 1 - |P|^2 stays
+    strictly positive and its logarithm smooth. Q is the conjugate-reversed
+    outer function of 1 - |P|^2 (`_outer_complement`): the complement with
+    every root inside the disk and a real positive leading coefficient,
+    declared on P's window [-k, m].
     """
     if margin < 1e-6:
         raise ValidationError(f"margin must be >= 1e-6, got {margin}")
@@ -195,27 +206,7 @@ def complete(P: FourierPolynomial, margin: float = 1e-4) -> CompletionPair:
         raise MarginError(
             f"max |P| = {max_abs:.9f} exceeds 1 - margin = {1.0 - margin:.9f}"
         )
-
-    a = np.asarray(P.coeffs)
-    width = a.size - 1  # k + m
-    auto = np.convolve(a, np.conj(a)[::-1])
-    w = -auto
-    w[width] += 1.0  # constant mode of 1 - P P*(1/z*)
-
-    if width == 0:
-        q_monic = np.ones(1, dtype=complex)
-    else:
-        roots = _polish_roots(w, np.roots(w[::-1]))
-        inside = roots[np.abs(roots) < 1.0]
-        if inside.size != width:
-            raise NumericError(
-                f"root pairing failed: {inside.size} roots inside the disk, "
-                f"expected {width} (of {roots.size} total)"
-            )
-        q_monic = _monic_from_roots(inside)
-
-    gamma = np.sqrt(np.real(w[width]) / np.sum(np.abs(q_monic) ** 2))
-    Q = FourierPolynomial(gamma * q_monic, k=P.k, m=P.m)
+    Q = FourierPolynomial(_outer_complement(P.coeffs), k=P.k, m=P.m)
     return CompletionPair(P, Q)
 
 

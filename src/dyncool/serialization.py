@@ -143,6 +143,8 @@ def _pairs_to_complex(pairs, count: int, what: str) -> np.ndarray:
         raise ValidationError(f"{what} must be numeric [re, im] pairs") from None
     if arr.shape != (count, 2):
         raise ValidationError(f"{what} must be {count} [re, im] pairs, got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError(f"{what} must be finite")
     return arr[:, 0] + 1j * arr[:, 1]
 
 
@@ -174,18 +176,29 @@ def polynomial_document(S: FourierPolynomial) -> dict:
     }
 
 
+def _window(doc) -> tuple[int, int]:
+    """(k, m) of a polynomial or angle document: non-negative integers."""
+    if not isinstance(doc, dict):
+        raise ValidationError(f"expected a JSON object, got {type(doc).__name__}")
+    for key in ("k", "m"):
+        value = doc.get(key)
+        if type(value) is not int or value < 0:
+            raise ValidationError(
+                f"document needs a non-negative integer {key!r}, got {value!r}"
+            )
+    return doc["k"], doc["m"]
+
+
 def polynomial_from_document(doc: dict) -> FourierPolynomial:
-    k, m = int(doc["k"]), int(doc["m"])
-    coeffs = _pairs_to_complex(doc["coefficients"], k + m + 1, "coefficients")
-    eps = doc.get("epsilon")
-    delta = doc.get("delta")
-    return FourierPolynomial(
-        coeffs,
-        k,
-        m,
-        None if eps is None else float(eps),
-        None if delta is None else float(delta),
-    )
+    k, m = _window(doc)
+    coeffs = _pairs_to_complex(doc.get("coefficients"), k + m + 1, "coefficients")
+    eps, delta = doc.get("epsilon"), doc.get("delta")
+    try:
+        eps = None if eps is None else float(eps)
+        delta = None if delta is None else float(delta)
+    except (TypeError, ValueError):
+        raise ValidationError("polynomial 'epsilon' and 'delta' must be numbers") from None
+    return FourierPolynomial(coeffs, k, m, eps, delta)
 
 
 def angles_document(angles: AngleSequence) -> dict:
@@ -199,13 +212,14 @@ def angles_document(angles: AngleSequence) -> dict:
 
 
 def angles_from_document(doc: dict) -> AngleSequence:
-    return AngleSequence(
-        np.asarray(doc["theta"], dtype=np.float64),
-        np.asarray(doc["phi"], dtype=np.float64),
-        float(doc["lambda"]),
-        k=int(doc["k"]),
-        m=int(doc["m"]),
-    )
+    k, m = _window(doc)
+    try:
+        theta = np.asarray(doc.get("theta"), dtype=np.float64)
+        phi = np.asarray(doc.get("phi"), dtype=np.float64)
+        lam = float(doc.get("lambda"))
+    except (TypeError, ValueError):
+        raise ValidationError("angle document needs numeric theta, phi and lambda") from None
+    return AngleSequence(theta, phi, lam, k=k, m=m)
 
 
 def config_document(config: CoolingConfig) -> dict:
@@ -282,14 +296,6 @@ def certification_document(S: FourierPolynomial) -> dict:
     return doc
 
 
-def _csv_cell(value) -> str:
-    if isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return _fmt_float(float(value))
-
-
 def trajectory_csv_text(trajectories, config: CoolingConfig) -> str:
     """One row per (trial, step); success repeats the trial's flag."""
     lines = [
@@ -298,19 +304,13 @@ def trajectory_csv_text(trajectories, config: CoolingConfig) -> str:
         ",".join(CSV_COLUMNS),
     ]
     for trial, traj in enumerate(trajectories):
+        success = int(traj.success)
         for s in traj.steps:
-            row = (
-                trial,
-                s.step,
-                s.energy_estimate,
-                s.true_energy,
-                s.ground_overlap,
-                s.leakage_weight,
-                s.queries_eiH,
-                s.queries_UA,
-                traj.success,
+            lines.append(
+                f"{trial},{s.step},{_fmt_float(s.energy_estimate)},"
+                f"{_fmt_float(s.true_energy)},{_fmt_float(s.ground_overlap)},"
+                f"{_fmt_float(s.leakage_weight)},{s.queries_eiH},{s.queries_UA},{success}"
             )
-            lines.append(",".join(_csv_cell(v) for v in row))
     return "\n".join(lines) + "\n"
 
 

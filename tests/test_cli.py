@@ -278,6 +278,29 @@ class TestGqspCommand:
         assert main(["gqsp"]) == 1
         assert "either --poly" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {},
+            [0.5],
+            {"k": "x", "m": 0, "coefficients": [[0.5, 0.0]]},
+            {"k": -1, "m": 1},
+            {"k": 0, "m": 0, "coefficients": [[float("nan"), 0.0]]},
+        ],
+        ids=["missing_k", "list", "string_k", "negative_k", "nan_coefficient"],
+    )
+    def test_malformed_polynomial_exits_nonzero(self, tmp_path, capsys, doc):
+        poly = tmp_path / "poly.json"
+        poly.write_text(json.dumps(doc))
+        assert main(["gqsp", "--poly", str(poly)]) == 1
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dim", ["0", "-1"])
+    def test_check_dim_below_one_exits_nonzero(self, capsys, dim):
+        argv = ["gqsp", "--epsilon", "0.5", "--delta", "0.25", "--check-dim", dim]
+        assert main(argv) == 1
+        assert "check-dim" in capsys.readouterr().err
+
 
 class TestCertifyCommand:
     def test_default_subset_passes(self, tmp_path, capsys):

@@ -4,9 +4,13 @@ The load-bearing oracle is direct summation sum_n a_n U^n with explicit
 matrix powers, independent of the rotation-product code path.
 """
 
+import time
+import warnings
+
 import numpy as np
 import pytest
 
+from dyncool import gqsp
 from dyncool.errors import MarginError, NumericError, SynthesisError, ValidationError
 from dyncool.gqsp import (
     COMPLETION_GRID_POINTS,
@@ -92,6 +96,47 @@ class TestComplete:
         S = to_fourier(build_sign_poly(0.5, 0.25))
         pair = complete(S, margin=1e-6)
         assert pair.identity_residual <= 1e-8
+
+    def test_complement_roots_inside_disk_with_positive_lead(self):
+        rng = np.random.default_rng(13)
+        for k, m in [(0, 3), (2, 2), (4, 5)]:
+            Q = complete(random_scaled_poly(rng, k, m)).Q
+            lead = Q.coeffs[-1]
+            assert lead.real > 0.0 and abs(lead.imag) <= 1e-15
+            assert np.max(np.abs(np.roots(Q.coeffs[::-1]))) < 1.0
+
+    def test_degree_431_sign_polynomial(self):
+        # the companion-matrix root path took about 16 s here
+        S = fourier_sign(0.05, 1.0 / 256.0)
+        start = time.perf_counter()
+        angles, pair, scale = synthesize_angles(S, margin=1e-6)
+        elapsed = time.perf_counter() - start
+        assert angles.k == angles.m == 431 and scale == 1.0
+        assert pair.identity_residual <= 1.2e-13
+        assert angles.peel_residual <= 2e-12
+        assert elapsed <= 2.0
+
+    def test_nonpositive_complement_raises_without_warnings(self):
+        # |0.5 + 0.5z| = 1 and |0.6 + 0.6z| = 1.2 at z = 1, a point of every grid
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for a in ([0.5, 0.5], [0.6, 0.6]):
+                with pytest.raises(NumericError):
+                    gqsp._outer_complement(np.array(a, dtype=complex))
+
+    def test_grid_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(gqsp, "_OUTER_MAX_POINTS", 1 << 12)
+        with pytest.raises(NumericError):
+            complete(fourier_sign(0.2, 1.0 / 16.0), margin=1e-6)
+
+    def test_synthesis_finds_no_roots(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("completion must not find polynomial roots")
+
+        monkeypatch.setattr(np, "roots", forbidden)
+        monkeypatch.setattr(np.linalg, "eigvals", forbidden)
+        angles, pair, scale = synthesize_angles(fourier_sign(0.3, 0.1), margin=1e-6)
+        assert pair.identity_residual <= 1e-8 and angles.k == 33
 
     def test_mismatched_pair_rejected(self):
         P = FourierPolynomial([0.9], 0, 0)

@@ -109,6 +109,25 @@ class TestDocuments:
         assert np.array_equal(back.phi, angles.phi)
         assert back.lam == angles.lam and back.k == 2 and back.m == 1
 
+    def test_malformed_polynomial_and_angle_documents(self):
+        good = {"k": 0, "m": 1, "coefficients": [[0.5, 0.0], [0.1, 0.0]]}
+        bad_polys = [
+            [good], {**good, "k": None}, {**good, "m": 1.0}, {**good, "k": -1},
+            {**good, "k": True}, {**good, "epsilon": "abc"},
+            {**good, "coefficients": [[float("nan"), 0.0], [0.1, 0.0]]},
+        ]
+        for doc in bad_polys:
+            with pytest.raises(ValidationError):
+                polynomial_from_document(doc)
+        angles = {"k": 0, "m": 0, "theta": [0.1], "phi": [0.2], "lambda": 0.3}
+        bad_angles = [
+            "angles", {**angles, "m": "0"}, {**angles, "lambda": None},
+            {**angles, "theta": ["x"]},
+        ]
+        for doc in bad_angles:
+            with pytest.raises(ValidationError):
+                angles_from_document(doc)
+
 
 class TestFileWrites:
     def test_atomic_write_and_read(self, tmp_path):

@@ -20,10 +20,25 @@ Three interchangeable constructions of the sign operator:
 
 ``run`` works in H's eigenbasis: it carries the state as eigen-amplitudes
 V^dag psi, so a measurement is a bin sum of |amplitude|^2 and the energy,
-ground overlap and leakage are weighted sums. The step unitary depends only
-on (H, A, config) and the measured bin, so ``run`` builds it once per
-visited bin, with every check an uncached step makes (range guard,
-Hermiticity, eig reconstruction, unitarity), and reuses it in the eigenbasis.
+ground overlap and leakage are weighted sums. Everything else a trajectory
+needs depends only on (H, A, config), so every ``run`` call (the trials of
+one experiment, parameter sweeps) shares one prepared context from a
+module-level memo: a read-only copy of A, eig(H), the energy bins, the
+ground space, the sign polynomial or angles and the query costs. The memo
+also keeps each context's step unitaries in the eigenbasis, with the index
+where the leakage region starts, filled lazily: a bin's unitary is built on
+its first visit with every check an uncached step makes (range guard,
+Hermiticity, eig reconstruction, unitarity).
+
+The memo key is the content, not object identity: SHA-256 digests of H and
+A as complex128 bytes, their shapes, the frozen config and H's
+``Tolerances``. An array changed in place therefore gets a new context.
+Input is validated only when a context is built; invalid input raises and
+never enters the memo, so it raises on every call. The memo holds at most
+``_MEMO_CONTEXTS`` = 4 contexts and ``_MEMO_STEP_BYTES`` = 256 MiB of step
+unitaries over all of them, both evicted least recently used. An evicted
+bin is rebuilt, with every check, on its next visit; a unitary larger than
+the whole budget (d > 4096) is used for its step and not kept.
 
 The coherent variant keeps the energy register as an explicit tensor factor
 instead of sampling it; one step is block-diagonal over register values,
@@ -32,9 +47,12 @@ which is what makes it checkable against the sampled route branch by branch.
 
 from __future__ import annotations
 
+import hashlib
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
-from math import ceil, log2
+from math import ceil, log2, sqrt
 
 import numpy as np
 
@@ -42,15 +60,15 @@ from .dyson import default_time
 from .errors import RangeError, ValidationError
 from .gqsp import eval_angles, synthesize_angles
 from .operators import (
+    TOL,
     HermitianOperator,
     SpectralDecomposition,
     StateVector,
-    check_subnormalized,
+    Tolerances,
     eig,
     evolve,
     projector_below,
     reflection,
-    spectral_norm,
 )
 from .signfun import FourierPolynomial, fourier_sign, spectral_values
 
@@ -72,6 +90,9 @@ __all__ = [
 ]
 
 MODES = ("exact_spectral", "gqsp_circuit", "exact_reflection")
+
+_MEMO_CONTEXTS = 4
+_MEMO_STEP_BYTES = 256 << 20
 
 
 @lru_cache(maxsize=64)
@@ -169,12 +190,6 @@ def random_initial_state(rng: np.random.Generator, dim: int) -> np.ndarray:
     return vec / np.linalg.norm(vec)
 
 
-def _energy_bins(eigenvalues: np.ndarray, epsilon: float):
-    """Distinct bin labels and each eigenvalue's index into them."""
-    bins = np.floor(eigenvalues / epsilon + 0.5).astype(int)
-    return np.unique(bins, return_inverse=True)
-
-
 def _draw_index(probs: np.ndarray, rng: np.random.Generator) -> int:
     """Index drawn with weights ``probs``: the inverse-CDF draw that
     ``rng.choice(n, p=probs / probs.sum())`` makes, from the same one double."""
@@ -185,13 +200,29 @@ def _draw_index(probs: np.ndarray, rng: np.random.Generator) -> int:
     return int(cdf.searchsorted(rng.random(), side="right"))
 
 
-def _measure(amps, labels, inverse, epsilon, rng) -> tuple[int, float, np.ndarray]:
-    """Bin measurement on eigen-amplitudes: (bin, estimate, collapsed amplitudes)."""
-    probs = np.bincount(inverse, weights=np.abs(amps) ** 2)
-    idx = _draw_index(probs, rng)
-    collapsed = np.where(inverse == idx, amps, 0.0) / np.sqrt(probs[idx])
-    chosen = int(labels[idx])
-    return chosen, min(1.0, max(-1.0, chosen * epsilon)), collapsed
+class _Bins:
+    """Energy bins of width epsilon centered at integer multiples.
+
+    ``inverse`` maps each eigenvalue to its bin's index; per index, the bin
+    label, its clamped estimate and the mask of its eigenvalues.
+    """
+
+    def __init__(self, eigenvalues: np.ndarray, epsilon: float):
+        labels = np.floor(eigenvalues / epsilon + 0.5).astype(int)
+        labels, self.inverse = np.unique(labels, return_inverse=True)
+        self.labels = labels.tolist()
+        self.estimates = [min(1.0, max(-1.0, b * epsilon)) for b in self.labels]
+        self.members = [self.inverse == i for i in range(len(self.labels))]
+
+    def measure(self, amps, rng, weights=None) -> tuple[int, float, np.ndarray]:
+        """Bin measurement on eigen-amplitudes: (bin, estimate, collapsed
+        amplitudes). ``weights`` is |amps|^2 when the caller has it already."""
+        if weights is None:
+            weights = np.abs(amps) ** 2
+        probs = np.bincount(self.inverse, weights=weights)
+        idx = _draw_index(probs, rng)
+        collapsed = np.where(self.members[idx], amps, 0.0) / sqrt(probs[idx])
+        return self.labels[idx], self.estimates[idx], collapsed
 
 
 def qpe_project(
@@ -206,10 +237,8 @@ def qpe_project(
     estimate is the bin center clamped to [-1, 1] (the spectrum is
     subnormalized, so clamping only trims centers that poke past the edge).
     """
-    labels, inverse = _energy_bins(dec.eigenvalues, epsilon)
-    chosen, energy, amps = _measure(
-        dec.eigenvectors.conj().T @ state, labels, inverse, epsilon, rng
-    )
+    bins = _Bins(dec.eigenvalues, epsilon)
+    chosen, energy, amps = bins.measure(dec.eigenvectors.conj().T @ state, rng)
     return chosen, energy, dec.eigenvectors @ amps
 
 
@@ -283,6 +312,118 @@ def query_costs(epsilon: float, delta: float, sign_degree: int) -> tuple[int, in
     return sign_degree * reps + qpe, 4 * reps
 
 
+class _Context:
+    """What ``run`` needs that depends only on (H, A, config), checked once.
+
+    ``h`` and ``a`` are complex128 arrays; ``tol`` is H's ``Tolerances``.
+    """
+
+    def __init__(self, h: np.ndarray, a: np.ndarray, config: CoolingConfig, tol: Tolerances):
+        H = HermitianOperator(h, tol=tol)
+        self.dec = eig(H)
+        self.lam, self.vecs = self.dec.eigenvalues, self.dec.eigenvectors
+        norm = float(np.max(np.abs(self.lam)))
+        if norm > 1.0 + tol.norm_slack:
+            raise ValidationError(f"hamiltonian has spectral norm {norm:.12f} > 1")
+        self.a_mat = HermitianOperator(a, tol=tol).entries
+        if self.a_mat.shape != h.shape:
+            raise ValidationError(
+                f"perturbation shape {self.a_mat.shape} does not match hamiltonian {h.shape}"
+            )
+        if np.max(np.abs(np.linalg.eigvalsh(self.a_mat))) > 1.0 + 1e-10:
+            raise ValidationError("perturbation must have spectral norm <= 1")
+        self.config = config
+        self.dim = H.dim
+        self.vecs_h = self.vecs.conj().T
+        self.bins = _Bins(self.lam, config.epsilon)
+        # eigenvalues ascend, so the ground space is a prefix of them
+        self.ground = int(np.count_nonzero(self.lam <= self.lam[0] + 1e-12))
+        self.S = self.angles = None
+        sign_degree = 0
+        if config.mode != "exact_reflection":
+            self.S = _sign_cached(config.epsilon, config.delta)
+            sign_degree = self.S.degree
+            if config.mode == "gqsp_circuit":
+                self.angles = _angles_cached(config.epsilon, config.delta, config.margin)
+        self.per_eiH, self.per_UA = query_costs(config.epsilon, config.delta, sign_degree)
+
+    def observe(self, weights: np.ndarray) -> tuple[float, float]:
+        """True energy and ground overlap from the weights |amplitude|^2."""
+        return float(self.lam @ weights), float(weights[: self.ground].sum())
+
+    def step(self, estimate: float) -> tuple[np.ndarray, int]:
+        """The step unitary after measuring ``estimate``, V^dag U V, and the
+        index of the first eigenvalue past the leakage line."""
+        eps = self.config.epsilon
+        step_u = _step_unitary(
+            self.dec, self.a_mat, estimate + eps, self.config, self.S, self.angles
+        )
+        leak_from = int(self.lam.searchsorted(estimate + 1.5 * eps, side="left"))
+        return self.vecs_h @ step_u @ self.vecs, leak_from
+
+
+class _Memo:
+    """Prepared contexts by content, and their step unitaries by (context,
+    bin); both bounded and evicted least recently used. One lock guards
+    both, so threads may share the memo."""
+
+    def __init__(self, contexts: int, step_bytes: int):
+        self.max_contexts, self.max_step_bytes = contexts, step_bytes
+        self.contexts = OrderedDict()
+        self.steps = OrderedDict()
+        self.step_bytes = 0
+        self.lock = threading.Lock()
+
+    def context(self, H, A, config: CoolingConfig) -> _Context:
+        if isinstance(H, HermitianOperator):
+            h, tol = H.entries, H.tol
+        else:
+            h, tol = np.asarray(H, dtype=np.complex128), TOL
+        a = np.asarray(A.entries if hasattr(A, "entries") else A, dtype=np.complex128)
+        key = tuple(
+            (arr.shape, hashlib.sha256(np.ascontiguousarray(arr)).digest()) for arr in (h, a)
+        ) + (config, tol)
+        with self.lock:
+            ctx = self.contexts.get(key)
+            if ctx is not None:
+                self.contexts.move_to_end(key)
+                return ctx
+            ctx = self.contexts[key] = _Context(h, a, config, tol)
+            if len(self.contexts) > self.max_contexts:
+                old = self.contexts.popitem(last=False)[1]
+                for step_key in [k for k in self.steps if k[0] is old]:
+                    self._drop(step_key)
+            return ctx
+
+    def step(self, ctx: _Context, bin_idx: int, estimate: float) -> tuple[np.ndarray, int]:
+        key = (ctx, bin_idx)
+        with self.lock:
+            entry = self.steps.get(key)
+            if entry is not None:
+                self.steps.move_to_end(key)
+                return entry
+            entry = ctx.step(estimate)
+            size = entry[0].nbytes
+            if size <= self.max_step_bytes:
+                while self.step_bytes + size > self.max_step_bytes:
+                    self._drop(next(iter(self.steps)))
+                self.steps[key] = entry
+                self.step_bytes += size
+            return entry
+
+    def _drop(self, key):
+        self.step_bytes -= self.steps.pop(key)[0].nbytes
+
+    def clear(self):
+        with self.lock:
+            self.contexts.clear()
+            self.steps.clear()
+            self.step_bytes = 0
+
+
+_MEMO = _Memo(_MEMO_CONTEXTS, _MEMO_STEP_BYTES)
+
+
 def run(
     H,
     A,
@@ -298,83 +439,54 @@ def run(
     i.e. past the cutoff-plus-half-bin line the sign construction defends.
     The trajectory counts as a success when no step leaks.
 
-    The state is carried as eigen-amplitudes, and step unitaries, turned
-    into the eigenbasis, are kept per measured bin in a dict local to the
-    call: at most min(steps, occupied energy bins) dense d x d complex
-    matrices.
+    The state is carried as eigen-amplitudes. Everything that depends only
+    on (H, A, config), step unitaries included, comes from the module's
+    memo of prepared contexts (see the module docstring), so H and A are
+    validated and diagonalized once for all calls with the same content,
+    and each bin's step unitary is built once while it stays in the memo.
     """
-    H = H if isinstance(H, HermitianOperator) else HermitianOperator(H)
-    check_subnormalized(H, "hamiltonian")
-    a_mat = A.entries if hasattr(A, "entries") else np.asarray(A, dtype=complex)
-    if spectral_norm(a_mat) > 1.0 + 1e-10:
-        raise ValidationError("perturbation must have spectral norm <= 1")
-    dec = eig(H)
-    lam, vecs = dec.eigenvalues, dec.eigenvectors
-    dim = H.dim
-
+    ctx = _MEMO.context(H, A, config)
     state = (
-        random_initial_state(rng, dim)
+        random_initial_state(rng, ctx.dim)
         if initial_state is None
-        else _state_vec(initial_state, dim)
+        else _state_vec(initial_state, ctx.dim)
     )
-    amps = vecs.conj().T @ state
-    labels, inverse = _energy_bins(lam, config.epsilon)
-    ground_mask = lam <= lam[0] + 1e-12
+    amps = ctx.vecs_h @ state
+    weights = np.abs(amps) ** 2
+    initial_energy, initial_overlap = ctx.observe(weights)
 
-    def observe(amps):
-        """True energy, ground overlap and the weights |amplitude|^2."""
-        weights = np.abs(amps) ** 2
-        return float(lam @ weights), float(weights[ground_mask].sum()), weights
-
-    S = angles = None
-    sign_degree = 0
-    if config.mode != "exact_reflection":
-        S = _sign_cached(config.epsilon, config.delta)
-        sign_degree = S.degree
-        if config.mode == "gqsp_circuit":
-            angles = _angles_cached(config.epsilon, config.delta, config.margin)
-    per_eiH, per_UA = query_costs(config.epsilon, config.delta, sign_degree)
-
-    initial_energy, initial_overlap, _ = observe(amps)
-
-    records = []
-    prev_bin = None
-    unitaries = {}  # bin index -> step unitary in the eigenbasis, V^dag U V
-    for step in range(config.steps):
-        bin_idx, estimate, amps = _measure(amps, labels, inverse, config.epsilon, rng)
-        if records and prev_bin is not None:
-            records[-1]["leak_event"] = bin_idx >= prev_bin + 2
+    measured, records = [], []
+    for _ in range(config.steps):
+        bin_idx, estimate, amps = ctx.bins.measure(amps, rng, weights)
+        measured.append(bin_idx)
         if stopping is not None and stopping.satisfied(estimate):
-            prev_bin = None
+            weights = None  # the collapsed state's weights are not computed
             break
-        if bin_idx not in unitaries:
-            cutoff = estimate + config.epsilon
-            step_u = _step_unitary(dec, a_mat, cutoff, config, S, angles)
-            unitaries[bin_idx] = vecs.conj().T @ step_u @ vecs
-        amps = unitaries[bin_idx] @ amps
-        energy, overlap, weights = observe(amps)
-        records.append(
-            {
-                "step": step,
-                "bin_index": bin_idx,
-                "energy_estimate": estimate,
-                "true_energy": energy,
-                "ground_overlap": overlap,
-                "leakage_weight": float(weights[lam >= estimate + 1.5 * config.epsilon].sum()),
-                "queries_eiH": per_eiH * (step + 1),
-                "queries_UA": per_UA * (step + 1),
-                "leak_event": False,
-            }
+        unitary, leak_from = _MEMO.step(ctx, bin_idx, estimate)
+        amps = unitary @ amps
+        weights = np.abs(amps) ** 2
+        energy, overlap = ctx.observe(weights)
+        records.append((bin_idx, estimate, energy, overlap, float(weights[leak_from:].sum())))
+
+    final_bin, final_estimate, amps = ctx.bins.measure(amps, rng, weights)
+    final_energy, final_overlap = ctx.observe(np.abs(amps) ** 2)
+    # each step's leak event compares its bin with the next measurement's
+    following = measured[1:] + [final_bin]
+    steps = tuple(
+        StepResult(
+            step=step,
+            bin_index=bin_idx,
+            energy_estimate=estimate,
+            true_energy=energy,
+            ground_overlap=overlap,
+            leakage_weight=leakage,
+            queries_eiH=ctx.per_eiH * (step + 1),
+            queries_UA=ctx.per_UA * (step + 1),
+            leak_event=following[step] >= bin_idx + 2,
         )
-        prev_bin = bin_idx
-
-    final_bin, final_estimate, amps = _measure(amps, labels, inverse, config.epsilon, rng)
-    if records and prev_bin is not None:
-        records[-1]["leak_event"] = final_bin >= prev_bin + 2
-
-    final_energy, final_overlap, _ = observe(amps)
-    steps = tuple(StepResult(**rec) for rec in records)
-    leaks = sum(1 for s in steps if s.leak_event)
+        for step, (bin_idx, estimate, energy, overlap, leakage) in enumerate(records)
+    )
+    leaks = sum(s.leak_event for s in steps)
     return Trajectory(
         steps=steps,
         initial_energy=initial_energy,

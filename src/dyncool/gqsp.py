@@ -108,11 +108,11 @@ class CompletionPair:
     identity_residual: float = field(init=False)
 
     def __post_init__(self):
-        total = np.abs(eval_fourier_grid(self.P, COMPLETION_GRID_POINTS)) ** 2
-        total += np.abs(eval_fourier_grid(self.Q, COMPLETION_GRID_POINTS)) ** 2
+        total = _abs_on_grid(self.P) ** 2
+        total += _abs_on_grid(self.Q) ** 2
         residual = float(np.max(np.abs(total - 1.0)))
         object.__setattr__(self, "identity_residual", residual)
-        if residual > 1e-8:
+        if not residual <= 1e-8:
             raise NumericError(
                 f"|P|^2 + |Q|^2 deviates from 1 by {residual:.3e} on the circle"
             )
@@ -128,8 +128,38 @@ class AssembledBlock:
     cu_dag_applications: int
 
 
+# The polynomial last evaluated on the completion grid and |P| there. One
+# synthesis checks the same P up to three times (the rescale test, the
+# margin and the identity certificate); keyed by the object, whose
+# coefficients are read-only, they share one FFT.
+_last_grid = (None, None)
+
+
+def _abs_on_grid(P: FourierPolynomial) -> np.ndarray:
+    """|P| on the completion grid, read-only; non-finite where P overflows."""
+    global _last_grid
+    last, values = _last_grid
+    if last is not P:
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = np.abs(eval_fourier_grid(P, COMPLETION_GRID_POINTS))
+        values.setflags(write=False)
+        _last_grid = (P, values)
+    return values
+
+
+def _grid_max(P: FourierPolynomial) -> float:
+    """max |P| on the completion grid, which must be finite."""
+    max_abs = float(np.max(_abs_on_grid(P)))
+    if not np.isfinite(max_abs):
+        raise NumericError(f"max |P| on the completion grid is {max_abs}")
+    return max_abs
+
+
 def _trim_support(S: FourierPolynomial) -> FourierPolynomial:
-    """Drop numerically-zero edge coefficients so declared degrees are true."""
+    """Drop numerically-zero edge coefficients so declared degrees are true.
+
+    Returns ``S`` itself when there is nothing to drop.
+    """
     coeffs = np.asarray(S.coeffs)
     scale = np.max(np.abs(coeffs))
     if scale == 0.0:
@@ -137,6 +167,8 @@ def _trim_support(S: FourierPolynomial) -> FourierPolynomial:
     live = np.nonzero(np.abs(coeffs) > 1e-15 * scale)[0]
     # never trim past the constant mode: k and m stay non-negative
     lo, hi = min(int(live[0]), S.k), max(int(live[-1]), S.k)
+    if lo == 0 and hi == coeffs.size - 1:
+        return S
     return FourierPolynomial(
         coeffs[lo : hi + 1], S.k - lo, S.m - (coeffs.size - 1 - hi), S.epsilon, S.delta
     )
@@ -199,7 +231,7 @@ def complete(P: FourierPolynomial, margin: float = 1e-4) -> CompletionPair:
     if margin < 1e-6:
         raise ValidationError(f"margin must be >= 1e-6, got {margin}")
     P = _trim_support(P)
-    max_abs = float(np.max(np.abs(eval_fourier_grid(P, COMPLETION_GRID_POINTS))))
+    max_abs = _grid_max(P)
     # 1e-9 slack keeps inputs rescaled exactly onto the margin from failing
     # the check by rounding noise
     if max_abs > 1.0 - margin + 1e-9:
@@ -340,7 +372,7 @@ def synthesize_angles(
     Returns (angles, pair, scale): scale < 1 means the encoded polynomial is
     scale * P, a deliberate approximation error bounded by the margin.
     """
-    max_abs = float(np.max(np.abs(eval_fourier_grid(P, COMPLETION_GRID_POINTS))))
+    max_abs = _grid_max(P)
     scale = 1.0
     if max_abs > 1.0 - margin + 1e-9:
         scale = (1.0 - margin) / max_abs

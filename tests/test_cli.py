@@ -286,14 +286,18 @@ class TestGqspCommand:
             {"k": "x", "m": 0, "coefficients": [[0.5, 0.0]]},
             {"k": -1, "m": 1},
             {"k": 0, "m": 0, "coefficients": [[float("nan"), 0.0]]},
+            # finite coefficients whose values on the completion grid overflow
+            {"k": 1, "m": 1, "coefficients": [[1e308, 0.0], [0.0, 0.0], [1e308, 0.0]]},
         ],
-        ids=["missing_k", "list", "string_k", "negative_k", "nan_coefficient"],
+        ids=["missing_k", "list", "string_k", "negative_k", "nan_coefficient", "overflow"],
     )
     def test_malformed_polynomial_exits_nonzero(self, tmp_path, capsys, doc):
         poly = tmp_path / "poly.json"
         poly.write_text(json.dumps(doc))
         assert main(["gqsp", "--poly", str(poly)]) == 1
-        assert "error:" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert "gqsp:" not in captured.out
 
     @pytest.mark.parametrize("dim", ["0", "-1"])
     def test_check_dim_below_one_exits_nonzero(self, capsys, dim):

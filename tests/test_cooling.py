@@ -5,10 +5,14 @@ closed-form two-coupling toy model, and signed-shift reconstruction of the
 coherent branches.
 """
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
-from dyncool import cooling, gqsp
+from dyncool import cooling, gqsp, operators
+from dyncool.cli import run_experiment
 from dyncool.cooling import (
     MODES,
     CoolingConfig,
@@ -26,10 +30,11 @@ from dyncool.cooling import (
 from dyncool.dyson import default_time, sample_gue
 from dyncool.errors import RangeError, ValidationError
 from dyncool.gqsp import synthesize_angles
-from dyncool.operators import HermitianOperator, eig, evolve, spectral_norm
+from dyncool.operators import HermitianOperator, Tolerances, eig, evolve, spectral_norm
 from dyncool.signfun import apply_spectral, fourier_sign
 
 from conftest import random_hermitian
+from test_reference_trajectories import CASES, trajectory_rows
 
 
 def normalized_gue(rng, dim):
@@ -263,6 +268,22 @@ class TestRunInvariants:
         assert len(traj.steps) == 0
         assert traj.final_energy_estimate == pytest.approx(-0.5)
 
+    def test_terminal_measurement_after_a_stop_sees_the_collapsed_state(self):
+        # without a perturbation the state never leaves its first bin, so a
+        # run that stops at step 0 must measure a stopping bin once more
+        H = HermitianOperator(np.diag([-0.75, -0.25, 0.25, 0.75]))
+        cfg = CoolingConfig(epsilon=0.5, steps=3)
+        stops = 0
+        for trial in range(40):
+            rng = np.random.default_rng((29, trial))
+            traj = run(H, np.zeros((4, 4)), cfg, rng, stopping=StoppingRule(0.0))
+            if traj.steps:
+                assert {s.bin_index for s in traj.steps} == {traj.final_bin}
+            else:
+                stops += 1
+                assert traj.final_energy_estimate <= 0.0
+        assert 0 < stops < 40
+
     def test_rejects_non_finite_initial_state(self):
         rng = np.random.default_rng(31)
         H = random_hermitian(rng, 4, norm=0.9)
@@ -336,6 +357,164 @@ class TestStepCache:
             for i in range(cfg.steps) for j in range(i + 1, cfg.steps)
         )
         assert len(built) == len(set(steps))
+
+
+class TestSharedContext:
+    """``run`` takes its (H, A, config) preparation from a content-keyed memo."""
+
+    @pytest.fixture(autouse=True)
+    def cold_memo(self, monkeypatch):
+        memo = cooling._Memo(cooling._MEMO_CONTEXTS, cooling._MEMO_STEP_BYTES)
+        monkeypatch.setattr(cooling, "_MEMO", memo)
+        return memo
+
+    @staticmethod
+    def instance(seed, dim=8):
+        rng = np.random.default_rng(seed)
+        return random_hermitian(rng, dim, norm=1.0).entries.copy(), normalized_gue(rng, dim)
+
+    def test_experiment_diagonalizes_once_and_runs_no_svd(self, monkeypatch):
+        H, A = self.instance(64, dim=64)
+        cfg = CoolingConfig(epsilon=0.1, steps=12)
+        counts = {"eig": 0, "svd": 0}
+        real_eig, real_svd, real_norm = operators.eig, np.linalg.svd, np.linalg.norm
+
+        def counting_eig(op):
+            counts["eig"] += 1
+            return real_eig(op)
+
+        def counting_svd(*args, **kwargs):
+            counts["svd"] += 1
+            return real_svd(*args, **kwargs)
+
+        def counting_norm(x, ord=None, *args, **kwargs):
+            counts["svd"] += ord == 2 and np.ndim(x) == 2  # the 2-norm of a matrix is an SVD
+            return real_norm(x, ord, *args, **kwargs)
+
+        monkeypatch.setattr(operators, "eig", counting_eig)
+        monkeypatch.setattr(cooling, "eig", counting_eig)
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        monkeypatch.setattr(np.linalg, "norm", counting_norm)
+        trajectories = run_experiment(H, A, cfg, seed=3, trials=16)
+        bins = {s.bin_index for t in trajectories for s in t.steps}
+        assert len(bins) > 1
+        assert counts == {"eig": 1 + len(bins), "svd": 0}
+        assert run_experiment(H, A, cfg, seed=3, trials=16) == trajectories
+        assert counts == {"eig": 1 + len(bins), "svd": 0}
+
+    def test_in_place_change_is_not_served_a_stale_context(self, cold_memo):
+        H, A = self.instance(5)
+        cfg = CoolingConfig(epsilon=0.25, steps=6)
+        first = run(H, A, cfg, np.random.default_rng(1))
+        for arr in (H, A):
+            saved = arr.copy()
+            arr *= 0.5
+            changed = run(H, A, cfg, np.random.default_rng(1))
+            cold_memo.clear()
+            assert run(H, A, cfg, np.random.default_rng(1)) == changed != first
+            arr[...] = saved
+            assert run(H, A, cfg, np.random.default_rng(1)) == first
+
+    @pytest.mark.parametrize(
+        "which, bad",
+        [
+            ("H", lambda H: H + np.triu(np.full_like(H, 1e-6), 1)),
+            ("H", lambda H: 1.2 * H),
+            ("H", lambda H: np.where(np.eye(len(H)) > 0, np.nan, H)),
+            ("A", lambda A: A + np.triu(np.full_like(A, 1e-6), 1)),
+            ("A", lambda A: 3.0 * A / spectral_norm(A)),
+            ("A", lambda A: np.where(np.eye(len(A)) > 0, np.inf, A)),
+            ("A", lambda A: A[:-1, :-1]),
+        ],
+        ids=[
+            "H_non_hermitian", "H_norm", "H_nan",
+            "A_non_hermitian", "A_norm", "A_inf", "A_shape",
+        ],
+    )
+    def test_invalid_input_raises_on_every_call(self, cold_memo, which, bad):
+        H, A = self.instance(9)
+        H, A = (bad(H), A) if which == "H" else (H, bad(A))
+        cfg = CoolingConfig(epsilon=0.25, steps=3)
+        for _ in range(3):
+            with pytest.raises(ValidationError):
+                run(H, A, cfg, np.random.default_rng(0))
+        assert not cold_memo.contexts
+
+    def test_tolerances_get_their_own_context(self, cold_memo):
+        H, A = self.instance(12)
+        H *= (1.0 + 1e-11) / spectral_norm(H)  # inside the default norm slack only
+        cfg = CoolingConfig(epsilon=0.25, steps=3)
+        run(HermitianOperator(H), A, cfg, np.random.default_rng(0))
+        run(H, A, cfg, np.random.default_rng(0))  # a raw array is checked with TOL as well
+        assert len(cold_memo.contexts) == 1
+        strict = HermitianOperator(H, tol=Tolerances(norm_slack=1e-12))
+        with pytest.raises(ValidationError, match="spectral norm"):
+            run(strict, A, cfg, np.random.default_rng(0))
+        loose = HermitianOperator(H, tol=Tolerances(hermiticity=1e-10))
+        run(loose, A, cfg, np.random.default_rng(0))
+        assert len(cold_memo.contexts) == 2
+
+    def test_memo_never_exceeds_its_bound(self, cold_memo, monkeypatch):
+        assert (cooling._MEMO_CONTEXTS, cooling._MEMO_STEP_BYTES) == (4, 256 << 20)
+        cfg = CoolingConfig(epsilon=0.2, steps=8, delta=0.8)
+
+        def check(memo):
+            assert len(memo.contexts) <= memo.max_contexts
+            assert memo.step_bytes <= memo.max_step_bytes
+            assert memo.step_bytes == sum(u.nbytes for u, _ in memo.steps.values())
+            live = list(memo.contexts.values())
+            assert all(any(ctx is c for c in live) for ctx, _ in memo.steps)
+
+        for seed in range(7):
+            H, A = self.instance(seed)
+            run(H, A, cfg, np.random.default_rng(seed))
+            check(cold_memo)
+        assert len(cold_memo.contexts) == 4
+
+        # the same policy at a budget of three 8 x 8 step unitaries: evicted bins
+        # are rebuilt, and the trajectories do not change
+        H, A = self.instance(2)
+        expected = run_experiment(H, A, cfg, seed=7, trials=6)
+        small = cooling._Memo(2, 3 * 8 * 8 * 16)
+        monkeypatch.setattr(cooling, "_MEMO", small)
+        built = []
+        step_unitary = cooling._step_unitary
+        monkeypatch.setattr(
+            cooling, "_step_unitary", lambda *a: built.append(a[2]) or step_unitary(*a)
+        )
+        for t in range(6):
+            assert run(H, A, cfg, np.random.default_rng((7, t))) == expected[t]
+            check(small)
+        assert len(built) > len(set(built)) and len(small.steps) == 3
+
+    def test_threads_share_the_memo(self, monkeypatch):
+        memo = cooling._Memo(2, 3 * 8 * 8 * 16)
+        monkeypatch.setattr(cooling, "_MEMO", memo)
+        cfg = CoolingConfig(epsilon=0.2, steps=8, delta=0.8)
+        instances = [self.instance(seed) for seed in range(3)]
+        expected = [run_experiment(H, A, cfg, seed=1, trials=4) for H, A in instances]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                futures = [pool.submit(run_experiment, H, A, cfg, 1, 4) for H, A in instances * 10]
+                results = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == expected * 10
+        assert len(memo.contexts) <= 2
+        assert memo.step_bytes == sum(u.nbytes for u, _ in memo.steps.values())
+        assert memo.step_bytes <= memo.max_step_bytes
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_cold_and_warm_memo_agree_on_pinned_inputs(self, name, monkeypatch):
+        cold = trajectory_rows(name)
+
+        def forbidden(*args):
+            raise AssertionError("a warm memo rebuilt a step unitary")
+
+        monkeypatch.setattr(cooling, "_step_unitary", forbidden)
+        assert trajectory_rows(name) == cold
 
 
 class TestCircuitMode:

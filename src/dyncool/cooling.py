@@ -30,9 +30,10 @@ where the leakage region starts, filled lazily: a bin's unitary is built on
 its first visit with every check an uncached step makes (range guard,
 Hermiticity, eig reconstruction, unitarity).
 
-The memo key is the content, not object identity: SHA-256 digests of H and
-A as complex128 bytes, their shapes, the frozen config and H's
-``Tolerances``. An array changed in place therefore gets a new context.
+The memo key is the content, not object identity: the bytes of H and A as
+complex128 with their shapes, the frozen config and H's ``Tolerances``
+(A's key bytes double as the context's read-only copy of A). An array
+changed in place therefore gets a new context.
 Input is validated only when a context is built; invalid input raises and
 never enters the memo, so it raises on every call. The memo holds at most
 ``_MEMO_CONTEXTS`` = 4 contexts and ``_MEMO_STEP_BYTES`` = 256 MiB of step
@@ -47,7 +48,6 @@ which is what makes it checkable against the sampled route branch by branch.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -315,7 +315,8 @@ def query_costs(epsilon: float, delta: float, sign_degree: int) -> tuple[int, in
 class _Context:
     """What ``run`` needs that depends only on (H, A, config), checked once.
 
-    ``h`` and ``a`` are complex128 arrays; ``tol`` is H's ``Tolerances``.
+    ``h`` and ``a`` are complex128 arrays, ``a`` read-only, and ``tol`` is
+    H's ``Tolerances``.
     """
 
     def __init__(self, h: np.ndarray, a: np.ndarray, config: CoolingConfig, tol: Tolerances):
@@ -325,13 +326,14 @@ class _Context:
         norm = float(np.max(np.abs(self.lam)))
         if norm > 1.0 + tol.norm_slack:
             raise ValidationError(f"hamiltonian has spectral norm {norm:.12f} > 1")
-        self.a_mat = HermitianOperator(a, tol=tol).entries
-        if self.a_mat.shape != h.shape:
+        HermitianOperator(a, tol=tol)  # square, finite and Hermitian
+        if a.shape != h.shape:
             raise ValidationError(
-                f"perturbation shape {self.a_mat.shape} does not match hamiltonian {h.shape}"
+                f"perturbation shape {a.shape} does not match hamiltonian {h.shape}"
             )
-        if np.max(np.abs(np.linalg.eigvalsh(self.a_mat))) > 1.0 + 1e-10:
+        if np.max(np.abs(np.linalg.eigvalsh(a))) > 1.0 + 1e-10:
             raise ValidationError("perturbation must have spectral norm <= 1")
+        self.a_mat = a
         self.config = config
         self.dim = H.dim
         self.vecs_h = self.vecs.conj().T
@@ -380,14 +382,13 @@ class _Memo:
         else:
             h, tol = np.asarray(H, dtype=np.complex128), TOL
         a = np.asarray(A.entries if hasattr(A, "entries") else A, dtype=np.complex128)
-        key = tuple(
-            (arr.shape, hashlib.sha256(np.ascontiguousarray(arr)).digest()) for arr in (h, a)
-        ) + (config, tol)
+        key = (h.shape, h.tobytes(), a.shape, a.tobytes(), config, tol)
         with self.lock:
             ctx = self.contexts.get(key)
             if ctx is not None:
                 self.contexts.move_to_end(key)
                 return ctx
+            a = np.frombuffer(key[3], dtype=np.complex128).reshape(a.shape)
             ctx = self.contexts[key] = _Context(h, a, config, tol)
             if len(self.contexts) > self.max_contexts:
                 old = self.contexts.popitem(last=False)[1]

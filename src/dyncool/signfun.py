@@ -12,9 +12,11 @@ Every constructor certifies its bounds on a dense grid before returning;
 the grid checks, not the defining formulas, are the contract.
 
 Only numpy and the standard library are used, so importing the package
-loads no scipy: the Chebyshev projection's DCT-II is an FFT of the even
-extension, erf is `math.erf` applied elementwise, and a uniform grid on the
-circle (`eval_fourier_grid`) costs one inverse FFT instead of a Horner pass.
+loads no scipy and no ``numpy.polynomial``: the Chebyshev projection's
+DCT-II is an FFT of the even extension, erf is `math.erf` applied
+elementwise, Chebyshev series are summed by Clenshaw's recurrence, and a
+uniform grid on the circle (`eval_fourier_grid`) costs one inverse FFT
+instead of a Horner pass.
 Values at a spectrum (`spectral_values`) are one table of exponentials times
 the coefficients; Horner `eval_fourier` remains for arbitrary points.
 """
@@ -25,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebval
 
 from .errors import CertificationError, RangeError, ValidationError
 from .operators import TOL, HermitianOperator, SpectralDecomposition, Tolerances, eig
@@ -122,9 +123,22 @@ class FourierPolynomial:
         return max(self.k, self.m)
 
 
+def _chebval(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """sum_j c_j T_j(x) by Clenshaw's recurrence (len(c) >= 2), with the
+    operations of numpy's ``chebval`` in the same order, so the values are
+    the same to the bit without importing ``numpy.polynomial``."""
+    if len(c) == 2:
+        return c[0] + c[1] * x
+    x2 = 2 * x
+    c0, c1 = c[-2], c[-1]
+    for i in range(3, len(c) + 1):
+        c0, c1 = c[-i] - c1, c0 + c1 * x2
+    return c0 + c1 * x
+
+
 def eval_poly(P: RealOddPolynomial, x) -> np.ndarray:
     """Clenshaw evaluation of the Chebyshev series at array ``x``."""
-    return chebval(np.asarray(x, dtype=np.float64), P.cheb_coeffs)
+    return _chebval(np.asarray(x, dtype=np.float64), P.cheb_coeffs)
 
 
 def eval_fourier(S: FourierPolynomial, x) -> np.ndarray:
@@ -210,7 +224,7 @@ def build_sign_poly(
     coeffs = np.array(coeffs[: keep + 1])
 
     grid = np.linspace(-1.0, 1.0, SIGN_GRID_POINTS)
-    vals = chebval(grid, coeffs)
+    vals = _chebval(grid, coeffs)
     scale = _RESCALE / max(float(np.max(np.abs(vals))), 1.0)
     coeffs *= scale
     vals *= scale

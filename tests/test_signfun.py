@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dyncool import CertificationError, HermitianOperator, RangeError, ValidationError, eig
+from dyncool import signfun
 from dyncool.signfun import (
     C_DEG,
     FourierPolynomial,
@@ -36,6 +37,19 @@ class TestBuildSignPoly:
         band = np.abs(grid) >= eps / 2.0
         assert np.max(np.abs(vals[band] - np.sign(grid[band]))) <= delta + 1e-9
         assert P.degree <= C_DEG * (1.0 / eps) * np.log(1.0 / delta)
+
+    def test_clenshaw_sum_is_numpys_chebval(self):
+        # build_sign_poly rescales by the grid maximum of this sum, so it must
+        # reproduce numpy's arithmetic exactly, not only within rounding
+        from numpy.polynomial.chebyshev import chebval
+
+        rng = np.random.default_rng(3)
+        grid = np.linspace(-1.0, 1.0, 1001)
+        for n in (2, 3, 4, 17, 140):
+            c = rng.normal(size=n)
+            assert np.array_equal(signfun._chebval(grid, c), chebval(grid, c))
+        P = build_sign_poly(0.3, 0.1)
+        assert np.array_equal(eval_poly(P, grid), chebval(grid, P.cheb_coeffs))
 
     def test_odd_symmetry(self):
         P = build_sign_poly(0.4, 0.1)

@@ -14,7 +14,8 @@ import sys
 
 import numpy as np
 
-from .cooling import CoolingConfig, StoppingRule, run
+from . import cooling
+from .cooling import CoolingConfig, StoppingRule
 from .dyson import effective_error, leakage, sample_gue
 from .errors import (
     CertificationError,
@@ -98,6 +99,11 @@ def _tfim_matrix(sites: int, coupling: float, field: float) -> np.ndarray:
     return H
 
 
+def _hermitian_norm(mat: np.ndarray) -> float:
+    """Spectral norm of a matrix that is Hermitian by construction, without an SVD."""
+    return float(np.max(np.abs(np.linalg.eigvalsh(mat))))
+
+
 def generate_hamiltonian(source: dict, rng: np.random.Generator) -> np.ndarray:
     """Build the system Hamiltonian from its config block.
 
@@ -113,14 +119,14 @@ def generate_hamiltonian(source: dict, rng: np.random.Generator) -> np.ndarray:
         if dim > TOL.max_total_dim:
             raise ResourceError(f"hamiltonian dimension {dim} exceeds budget {TOL.max_total_dim}")
         mat = sample_gue(rng, dim)
-        return mat / spectral_norm(mat)
+        return mat / _hermitian_norm(mat)
     if kind == "tfim":
         H = _tfim_matrix(
             _number(source, "sites", int),
             _number(source, "coupling", float, 1.0),
             _number(source, "field", float, 1.0),
         )
-        return H / max(1.0, spectral_norm(H))
+        return H / max(1.0, _hermitian_norm(H))
     if kind == "file":
         mat = matrix_from_document(read_json(_require(source, "path")))
         check_subnormalized(HermitianOperator(mat), "hamiltonian file")
@@ -144,15 +150,17 @@ def generate_perturbation(source: dict, dim: int, rng: np.random.Generator) -> n
         return np.zeros((dim, dim))
     else:
         raise ValidationError(f"unknown perturbation type {kind!r}")
-    return mat / max(1.0, spectral_norm(mat))
+    return mat / max(1.0, _hermitian_norm(mat))
 
 
 def run_experiment(H, A, config: CoolingConfig, seed: int, trials: int, stopping=None):
-    """Run ``trials`` independent trajectories on per-trial substreams."""
+    """Run ``trials`` independent trajectories on per-trial substreams, the
+    trials of ``cooling.run`` on one prepared context looked up once."""
     if trials < 1:
         raise ValidationError(f"need at least one trial, got {trials}")
+    ctx = cooling._MEMO.context(H, A, config)
     return [
-        run(H, A, config, np.random.default_rng((seed, t)), stopping=stopping)
+        cooling._trajectory(ctx, np.random.default_rng((seed, t)), stopping=stopping)
         for t in range(trials)
     ]
 

@@ -19,16 +19,23 @@ Three interchangeable constructions of the sign operator:
   error at all.
 
 ``run`` works in H's eigenbasis: it carries the state as eigen-amplitudes
-V^dag psi, so a measurement is a bin sum of |amplitude|^2 and the energy,
-ground overlap and leakage are weighted sums. Everything else a trajectory
-needs depends only on (H, A, config), so every ``run`` call (the trials of
-one experiment, parameter sweeps) shares one prepared context from a
-module-level memo: a read-only copy of A, eig(H), the energy bins, the
-ground space, the sign polynomial or angles and the query costs. The memo
-also keeps each context's step unitaries in the eigenbasis, with the index
-where the leakage region starts, filled lazily: a bin's unitary is built on
-its first visit with every check an uncached step makes (range guard,
-Hermiticity, eig reconstruction, unitarity).
+V^dag psi. The eigenvalues ascend, so every energy bin is a contiguous
+slice of the eigenbasis. Everything else a trajectory needs depends only on
+(H, A, config), so every ``run`` call (the trials of one experiment,
+parameter sweeps) shares one prepared context from a module-level memo: a
+read-only copy of A, eig(H), the bin slices, the ground space, the sign
+polynomial or angles, the query costs and one real observation matrix.
+Its rows are the bin indicators, the eigenvalues, the ground-space
+indicator and each bin's leakage-region indicator, with every column
+repeated for the real and imaginary parts of an amplitude; one product
+with the squared components of the amplitudes gives every bin weight, the
+energy, the ground overlap and every bin's leakage. The memo also keeps
+each context's step unitaries in the eigenbasis, with the index where the
+leakage region starts, filled lazily: a bin's unitary is built on its first
+visit with every check an uncached step makes (range guard, Hermiticity,
+eig reconstruction, unitarity). A step after measuring bin b applies only
+the column block of b's unitary over b's slice, since the collapsed state
+is zero elsewhere.
 
 The memo key is the content, not object identity: the bytes of H and A as
 complex128 with their shapes, the frozen config and H's ``Tolerances``
@@ -49,9 +56,11 @@ which is what makes it checkable against the sampled route branch by branch.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from math import ceil, log2, sqrt
 
 import numpy as np
@@ -67,8 +76,6 @@ from .operators import (
     Tolerances,
     eig,
     evolve,
-    projector_below,
-    reflection,
 )
 from .signfun import FourierPolynomial, fourier_sign, spectral_values
 
@@ -190,39 +197,38 @@ def random_initial_state(rng: np.random.Generator, dim: int) -> np.ndarray:
     return vec / np.linalg.norm(vec)
 
 
-def _draw_index(probs: np.ndarray, rng: np.random.Generator) -> int:
+def _draw_index(probs, rng: np.random.Generator) -> int:
     """Index drawn with weights ``probs``: the inverse-CDF draw that
     ``rng.choice(n, p=probs / probs.sum())`` makes, from the same one double."""
-    cdf = probs.cumsum()
-    if not cdf[-1] > 0.0:
+    cdf = list(accumulate(probs))
+    total = cdf[-1]
+    if not total > 0.0:
         raise ValidationError("state has no weight on any energy bin")
-    cdf /= cdf[-1]
-    return int(cdf.searchsorted(rng.random(), side="right"))
+    return bisect_right([c / total for c in cdf], rng.random())
 
 
 class _Bins:
     """Energy bins of width epsilon centered at integer multiples.
 
-    ``inverse`` maps each eigenvalue to its bin's index; per index, the bin
-    label, its clamped estimate and the mask of its eigenvalues.
+    Labels floor(lambda/epsilon + 1/2) never decrease along ascending
+    eigenvalues, so each bin is a contiguous run of them. Per bin index: the
+    bin label, its clamped estimate and its ``(start, stop)`` slice.
     """
 
     def __init__(self, eigenvalues: np.ndarray, epsilon: float):
         labels = np.floor(eigenvalues / epsilon + 0.5).astype(int)
-        labels, self.inverse = np.unique(labels, return_inverse=True)
-        self.labels = labels.tolist()
+        bounds = [0, *(np.flatnonzero(np.diff(labels)) + 1).tolist(), labels.size]
+        self.slices = list(zip(bounds[:-1], bounds[1:]))
+        self.labels = labels[bounds[:-1]].tolist()
         self.estimates = [min(1.0, max(-1.0, b * epsilon)) for b in self.labels]
-        self.members = [self.inverse == i for i in range(len(self.labels))]
 
-    def measure(self, amps, rng, weights=None) -> tuple[int, float, np.ndarray]:
-        """Bin measurement on eigen-amplitudes: (bin, estimate, collapsed
-        amplitudes). ``weights`` is |amps|^2 when the caller has it already."""
-        if weights is None:
-            weights = np.abs(amps) ** 2
-        probs = np.bincount(self.inverse, weights=weights)
-        idx = _draw_index(probs, rng)
-        collapsed = np.where(self.members[idx], amps, 0.0) / sqrt(probs[idx])
-        return self.labels[idx], self.estimates[idx], collapsed
+    def collapse(self, amps: np.ndarray, idx: int, weight: float) -> np.ndarray:
+        """``amps`` projected onto bin ``idx``, whose weight is ``weight``,
+        and renormalized."""
+        start, stop = self.slices[idx]
+        out = np.zeros_like(amps)
+        out[start:stop] = amps[start:stop] / sqrt(weight)
+        return out
 
 
 def qpe_project(
@@ -238,8 +244,12 @@ def qpe_project(
     subnormalized, so clamping only trims centers that poke past the edge).
     """
     bins = _Bins(dec.eigenvalues, epsilon)
-    chosen, energy, amps = bins.measure(dec.eigenvectors.conj().T @ state, rng)
-    return chosen, energy, dec.eigenvectors @ amps
+    amps = dec.eigenvectors.conj().T @ state
+    weights = np.abs(amps) ** 2
+    probs = [weights[start:stop].sum() for start, stop in bins.slices]
+    idx = _draw_index(probs, rng)
+    collapsed = bins.collapse(amps, idx, probs[idx])
+    return bins.labels[idx], bins.estimates[idx], dec.eigenvectors @ collapsed
 
 
 def build_hsign(
@@ -251,7 +261,8 @@ def build_hsign(
 ) -> np.ndarray:
     """Smoothed (or exact) sign of H - cutoff under the configured mode."""
     if config.mode == "exact_reflection":
-        return reflection(projector_below(dec, cutoff)).entries
+        # I - 2P(below cutoff): a reflection by construction, so no Projector check
+        return dec.apply(np.where(dec.eigenvalues < cutoff, -1.0, 1.0), hermitian=True)
     if S is None:
         raise ValidationError(f"mode {config.mode!r} needs the sign polynomial")
     shifted = dec.eigenvalues - cutoff
@@ -337,9 +348,21 @@ class _Context:
         self.config = config
         self.dim = H.dim
         self.vecs_h = self.vecs.conj().T
-        self.bins = _Bins(self.lam, config.epsilon)
-        # eigenvalues ascend, so the ground space is a prefix of them
-        self.ground = int(np.count_nonzero(self.lam <= self.lam[0] + 1e-12))
+        self.bins = bins = _Bins(self.lam, config.epsilon)
+        # eigenvalues ascend, so the ground space and each leakage region (past
+        # a bin's cutoff plus half a bin) are a prefix and suffixes of them
+        ground = int(np.count_nonzero(self.lam <= self.lam[0] + 1e-12))
+        self.leak_from = self.lam.searchsorted(
+            np.array(bins.estimates) + 1.5 * config.epsilon, side="left"
+        ).tolist()
+        n = self.nbins = len(bins.labels)
+        rows = np.zeros((2 * n + 2, self.dim))
+        for i, (start, stop) in enumerate(bins.slices):
+            rows[i, start:stop] = 1.0
+            rows[n + 2 + i, self.leak_from[i] :] = 1.0
+        rows[n] = self.lam
+        rows[n + 1, :ground] = 1.0
+        self.obs = np.repeat(rows, 2, axis=1)  # columns (re, im) per amplitude
         self.S = self.angles = None
         sign_degree = 0
         if config.mode != "exact_reflection":
@@ -349,19 +372,18 @@ class _Context:
                 self.angles = _angles_cached(config.epsilon, config.delta, config.margin)
         self.per_eiH, self.per_UA = query_costs(config.epsilon, config.delta, sign_degree)
 
-    def observe(self, weights: np.ndarray) -> tuple[float, float]:
-        """True energy and ground overlap from the weights |amplitude|^2."""
-        return float(self.lam @ weights), float(weights[: self.ground].sum())
+    def observe(self, amps: np.ndarray) -> list:
+        """For eigen-amplitudes ``amps``: the ``nbins`` bin weights, then the
+        true energy, the ground overlap and the ``nbins`` leakage weights,
+        from one product with |amps|^2 taken as re^2 + im^2."""
+        return (self.obs @ amps.view(np.float64) ** 2).tolist()
 
-    def step(self, estimate: float) -> tuple[np.ndarray, int]:
-        """The step unitary after measuring ``estimate``, V^dag U V, and the
-        index of the first eigenvalue past the leakage line."""
-        eps = self.config.epsilon
-        step_u = _step_unitary(
-            self.dec, self.a_mat, estimate + eps, self.config, self.S, self.angles
-        )
-        leak_from = int(self.lam.searchsorted(estimate + 1.5 * eps, side="left"))
-        return self.vecs_h @ step_u @ self.vecs, leak_from
+    def step(self, bin_idx: int) -> tuple[np.ndarray, int]:
+        """The step unitary after measuring bin ``bin_idx``, V^dag U V, and
+        the index of the first eigenvalue past its leakage line."""
+        cutoff = self.bins.estimates[bin_idx] + self.config.epsilon
+        step_u = _step_unitary(self.dec, self.a_mat, cutoff, self.config, self.S, self.angles)
+        return self.vecs_h @ step_u @ self.vecs, self.leak_from[bin_idx]
 
 
 class _Memo:
@@ -396,16 +418,18 @@ class _Memo:
                     self._drop(step_key)
             return ctx
 
-    def step(self, ctx: _Context, bin_idx: int, estimate: float) -> tuple[np.ndarray, int]:
+    def step(self, ctx: _Context, bin_idx: int) -> tuple[np.ndarray, int]:
         key = (ctx, bin_idx)
         with self.lock:
             entry = self.steps.get(key)
             if entry is not None:
                 self.steps.move_to_end(key)
                 return entry
-            entry = ctx.step(estimate)
+            entry = ctx.step(bin_idx)
             size = entry[0].nbytes
-            if size <= self.max_step_bytes:
+            # a context evicted while a caller still holds it keeps no steps
+            live = any(c is ctx for c in self.contexts.values())
+            if live and size <= self.max_step_bytes:
                 while self.step_bytes + size > self.max_step_bytes:
                     self._drop(next(iter(self.steps)))
                 self.steps[key] = entry
@@ -445,32 +469,48 @@ def run(
     memo of prepared contexts (see the module docstring), so H and A are
     validated and diagonalized once for all calls with the same content,
     and each bin's step unitary is built once while it stays in the memo.
+    A step reads every weight it needs from one observation product, draws
+    the bin from the bin weights, and kicks the bin's slice of amplitudes
+    with the column block of its unitary; the call holds each column block
+    it used, a view of the memo's unitary, until it returns.
     """
-    ctx = _MEMO.context(H, A, config)
+    return _trajectory(_MEMO.context(H, A, config), rng, initial_state, stopping)
+
+
+def _trajectory(ctx: _Context, rng, initial_state=None, stopping=None) -> Trajectory:
+    """One ``run`` trajectory on a prepared context."""
+    bins, n = ctx.bins, ctx.nbins
     state = (
         random_initial_state(rng, ctx.dim)
         if initial_state is None
         else _state_vec(initial_state, ctx.dim)
     )
     amps = ctx.vecs_h @ state
-    weights = np.abs(amps) ** 2
-    initial_energy, initial_overlap = ctx.observe(weights)
+    seen = ctx.observe(amps)
+    initial_energy, initial_overlap = seen[n], seen[n + 1]
 
+    blocks = {}  # bin index -> the column block of its step unitary
     measured, records = [], []
-    for _ in range(config.steps):
-        bin_idx, estimate, amps = ctx.bins.measure(amps, rng, weights)
-        measured.append(bin_idx)
+    for _ in range(ctx.config.steps):
+        idx = _draw_index(seen[:n], rng)
+        label, estimate = bins.labels[idx], bins.estimates[idx]
+        measured.append(label)
         if stopping is not None and stopping.satisfied(estimate):
-            weights = None  # the collapsed state's weights are not computed
+            amps = bins.collapse(amps, idx, seen[idx])
+            seen = ctx.observe(amps)
             break
-        unitary, leak_from = _MEMO.step(ctx, bin_idx, estimate)
-        amps = unitary @ amps
-        weights = np.abs(amps) ** 2
-        energy, overlap = ctx.observe(weights)
-        records.append((bin_idx, estimate, energy, overlap, float(weights[leak_from:].sum())))
+        start, stop = bins.slices[idx]
+        block = blocks.get(idx)
+        if block is None:
+            block = blocks[idx] = _MEMO.step(ctx, idx)[0][:, start:stop]
+        amps = block @ (amps[start:stop] / sqrt(seen[idx]))
+        seen = ctx.observe(amps)
+        records.append((label, estimate, seen[n], seen[n + 1], seen[n + 2 + idx]))
 
-    final_bin, final_estimate, amps = ctx.bins.measure(amps, rng, weights)
-    final_energy, final_overlap = ctx.observe(np.abs(amps) ** 2)
+    idx = _draw_index(seen[:n], rng)
+    final_bin, final_estimate = bins.labels[idx], bins.estimates[idx]
+    final = ctx.observe(bins.collapse(amps, idx, seen[idx]))
+    final_energy, final_overlap = final[n], final[n + 1]
     # each step's leak event compares its bin with the next measurement's
     following = measured[1:] + [final_bin]
     steps = tuple(

@@ -130,6 +130,23 @@ class TestGenerators:
         with pytest.raises(ValidationError):
             generate_perturbation({"type": "file", "path": str(path)}, 4, rng)
 
+    def test_generators_normalize_without_an_svd(self, monkeypatch, tmp_path):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("a generator ran an SVD")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        monkeypatch.setattr(np.linalg, "norm", no_svd)
+        path = tmp_path / "a.json"
+        write_json(str(path), matrix_document(np.diag([3.0, -1.0])))
+        rng = np.random.default_rng(3)
+        for source in ({"type": "random", "dim": 8}, {"type": "tfim", "sites": 3}):
+            H = generate_hamiltonian(source, rng)
+            assert abs(np.max(np.abs(np.linalg.eigvalsh(H))) - 1.0) < 1e-12
+        A = generate_perturbation({"type": "gue"}, 8, rng)
+        assert abs(np.max(np.abs(np.linalg.eigvalsh(A))) - 1.0) < 1e-12
+        A = generate_perturbation({"type": "file", "path": str(path)}, 2, rng)
+        assert np.allclose(A, np.diag([1.0, -1.0 / 3.0]))
+
     def test_trial_substreams_are_stable(self):
         rng = np.random.default_rng(2)
         H = random_hermitian(rng, 4, norm=0.9)

@@ -10,6 +10,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dyncool import cooling, gqsp, operators
 from dyncool.cli import run_experiment
@@ -30,7 +32,16 @@ from dyncool.cooling import (
 from dyncool.dyson import default_time, sample_gue
 from dyncool.errors import RangeError, ValidationError
 from dyncool.gqsp import synthesize_angles
-from dyncool.operators import HermitianOperator, Tolerances, eig, evolve, spectral_norm
+from dyncool.operators import (
+    TOL,
+    HermitianOperator,
+    Tolerances,
+    eig,
+    evolve,
+    projector_below,
+    reflection,
+    spectral_norm,
+)
 from dyncool.signfun import apply_spectral, fourier_sign
 
 from conftest import random_hermitian
@@ -146,6 +157,60 @@ class TestQpeProject:
         assert bin_idx == -2 and energy == -1.0
 
 
+@st.composite
+def binned_spectra(draw):
+    """(epsilon, ascending eigenvalues in [-1, 1]) with repeated values,
+    values within an ulp of bin edges, and centers clamped at +-1."""
+    epsilon = draw(st.floats(0.05, 0.7))
+    edges = [(k + 0.5) * epsilon for k in range(-int(1 / epsilon) - 1, int(1 / epsilon) + 1)]
+    edge = st.sampled_from(edges).flatmap(
+        lambda e: st.sampled_from([np.nextafter(e, -2.0), e, np.nextafter(e, 2.0)])
+    )
+    value = st.one_of(st.floats(-1.0, 1.0), edge, st.sampled_from([-1.0, 1.0]))
+    values = draw(st.lists(value.filter(lambda v: -1.0 <= v <= 1.0), min_size=1, max_size=12))
+    values += draw(st.lists(st.sampled_from(values), max_size=4))  # degeneracies
+    return epsilon, np.sort(np.array(values, dtype=np.float64))
+
+
+class TestBinSlices:
+    """Bins are slices of the ascending spectrum; one observation product
+    gives every weight a step needs."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(binned_spectra())
+    def test_slices_are_the_label_masks(self, case):
+        epsilon, lam = case
+        bins = cooling._Bins(lam, epsilon)
+        labels = np.floor(lam / epsilon + 0.5).astype(int)
+        assert bins.labels == sorted(set(labels.tolist()))
+        assert bins.estimates == [float(np.clip(b * epsilon, -1.0, 1.0)) for b in bins.labels]
+        for label, (start, stop) in zip(bins.labels, bins.slices):
+            mask = np.zeros(lam.size, dtype=bool)
+            mask[start:stop] = True
+            assert np.array_equal(mask, labels == label)
+
+    @settings(max_examples=150, deadline=None)
+    @given(binned_spectra(), st.integers(0, 2**32 - 1))
+    def test_observation_matches_direct_sums(self, case, seed):
+        epsilon, lam = case
+        cfg = CoolingConfig(epsilon=epsilon, steps=2, mode="exact_reflection")
+        ctx = cooling._Context(np.diag(lam).astype(complex), np.zeros((lam.size,) * 2), cfg, TOL)
+        lam, n = ctx.lam, ctx.nbins
+        amps = random_initial_state(np.random.default_rng(seed), lam.size)
+        weights = np.abs(amps) ** 2
+        seen = ctx.observe(amps)
+        assert len(seen) == 2 * n + 2
+        labels = np.floor(lam / epsilon + 0.5).astype(int)
+        _, inverse = np.unique(labels, return_inverse=True)
+        assert np.allclose(seen[:n], np.bincount(inverse, weights=weights), rtol=0, atol=1e-14)
+        assert abs(seen[n] - lam @ weights) <= 1e-14
+        ground = np.count_nonzero(lam <= lam[0] + 1e-12)
+        assert abs(seen[n + 1] - weights[:ground].sum()) <= 1e-14
+        for i, estimate in enumerate(ctx.bins.estimates):
+            leak_from = int(lam.searchsorted(estimate + 1.5 * epsilon, side="left"))
+            assert abs(seen[n + 2 + i] - weights[leak_from:].sum()) <= 1e-14
+
+
 class TestQueryCosts:
     def test_hand_checked_values(self):
         # delta=0.01: ceil(1/(0.1 pi)) = 4 repetitions; register cost
@@ -189,6 +254,14 @@ class TestBuildHsign:
             hs = build_hsign(dec, cutoff, cfg_s, S)
             hg = build_hsign(dec, cutoff, cfg_g, S)
             assert np.linalg.norm(hs - hg, 2) <= 1e-9
+
+    def test_reflection_equals_projector_route(self):
+        rng = np.random.default_rng(41)
+        dec = eig(random_hermitian(rng, 12, norm=1.0))
+        cfg = CoolingConfig(epsilon=0.25, steps=4, mode="exact_reflection")
+        for cutoff in (-1.5, -0.3, 0.0, 0.4, 1.5, dec.eigenvalues[5]):
+            expected = reflection(projector_below(dec, cutoff)).entries
+            assert np.max(np.abs(build_hsign(dec, cutoff, cfg) - expected)) <= 1e-14
 
     def test_range_guard_and_missing_polynomial(self):
         dec = eig(HermitianOperator(np.diag([-0.9, 0.9])))
@@ -401,6 +474,30 @@ class TestSharedContext:
         assert counts == {"eig": 1 + len(bins), "svd": 0}
         assert run_experiment(H, A, cfg, seed=3, trials=16) == trajectories
         assert counts == {"eig": 1 + len(bins), "svd": 0}
+
+    def test_experiment_looks_up_its_context_once(self, cold_memo, monkeypatch):
+        H, A = self.instance(21)
+        cfg = CoolingConfig(epsilon=0.25, steps=6, delta=0.5)
+        lookups = []
+        context = cold_memo.context
+        monkeypatch.setattr(cold_memo, "context", lambda *a: lookups.append(a) or context(*a))
+        for stopping in (None, StoppingRule(0.0)):
+            lookups.clear()
+            trajectories = run_experiment(H, A, cfg, seed=4, trials=8, stopping=stopping)
+            assert len(lookups) == 1
+            assert trajectories == [
+                run(H, A, cfg, np.random.default_rng((4, t)), stopping=stopping)
+                for t in range(8)
+            ]
+
+    def test_evicted_context_keeps_no_steps(self):
+        memo = cooling._Memo(1, cooling._MEMO_STEP_BYTES)
+        cfg = CoolingConfig(epsilon=0.25, steps=3)
+        held = memo.context(*self.instance(1), cfg)
+        memo.context(*self.instance(2), cfg)  # evicts ``held``
+        unitary, _ = memo.step(held, 0)
+        assert unitary.shape == (8, 8)
+        assert not memo.steps and memo.step_bytes == 0
 
     def test_in_place_change_is_not_served_a_stale_context(self, cold_memo):
         H, A = self.instance(5)

@@ -29,6 +29,7 @@ from .operators import (
     HermitianOperator,
     Projector,
     check_subnormalized,
+    hermitian_norm,
     spectral_norm,
 )
 from .signfun import fourier_sign
@@ -68,13 +69,23 @@ def _require(doc: dict, key: str):
     return doc[key]
 
 
-def _number(doc: dict, key: str, cast=float, default=None):
-    """doc[key] converted by ``cast``; the key is required when default is None."""
+def _number(doc: dict, key: str, default=None) -> float:
+    """doc[key] as a float; the key is required when default is None."""
     value = _require(doc, key) if default is None else doc.get(key, default)
     try:
-        return cast(value)
+        return float(value)
     except (TypeError, ValueError, OverflowError):
         raise ValidationError(f"config key {key!r} must be a number, got {value!r}") from None
+
+
+def _integer(doc: dict, key: str, default=None) -> int:
+    """doc[key] as an int: an int or an integral float, never a bool."""
+    value = _require(doc, key) if default is None else doc.get(key, default)
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValidationError(f"config key {key!r} must be an integer, got {value!r}")
 
 
 def _site_product(ops: dict, sites: int) -> np.ndarray:
@@ -99,11 +110,6 @@ def _tfim_matrix(sites: int, coupling: float, field: float) -> np.ndarray:
     return H
 
 
-def _hermitian_norm(mat: np.ndarray) -> float:
-    """Spectral norm of a matrix that is Hermitian by construction, without an SVD."""
-    return float(np.max(np.abs(np.linalg.eigvalsh(mat))))
-
-
 def generate_hamiltonian(source: dict, rng: np.random.Generator) -> np.ndarray:
     """Build the system Hamiltonian from its config block.
 
@@ -115,18 +121,18 @@ def generate_hamiltonian(source: dict, rng: np.random.Generator) -> np.ndarray:
     """
     kind = _require(source, "type")
     if kind == "random":
-        dim = _number(source, "dim", int)
+        dim = _integer(source, "dim")
         if dim > TOL.max_total_dim:
             raise ResourceError(f"hamiltonian dimension {dim} exceeds budget {TOL.max_total_dim}")
         mat = sample_gue(rng, dim)
-        return mat / _hermitian_norm(mat)
+        return mat / hermitian_norm(mat)
     if kind == "tfim":
         H = _tfim_matrix(
-            _number(source, "sites", int),
-            _number(source, "coupling", float, 1.0),
-            _number(source, "field", float, 1.0),
+            _integer(source, "sites"),
+            _number(source, "coupling", 1.0),
+            _number(source, "field", 1.0),
         )
-        return H / max(1.0, _hermitian_norm(H))
+        return H / max(1.0, hermitian_norm(H))
     if kind == "file":
         mat = matrix_from_document(read_json(_require(source, "path")))
         check_subnormalized(HermitianOperator(mat), "hamiltonian file")
@@ -150,7 +156,7 @@ def generate_perturbation(source: dict, dim: int, rng: np.random.Generator) -> n
         return np.zeros((dim, dim))
     else:
         raise ValidationError(f"unknown perturbation type {kind!r}")
-    return mat / max(1.0, _hermitian_norm(mat))
+    return mat / max(1.0, hermitian_norm(mat))
 
 
 def run_experiment(H, A, config: CoolingConfig, seed: int, trials: int, stopping=None):
@@ -168,10 +174,10 @@ def run_experiment(H, A, config: CoolingConfig, seed: int, trials: int, stopping
 def _parse_run_config(doc: dict):
     config = CoolingConfig(
         epsilon=_number(doc, "epsilon"),
-        steps=_number(doc, "steps", int),
+        steps=_integer(doc, "steps"),
         delta=None if doc.get("delta") is None else _number(doc, "delta"),
         mode=doc.get("mode", "exact_spectral"),
-        margin=_number(doc, "margin", float, 1e-6),
+        margin=_number(doc, "margin", 1e-6),
     )
     target = None if doc.get("target_estimate") is None else _number(doc, "target_estimate")
     stopping = None if target is None else StoppingRule(target)
@@ -181,8 +187,8 @@ def _parse_run_config(doc: dict):
 def cmd_run(args) -> int:
     doc = read_json(args.config)
     config, stopping = _parse_run_config(doc)  # first, as it also checks doc is an object
-    seed = args.seed if args.seed is not None else _number(doc, "seed", int, 0)
-    trials = args.trials if args.trials is not None else _number(doc, "trials", int, 1)
+    seed = args.seed if args.seed is not None else _integer(doc, "seed", 0)
+    trials = args.trials if args.trials is not None else _integer(doc, "trials", 1)
 
     setup_rng = np.random.default_rng(seed)
     H = generate_hamiltonian(_require(doc, "hamiltonian"), setup_rng)

@@ -57,6 +57,7 @@ SIGN_GRID_POINTS = 100_001
 
 _RESCALE = 1.0 - 1e-6
 _BOUND_SLACK = 1e-9
+_CHEB_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -127,6 +128,11 @@ def _chebval(x: np.ndarray, c: np.ndarray) -> np.ndarray:
     """sum_j c_j T_j(x) by Clenshaw's recurrence (len(c) >= 2), with the
     operations of numpy's ``chebval`` in the same order, so the values are
     the same to the bit without importing ``numpy.polynomial``."""
+    if x.ndim == 1 and x.size > _CHEB_BLOCK:  # blocks stay in cache; elementwise, same bits
+        out = np.empty(x.shape, np.result_type(x, c))
+        for i in range(0, x.size, _CHEB_BLOCK):
+            out[i : i + _CHEB_BLOCK] = _chebval(x[i : i + _CHEB_BLOCK], c)
+        return out
     if len(c) == 2:
         return c[0] + c[1] * x
     x2 = 2 * x

@@ -65,6 +65,16 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+
+# the integer keys of a run config, each as the override that sets it
+INTEGER_KEYS = {
+    "dim": lambda v: {"hamiltonian": {"type": "random", "dim": v}},
+    "sites": lambda v: {"hamiltonian": {"type": "tfim", "sites": v}},
+    "steps": lambda v: {"steps": v},
+    "seed": lambda v: {"seed": v},
+    "trials": lambda v: {"trials": v},
+}
+
 class TestGenerators:
     def test_random_hamiltonian_norm_one(self):
         H = generate_hamiltonian({"type": "random", "dim": 6}, np.random.default_rng(0))
@@ -146,6 +156,17 @@ class TestGenerators:
         assert abs(np.max(np.abs(np.linalg.eigvalsh(A))) - 1.0) < 1e-12
         A = generate_perturbation({"type": "file", "path": str(path)}, 2, rng)
         assert np.allclose(A, np.diag([1.0, -1.0 / 3.0]))
+
+    def test_file_hamiltonian_is_checked_without_an_svd(self, monkeypatch, tmp_path):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("the norm check ran an SVD")
+
+        path = tmp_path / "h.json"
+        write_json(str(path), matrix_document(np.array([[0.5, 0.25j], [-0.25j, -0.75]])))
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        monkeypatch.setattr(np.linalg, "norm", no_svd)
+        H = generate_hamiltonian({"type": "file", "path": str(path)}, None)
+        assert np.array_equal(H, [[0.5, 0.25j], [-0.25j, -0.75]])
 
     def test_trial_substreams_are_stable(self):
         rng = np.random.default_rng(2)
@@ -230,6 +251,25 @@ class TestRunCommand:
         cfg = write_config(tmp_path, epsilon="abc")
         assert main(["run", "--config", cfg]) == 1
         assert "error: config key 'epsilon' must be a number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", [2.9, True, "3", None, float("inf")])
+    @pytest.mark.parametrize("key", sorted(INTEGER_KEYS))
+    def test_non_integer_count_exits_nonzero(self, tmp_path, capsys, key, bad):
+        cfg = write_config(tmp_path, **INTEGER_KEYS[key](bad))
+        assert main(["run", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert f"error: config key {key!r} must be an integer, got {bad!r}" in err
+
+    @pytest.mark.parametrize("key", sorted(INTEGER_KEYS))
+    def test_integral_float_count_is_its_integer(self, tmp_path, key):
+        as_int = tmp_path / "int.csv"
+        as_float = tmp_path / "float.csv"
+        value = 2 if key == "sites" else 3
+        main(["run", "--config", write_config(tmp_path, **INTEGER_KEYS[key](value)),
+              "--out", str(as_int)])
+        main(["run", "--config", write_config(tmp_path, **INTEGER_KEYS[key](float(value))),
+              "--out", str(as_float)])
+        assert as_float.read_bytes() == as_int.read_bytes()
 
     def test_config_that_is_a_list_exits_nonzero(self, tmp_path, capsys):
         path = tmp_path / "list.json"

@@ -7,6 +7,7 @@ coherent branches.
 
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from math import sqrt
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from dyncool.cli import run_experiment
 from dyncool.cooling import (
     MODES,
     CoolingConfig,
+    StepResult,
     StoppingRule,
     build_hsign,
     coherent_step,
@@ -374,6 +376,99 @@ class TestRunInvariants:
         H = random_hermitian(rng, 4, norm=0.9)
         with pytest.raises(ValidationError):
             run(H, 3.0 * np.eye(4), cfg, rng)
+
+
+def keyword_records(ctx, rng, stopping=None) -> list:
+    """The step records of one ``_trajectory`` call, replayed on the same
+    context primitives and built by keyword, one field at a time."""
+    n, bins = ctx.nbins, ctx.bins
+    amps = ctx.vecs_h @ random_initial_state(rng, ctx.dim)
+    seen = ctx.observe(amps)
+    labels, kept = [], []
+    for step in range(ctx.config.steps):
+        idx = cooling._draw_index(seen[:n], rng)
+        labels.append(bins.labels[idx])
+        if stopping is not None and stopping.satisfied(bins.estimates[idx]):
+            seen = ctx.observe(bins.collapse(amps, idx, seen[idx]))
+            break
+        start, stop = bins.slices[idx]
+        unitary, _ = cooling._MEMO.step(ctx, idx)
+        amps = unitary[:, start:stop] @ (amps[start:stop] / sqrt(seen[idx]))
+        seen = ctx.observe(amps)
+        kept.append((step, idx, seen))
+    labels.append(bins.labels[cooling._draw_index(seen[:n], rng)])
+    return [
+        StepResult(
+            step=step,
+            bin_index=labels[step],
+            energy_estimate=bins.estimates[idx],
+            true_energy=obs[n],
+            ground_overlap=obs[n + 1],
+            leakage_weight=obs[n + 2 + idx],
+            queries_eiH=ctx.per_eiH * (step + 1),
+            queries_UA=ctx.per_UA * (step + 1),
+            leak_event=labels[step + 1] >= labels[step] + 2,
+        )
+        for step, idx, obs in kept
+    ]
+
+
+class TestStepRecord:
+    """A step record is a ``NamedTuple``: immutable, hashable, and equal to
+    a plain tuple of its values."""
+
+    RECORD = StepResult(2, 3, -0.3, -0.25, 0.5, 0.125, 30, 12, False)
+
+    def test_fields_and_repr_are_pinned(self):
+        assert StepResult._fields == (
+            "step",
+            "bin_index",
+            "energy_estimate",
+            "true_energy",
+            "ground_overlap",
+            "leakage_weight",
+            "queries_eiH",
+            "queries_UA",
+            "leak_event",
+        )
+        assert repr(self.RECORD) == (
+            "StepResult(step=2, bin_index=3, energy_estimate=-0.3, true_energy=-0.25, "
+            "ground_overlap=0.5, leakage_weight=0.125, queries_eiH=30, queries_UA=12, "
+            "leak_event=False)"
+        )
+
+    def test_immutable_and_hashable(self):
+        with pytest.raises(AttributeError):
+            self.RECORD.step = 4
+        same = StepResult(**self.RECORD._asdict())
+        assert hash(same) == hash(self.RECORD)
+        assert len({self.RECORD, same}) == 1
+        assert self.RECORD == (2, 3, -0.3, -0.25, 0.5, 0.125, 30, 12, False)
+
+    @pytest.mark.parametrize("target", [None, -0.4])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_trajectory_records_equal_keyword_records(self, mode, target):
+        rng = np.random.default_rng(48)
+        H = random_hermitian(rng, 8, norm=1.0)
+        A = normalized_gue(rng, 8)
+        cfg = CoolingConfig(epsilon=0.2, steps=8, delta=0.9, mode=mode)
+        stopping = None if target is None else StoppingRule(target)
+        ctx = cooling._MEMO.context(H, A, cfg)
+        lengths, rises = set(), set()
+        for trial in range(12):
+            traj = cooling._trajectory(ctx, np.random.default_rng((48, trial)), stopping=stopping)
+            expected = keyword_records(ctx, np.random.default_rng((48, trial)), stopping)
+            assert all(type(s) is StepResult for s in traj.steps)
+            assert traj.steps == tuple(expected)
+            assert traj.leak_events == sum(s.leak_event for s in expected)
+            lengths.add(len(traj.steps))
+            bins = [s.bin_index for s in traj.steps] + [traj.final_bin]
+            rises.update(b - a for a, b in zip(bins, bins[1:]) if b > a)
+        assert 1 in rises  # a rise of one bin is not a leak, two or more are
+        if target is None:
+            assert lengths == {cfg.steps} and max(rises) >= 2
+        else:  # some trials stop after a few steps, some run to the end
+            assert any(0 < k < cfg.steps for k in lengths) and cfg.steps in lengths
 
 
 class TestStepCache:

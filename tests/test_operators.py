@@ -74,6 +74,13 @@ class TestValidation:
             check_subnormalized(HermitianOperator(np.diag([1.2, 0.0])))
 
 
+    def test_subnormalized_bound_is_unchanged(self):
+        # max |eigenvalue| replaced the SVD; the 1 + norm_slack bound and its
+        # message are the same
+        with pytest.raises(ValidationError, match=r"^h has spectral norm 1\.000001000000 > 1$"):
+            check_subnormalized(HermitianOperator(np.diag([0.5, -(1.0 + 1e-6)])), "h")
+        assert check_subnormalized(HermitianOperator(np.diag([0.5, -(1.0 + 1e-11)]))) == 1.0 + 1e-11
+
 class TestEig:
     def test_reconstruction_random_dims(self):
         rng = np.random.default_rng(7)

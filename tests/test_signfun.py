@@ -5,6 +5,7 @@ from dyncool import CertificationError, HermitianOperator, RangeError, Validatio
 from dyncool import signfun
 from dyncool.signfun import (
     C_DEG,
+    SIGN_GRID_POINTS,
     FourierPolynomial,
     RealOddPolynomial,
     apply_spectral,
@@ -50,6 +51,21 @@ class TestBuildSignPoly:
             assert np.array_equal(signfun._chebval(grid, c), chebval(grid, c))
         P = build_sign_poly(0.3, 0.1)
         assert np.array_equal(eval_poly(P, grid), chebval(grid, P.cheb_coeffs))
+
+    def test_blocked_clenshaw_sum_is_numpys_chebval(self, monkeypatch):
+        # grids longer than a block are summed block by block into one array;
+        # neither length is a multiple of its block
+        from numpy.polynomial.chebyshev import chebval
+
+        c = build_sign_poly(0.1, 1.0 / 32.0).cheb_coeffs
+        grid = np.linspace(-1.0, 1.0, SIGN_GRID_POINTS)
+        assert SIGN_GRID_POINTS % signfun._CHEB_BLOCK != 0
+        assert np.array_equal(signfun._chebval(grid, c), chebval(grid, c))
+        monkeypatch.setattr(signfun, "_CHEB_BLOCK", 7)
+        grid = np.linspace(-1.0, 1.0, 1001)
+        for n in (2, 3, 140):
+            c = np.random.default_rng(n).normal(size=n)
+            assert np.array_equal(signfun._chebval(grid, c), chebval(grid, c))
 
     def test_odd_symmetry(self):
         P = build_sign_poly(0.4, 0.1)

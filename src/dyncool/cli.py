@@ -70,12 +70,14 @@ def _require(doc: dict, key: str):
 
 
 def _number(doc: dict, key: str, default=None) -> float:
-    """doc[key] as a float; the key is required when default is None."""
+    """doc[key] as a float, never a bool; the key is required when default is None."""
     value = _require(doc, key) if default is None else doc.get(key, default)
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"config key {key!r} must be a number, got {value!r}") from None
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ValidationError(f"config key {key!r} must be a number, got {value!r}")
 
 
 def _integer(doc: dict, key: str, default=None) -> int:
@@ -331,7 +333,7 @@ def _certify_checks(epsilons, deltas, seed):
             basis = _random_unitary(rng, dim)[:, : dim // 2]
             P = Projector(basis @ basis.conj().T)
             A = sample_gue(rng, dim)
-            A = A / max(1.0, spectral_norm(A))
+            A = A / max(1.0, hermitian_norm(A))
             leak = leakage(A, P, delta)
             err = effective_error(A, P, delta)
             yield (

@@ -40,9 +40,10 @@ the row the loop gathers; a warm d=16 step costs about 9 us on a 2-CPU
 host with one BLAS thread.
 
 The memo key is the content, not object identity: the bytes of H and A as
-complex128 with their shapes, the frozen config and H's ``Tolerances``
-(A's key bytes double as the context's read-only copy of A). An array
-changed in place therefore gets a new context.
+complex128 with their shapes and the frozen config (A's key bytes double
+as the context's read-only copy of A), so a raw array and a wrapped operator
+with the same entries share a context, and an array changed in place gets
+a new one.
 Input is validated only when a context is built; invalid input raises and
 never enters the memo, so it raises on every call. The memo holds at most
 ``_MEMO_CONTEXTS`` = 4 contexts and ``_MEMO_STEP_BYTES`` = 256 MiB of step
@@ -69,17 +70,20 @@ from typing import NamedTuple
 import numpy as np
 
 from .dyson import default_time
-from .errors import RangeError, ValidationError
+from .errors import ValidationError
 from .gqsp import eval_angles, synthesize_angles
 from .operators import (
     TOL,
     HermitianOperator,
     SpectralDecomposition,
     StateVector,
-    Tolerances,
+    check_delta,
+    check_epsilon,
     eig,
     evolve,
     hermitian_norm,
+    matrix_entries,
+    shifted_spectrum,
 )
 from .signfun import FourierPolynomial, fourier_sign, spectral_values
 
@@ -134,14 +138,12 @@ class CoolingConfig:
     margin: float = 1e-6
 
     def __post_init__(self):
-        if not 0.0 < self.epsilon <= 0.7:
-            raise RangeError(f"epsilon must lie in (0, 0.7], got {self.epsilon}")
+        check_epsilon(self.epsilon)
         if self.steps < 1:
             raise ValidationError(f"need at least one step, got {self.steps}")
         if self.delta is None:
             object.__setattr__(self, "delta", 1.0 / self.steps)
-        if not 0.0 < self.delta < 1.0:
-            raise RangeError(f"delta must lie in (0, 1), got {self.delta}")
+        check_delta(self.delta)
         if self.mode not in MODES:
             raise ValidationError(f"mode must be one of {MODES}, got {self.mode!r}")
 
@@ -152,15 +154,12 @@ class CoolingConfig:
 
 @dataclass(frozen=True)
 class StoppingRule:
-    """Optional early exit: stop once the estimate reaches the target."""
+    """Early exit: stop once the estimate reaches the target."""
 
-    target_estimate: float | None = None
+    target_estimate: float
 
     def satisfied(self, energy_estimate: float) -> bool:
-        return (
-            self.target_estimate is not None
-            and energy_estimate <= self.target_estimate
-        )
+        return energy_estimate <= self.target_estimate
 
 
 class StepResult(NamedTuple):
@@ -270,14 +269,7 @@ def build_hsign(
         return dec.apply(np.where(dec.eigenvalues < cutoff, -1.0, 1.0), hermitian=True)
     if S is None:
         raise ValidationError(f"mode {config.mode!r} needs the sign polynomial")
-    shifted = dec.eigenvalues - cutoff
-    band = np.pi - (S.epsilon or 0.0) / 2.0
-    if np.any(np.abs(shifted) >= band):
-        raise RangeError(
-            f"shifted spectrum leaves (-{band:.4f}, {band:.4f}); "
-            f"cutoff {cutoff:.6f} with spectral radius "
-            f"{np.max(np.abs(dec.eigenvalues)):.6f}"
-        )
+    shifted = shifted_spectrum(dec.eigenvalues, cutoff, S.epsilon)
     if config.mode == "exact_spectral":
         return dec.apply(spectral_values(S, dec, cutoff), hermitian=True)
     # gqsp_circuit: the encoded block of e^{i(H - cutoff)} is V diag(p) V^dag
@@ -317,10 +309,8 @@ def query_costs(epsilon: float, delta: float, sign_degree: int) -> tuple[int, in
     energy estimate costs the register-times-precision product, and the
     perturbation line stays on for ceil(pi) units per repetition.
     """
-    if not 0.0 < delta < 1.0:
-        raise RangeError(f"delta must lie in (0, 1), got {delta}")
-    if not 0.0 < epsilon <= 0.7:
-        raise RangeError(f"epsilon must lie in (0, 0.7], got {epsilon}")
+    check_delta(delta)
+    check_epsilon(epsilon)
     if sign_degree < 0:
         raise ValidationError(f"degree must be non-negative, got {sign_degree}")
     reps = ceil(1.0 / (np.pi * np.sqrt(delta)))
@@ -331,23 +321,22 @@ def query_costs(epsilon: float, delta: float, sign_degree: int) -> tuple[int, in
 class _Context:
     """What ``run`` needs that depends only on (H, A, config), checked once.
 
-    ``h`` and ``a`` are complex128 arrays, ``a`` read-only, and ``tol`` is
-    H's ``Tolerances``.
+    ``h`` and ``a`` are complex128 arrays, ``a`` read-only.
     """
 
-    def __init__(self, h: np.ndarray, a: np.ndarray, config: CoolingConfig, tol: Tolerances):
-        H = HermitianOperator(h, tol=tol)
+    def __init__(self, h: np.ndarray, a: np.ndarray, config: CoolingConfig):
+        H = HermitianOperator(h)
         self.dec = eig(H)
         self.lam, self.vecs = self.dec.eigenvalues, self.dec.eigenvectors
         norm = float(np.max(np.abs(self.lam)))
-        if norm > 1.0 + tol.norm_slack:
+        if norm > 1.0 + TOL.norm_slack:
             raise ValidationError(f"hamiltonian has spectral norm {norm:.12f} > 1")
-        HermitianOperator(a, tol=tol)  # square, finite and Hermitian
+        HermitianOperator(a)  # square, finite and Hermitian
         if a.shape != h.shape:
             raise ValidationError(
                 f"perturbation shape {a.shape} does not match hamiltonian {h.shape}"
             )
-        if hermitian_norm(a) > 1.0 + 1e-10:
+        if hermitian_norm(a) > 1.0 + TOL.norm_slack:
             raise ValidationError("perturbation must have spectral norm <= 1")
         self.a_mat = a
         self.config = config
@@ -404,19 +393,15 @@ class _Memo:
         self.lock = threading.Lock()
 
     def context(self, H, A, config: CoolingConfig) -> _Context:
-        if isinstance(H, HermitianOperator):
-            h, tol = H.entries, H.tol
-        else:
-            h, tol = np.asarray(H, dtype=np.complex128), TOL
-        a = np.asarray(A.entries if hasattr(A, "entries") else A, dtype=np.complex128)
-        key = (h.shape, h.tobytes(), a.shape, a.tobytes(), config, tol)
+        h, a = matrix_entries(H), matrix_entries(A)
+        key = (h.shape, h.tobytes(), a.shape, a.tobytes(), config)
         with self.lock:
             ctx = self.contexts.get(key)
             if ctx is not None:
                 self.contexts.move_to_end(key)
                 return ctx
             a = np.frombuffer(key[3], dtype=np.complex128).reshape(a.shape)
-            ctx = self.contexts[key] = _Context(h, a, config, tol)
+            ctx = self.contexts[key] = _Context(h, a, config)
             if len(self.contexts) > self.max_contexts:
                 old = self.contexts.popitem(last=False)[1]
                 for step_key in [k for k in self.steps if k[0] is old]:
@@ -581,9 +566,8 @@ def coherent_step(
     values get the correct cutoff for free. Register populations are exactly
     preserved.
     """
-    if not 0.0 < delta < 1.0:
-        raise RangeError(f"delta must lie in (0, 1), got {delta}")
-    a_mat = A.entries if hasattr(A, "entries") else np.asarray(A, dtype=complex)
+    check_delta(delta)
+    a_mat = matrix_entries(A)
     reg = 2**n
     dim = dec.eigenvalues.size
     width = 2.0 * np.pi / reg

@@ -29,7 +29,7 @@ from math import ceil, factorial
 import numpy as np
 
 from .errors import RangeError, ResolutionError, ValidationError
-from .operators import HermitianOperator, eig, evolve, spectral_norm
+from .operators import HermitianOperator, check_delta, evolve, spectral_norm, square_entries
 
 __all__ = [
     "MAX_EXPANSION_ORDER",
@@ -54,41 +54,35 @@ __all__ = [
 MAX_EXPANSION_ORDER = 8
 
 
-def _cumsimp(y: np.ndarray, x: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Cumulative Simpson that preserves complex dtype (scipy casts to real).
-
-    scipy is imported at first use, which keeps it off the package import.
-    """
-    from scipy.integrate import cumulative_simpson
-
-    if np.iscomplexobj(y):
-        re = cumulative_simpson(y.real, x=x, axis=axis, initial=0.0)
-        im = cumulative_simpson(y.imag, x=x, axis=axis, initial=0.0)
-        return re + 1j * im
-    return cumulative_simpson(y, x=x, axis=axis, initial=0.0)
-
-
-def _mat(x, name: str) -> np.ndarray:
-    arr = x.entries if hasattr(x, "entries") else np.asarray(x, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValidationError(f"{name} must be a square matrix, got {arr.shape}")
-    return arr
+def _cumsimp(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Cumulative Simpson integral of complex or real ``y`` along axis 0 on the
+    uniform grid ``x`` (at least 3 points), from 0, as scipy's
+    ``cumulative_simpson``: the parabola through the points of each triple
+    starting at an even index gives h/12 (5 y0 + 8 y1 - y2) over its first
+    interval and h/12 (-y0 + 8 y1 + 5 y2) over its second, and the last
+    interval is the second one of the last triple."""
+    first = 5.0 * y[:-2] + 8.0 * y[1:-1] - y[2:]
+    second = 8.0 * y[1:-1] + 5.0 * y[2:] - y[:-2]
+    parts = np.empty_like(y)
+    parts[0] = 0.0
+    parts[1:-1:2] = first[::2]
+    parts[2::2] = second[::2]
+    parts[-1] = second[-1]
+    return np.cumsum(parts, axis=0) * ((x[1] - x[0]) / 12.0)
 
 
 def default_time(delta: float) -> float:
     """Step duration pi * ceil(1/(pi sqrt(delta))), the smallest multiple of
     pi with coupling angle sqrt(delta) t / 2 >= 1/2."""
-    if not 0.0 < delta < 1.0:
-        raise RangeError(f"delta must lie in (0, 1), got {delta}")
+    check_delta(delta)
     return np.pi * ceil(1.0 / (np.pi * np.sqrt(delta)))
 
 
 def sector_hamiltonian(A, P, delta: float) -> HermitianOperator:
     """R + (sqrt(delta)/2) A with R = I - 2P."""
-    if not 0.0 < delta < 1.0:
-        raise RangeError(f"delta must lie in (0, 1), got {delta}")
-    a = _mat(A, "perturbation")
-    p = _mat(P, "projector")
+    check_delta(delta)
+    a = square_entries(A, "perturbation")
+    p = square_entries(P, "projector")
     r = np.eye(p.shape[0]) - 2.0 * p
     return HermitianOperator(r + 0.5 * np.sqrt(delta) * a)
 
@@ -97,7 +91,7 @@ def leakage(A, P, delta: float, t: float | None = None) -> float:
     """Squared norm of the cross-sector block of the step unitary."""
     if t is None:
         t = default_time(delta)
-    p = _mat(P, "projector")
+    p = square_entries(P, "projector")
     comp = np.eye(p.shape[0]) - p
     U = evolve(sector_hamiltonian(A, P, delta), t).entries
     return spectral_norm(comp @ U @ p) ** 2
@@ -109,12 +103,11 @@ def effective_error(A, P, delta: float, t: float | None = None) -> float:
 
     Defaults to t = 1/sqrt(delta), where the rotation angle is exactly 1/2.
     """
-    if not 0.0 < delta < 1.0:
-        raise RangeError(f"delta must lie in (0, 1), got {delta}")
+    check_delta(delta)
     if t is None:
         t = 1.0 / np.sqrt(delta)
-    a = _mat(A, "perturbation")
-    p = _mat(P, "projector")
+    a = square_entries(A, "perturbation")
+    p = square_entries(P, "projector")
     U = evolve(sector_hamiltonian(A, P, delta), t).entries
     compressed = HermitianOperator(0.5 * (p @ a @ p + (p @ a @ p).conj().T))
     target = evolve(compressed, 0.5 * np.sqrt(delta) * t).entries
@@ -124,7 +117,7 @@ def effective_error(A, P, delta: float, t: float | None = None) -> float:
 
 def interaction_unitary(A, P, delta: float, t: float) -> np.ndarray:
     """exp(iRt) exp(-iHt): the exact object the expansion approximates."""
-    p = _mat(P, "projector")
+    p = square_entries(P, "projector")
     r = HermitianOperator(np.eye(p.shape[0]) - 2.0 * p)
     U = evolve(sector_hamiltonian(A, P, delta), t).entries
     return evolve(r, -t).entries @ U
@@ -136,8 +129,8 @@ def _interaction_frames(A, P, s: np.ndarray) -> np.ndarray:
     R has eigenvalues -1 (kept sector) and +1, so conjugation splits A into
     two static blocks plus two cross blocks rotating at frequency 2.
     """
-    a = _mat(A, "perturbation")
-    p = _mat(P, "projector")
+    a = square_entries(A, "perturbation")
+    p = square_entries(P, "projector")
     comp = np.eye(p.shape[0]) - p
     static = comp @ a @ comp + p @ a @ p
     up = comp @ a @ p
@@ -250,7 +243,7 @@ def per_term_leakage(
 ) -> float:
     """Norm of the cross-sector block of the order-k term."""
     term = dyson_term(A, P, delta, order, t, n_steps)
-    p = _mat(P, "projector")
+    p = square_entries(P, "projector")
     comp = np.eye(p.shape[0]) - p
     return spectral_norm(comp @ term.matrix @ p)
 
@@ -291,7 +284,7 @@ def transition_matrix(eigenvalues, A) -> np.ndarray:
     are projected out exactly, the rest stays put.
     """
     lam = np.asarray(eigenvalues, dtype=np.float64)
-    a = _mat(A, "perturbation")
+    a = square_entries(A, "perturbation")
     if lam.ndim != 1 or lam.size != a.shape[0]:
         raise ValidationError(
             f"need one eigenvalue per row, got {lam.shape} against {a.shape}"
@@ -311,7 +304,7 @@ def transition_matrix(eigenvalues, A) -> np.ndarray:
 def cooling_probability(eigenvalues, A, j: int) -> float:
     """Probability of moving strictly downhill from eigenstate j in one step."""
     lam = np.asarray(eigenvalues, dtype=np.float64)
-    a = _mat(A, "perturbation")
+    a = square_entries(A, "perturbation")
     if not 0 <= j < lam.size:
         raise RangeError(f"state index {j} outside [0, {lam.size})")
     below = lam < lam[j]

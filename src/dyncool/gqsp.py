@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MarginError, NumericError, SynthesisError, ValidationError
+from .operators import matrix_entries
 from .signfun import FourierPolynomial, eval_fourier_grid
 
 __all__ = [
@@ -279,23 +280,12 @@ def compute_angles(pair: CompletionPair) -> AngleSequence:
     phi = np.zeros(k + m + 1)
     residual = 0.0
 
-    for i in range(k):
-        step = m + k - i
+    for step in range(m + k, 0, -1):
         th, ph = _solve_rotation(p[-1], q[-1], step)
         c, s, e = np.cos(th), np.sin(th), np.exp(-1j * ph)
         new_p = e * c * p + s * q
         new_q = e * s * p - c * q
         # new_p sheds its lowest mode, new_q (after the U shift) its highest
-        residual = max(residual, abs(new_p[0]), abs(new_q[-1]))
-        p, q = new_p[1:], new_q[:-1]
-        theta[step], phi[step] = th, ph
-
-    for i in range(m):
-        step = m - i
-        th, ph = _solve_rotation(p[-1], q[-1], step)
-        c, s, e = np.cos(th), np.sin(th), np.exp(-1j * ph)
-        new_p = e * c * p + s * q
-        new_q = e * s * p - c * q
         residual = max(residual, abs(new_p[0]), abs(new_q[-1]))
         p, q = new_p[1:], new_q[:-1]
         theta[step], phi[step] = th, ph
@@ -314,7 +304,7 @@ def assemble_and_extract(angles: AngleSequence, U) -> AssembledBlock:
     group, [I (+) U^dag] for the negative group. Counts are structural
     (incremented per factor actually multiplied in).
     """
-    mat = U.entries if hasattr(U, "entries") else np.asarray(U, dtype=complex)
+    mat = matrix_entries(U)
     n = mat.shape[0]
     eye = np.eye(n, dtype=complex)
 

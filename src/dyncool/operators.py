@@ -4,11 +4,15 @@ All operators are dense complex128 matrices of explicit dimension. Matrix
 functions go through the eigendecomposition, never through series expansions,
 so every downstream bound check is limited by eigensolver accuracy rather
 than truncation error.
+
+The input rules the other modules share live here, each written once: the
+one tolerance set ``TOL``, the epsilon and delta ranges, the shifted-spectrum
+band of a sign transform and the wrapped-or-raw matrix coercion.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,6 +36,11 @@ __all__ = [
     "shift_operator",
     "shift_evolution_factored",
     "check_subnormalized",
+    "check_epsilon",
+    "check_delta",
+    "shifted_spectrum",
+    "matrix_entries",
+    "square_entries",
 ]
 
 
@@ -55,10 +64,46 @@ class Tolerances:
 TOL = Tolerances()
 
 
-def _as_matrix(entries, name: str) -> np.ndarray:
-    arr = np.array(entries, dtype=np.complex128, order="C")
+def check_epsilon(epsilon: float) -> None:
+    """Reject a bin width epsilon outside (0, 0.7]."""
+    if not 0.0 < epsilon <= 0.7:
+        raise RangeError(f"epsilon must lie in (0, 0.7], got {epsilon}")
+
+
+def check_delta(delta: float) -> None:
+    """Reject a per-step leakage delta outside (0, 1)."""
+    if not 0.0 < delta < 1.0:
+        raise RangeError(f"delta must lie in (0, 1), got {delta}")
+
+
+def shifted_spectrum(eigenvalues: np.ndarray, shift: float, epsilon: float | None) -> np.ndarray:
+    """``eigenvalues - shift``, which must lie inside (-pi + eps/2, pi - eps/2) so no
+    eigenvalue wraps into or across the seam of a sign transform of bin width eps."""
+    shifted = eigenvalues - shift
+    band = np.pi - (epsilon or 0.0) / 2.0  # a polynomial without metadata has eps None
+    if np.any(np.abs(shifted) >= band):
+        bad = shifted[np.argmax(np.abs(shifted))] + shift
+        raise RangeError(
+            f"eigenvalue {bad:.6f} leaves (-{band:.4f}, {band:.4f}) after shift {shift:.6f}"
+        )
+    return shifted
+
+
+def matrix_entries(M, dtype=complex) -> np.ndarray:
+    """The entries of a wrapped operator, or ``M`` as an array of ``dtype``."""
+    return M.entries if hasattr(M, "entries") else np.asarray(M, dtype=dtype)
+
+
+def square_entries(M, name: str) -> np.ndarray:
+    """``matrix_entries(M)``, which must be a square matrix."""
+    arr = matrix_entries(M)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValidationError(f"{name} must be a square matrix, got shape {arr.shape}")
+    return arr
+
+
+def _as_matrix(entries, name: str) -> np.ndarray:
+    arr = square_entries(np.array(entries, dtype=np.complex128, order="C"), name)
     if not np.all(np.isfinite(arr.view(np.float64))):
         raise ValidationError(f"{name} contains non-finite entries")
     arr.setflags(write=False)
@@ -70,15 +115,14 @@ class HermitianOperator:
     """A validated Hermitian matrix."""
 
     entries: np.ndarray
-    tol: Tolerances = field(default=TOL, repr=False, compare=False)
 
     def __post_init__(self):
         arr = _as_matrix(self.entries, "HermitianOperator")
         dev = np.max(np.abs(arr - arr.conj().T)) if arr.size else 0.0
-        if dev > self.tol.hermiticity:
+        if dev > TOL.hermiticity:
             raise ValidationError(
                 f"matrix deviates from Hermitian by {dev:.3e} "
-                f"(tolerance {self.tol.hermiticity:.0e})"
+                f"(tolerance {TOL.hermiticity:.0e})"
             )
         object.__setattr__(self, "entries", arr)
 
@@ -92,15 +136,14 @@ class UnitaryOperator:
     """A validated unitary matrix."""
 
     entries: np.ndarray
-    tol: Tolerances = field(default=TOL, repr=False, compare=False)
 
     def __post_init__(self):
         arr = _as_matrix(self.entries, "UnitaryOperator")
         dev = np.max(np.abs(arr @ arr.conj().T - np.eye(arr.shape[0])))
-        if dev > self.tol.unitarity:
+        if dev > TOL.unitarity:
             raise ValidationError(
                 f"matrix deviates from unitary by {dev:.3e} "
-                f"(tolerance {self.tol.unitarity:.0e})"
+                f"(tolerance {TOL.unitarity:.0e})"
             )
         object.__setattr__(self, "entries", arr)
 
@@ -114,19 +157,18 @@ class Projector:
     """A validated orthogonal projector (Hermitian, idempotent, 0/1 spectrum)."""
 
     entries: np.ndarray
-    tol: Tolerances = field(default=TOL, repr=False, compare=False)
 
     def __post_init__(self):
         arr = _as_matrix(self.entries, "Projector")
         herm = np.max(np.abs(arr - arr.conj().T)) if arr.size else 0.0
-        if herm > self.tol.hermiticity:
+        if herm > TOL.hermiticity:
             raise ValidationError(f"projector deviates from Hermitian by {herm:.3e}")
         idem = np.max(np.abs(arr @ arr - arr))
-        if idem > self.tol.idempotence:
+        if idem > TOL.idempotence:
             raise ValidationError(f"projector deviates from idempotent by {idem:.3e}")
         vals = np.linalg.eigvalsh(arr)
         dev = np.min(np.stack([np.abs(vals), np.abs(vals - 1.0)]), axis=0)
-        if np.max(dev) > self.tol.projector_spectrum:
+        if np.max(dev) > TOL.projector_spectrum:
             raise ValidationError(
                 f"projector spectrum deviates from {{0,1}} by {np.max(dev):.3e}"
             )
@@ -141,7 +183,7 @@ class Projector:
         return int(round(np.real(np.trace(self.entries))))
 
     def complement(self) -> "Projector":
-        return Projector(np.eye(self.dim) - self.entries, tol=self.tol)
+        return Projector(np.eye(self.dim) - self.entries)
 
 
 @dataclass(frozen=True)
@@ -149,7 +191,6 @@ class StateVector:
     """A normalized pure state."""
 
     amplitudes: np.ndarray
-    tol: Tolerances = field(default=TOL, repr=False, compare=False)
 
     def __post_init__(self):
         arr = np.array(self.amplitudes, dtype=np.complex128)
@@ -158,7 +199,7 @@ class StateVector:
         if not np.all(np.isfinite(arr.view(np.float64))):
             raise ValidationError("state contains non-finite amplitudes")
         norm = np.linalg.norm(arr)
-        if abs(norm - 1.0) > self.tol.state_norm:
+        if abs(norm - 1.0) > TOL.state_norm:
             raise ValidationError(f"state norm {norm:.12f} is not 1 within tolerance")
         arr.setflags(write=False)
         object.__setattr__(self, "amplitudes", arr)
@@ -178,7 +219,6 @@ class SpectralDecomposition:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    tol: Tolerances = field(default=TOL, repr=False, compare=False)
 
     def __post_init__(self):
         vals = np.array(self.eigenvalues, dtype=np.float64)
@@ -188,7 +228,7 @@ class SpectralDecomposition:
         if np.any(np.diff(vals) < 0):
             raise ValidationError("eigenvalues must be ascending")
         dev = np.max(np.abs(vecs @ vecs.conj().T - np.eye(vecs.shape[0])))
-        if dev > self.tol.unitarity:
+        if dev > TOL.unitarity:
             raise ValidationError(f"eigenvector matrix deviates from unitary by {dev:.3e}")
         vals.setflags(write=False)
         object.__setattr__(self, "eigenvalues", vals)
@@ -229,9 +269,9 @@ def eig(H: HermitianOperator) -> SpectralDecomposition:
     vals, vecs = np.linalg.eigh(H.entries)
     order = np.argsort(vals, kind="stable")
     vals, vecs = vals[order], vecs[:, order]
-    dec = SpectralDecomposition(vals, vecs, tol=H.tol)
+    dec = SpectralDecomposition(vals, vecs)
     err = np.max(np.abs(dec.reconstruct() - H.entries))
-    if err > H.tol.reconstruction:
+    if err > TOL.reconstruction:
         raise ValidationError(f"eigendecomposition reconstruction error {err:.3e}")
     return dec
 
@@ -239,25 +279,24 @@ def eig(H: HermitianOperator) -> SpectralDecomposition:
 def evolve(H: HermitianOperator, t: float) -> UnitaryOperator:
     """exp(-iHt) through the eigendecomposition."""
     dec = eig(H)
-    return UnitaryOperator(dec.apply(np.exp(-1j * dec.eigenvalues * t)), tol=H.tol)
+    return UnitaryOperator(dec.apply(np.exp(-1j * dec.eigenvalues * t)))
 
 
 def reflection(P: Projector) -> UnitaryOperator:
     """I - 2P, the reflection through the complement of range(P)."""
-    return UnitaryOperator(np.eye(P.dim) - 2.0 * P.entries, tol=P.tol)
+    return UnitaryOperator(np.eye(P.dim) - 2.0 * P.entries)
 
 
 def projector_below(dec: SpectralDecomposition, energy: float) -> Projector:
     """Spectral projector onto eigenvalues strictly below ``energy``."""
     sel = dec.eigenvalues < energy
     vecs = dec.eigenvectors[:, sel]
-    return Projector(vecs @ vecs.conj().T, tol=dec.tol)
+    return Projector(vecs @ vecs.conj().T)
 
 
 def spectral_norm(M) -> float:
     """Largest singular value; accepts wrapped operators or raw arrays."""
-    arr = M.entries if hasattr(M, "entries") else np.asarray(M)
-    return float(np.linalg.norm(arr, 2))
+    return float(np.linalg.norm(matrix_entries(M, dtype=None), 2))
 
 
 def hermitian_norm(mat: np.ndarray) -> float:
@@ -268,27 +307,27 @@ def hermitian_norm(mat: np.ndarray) -> float:
 def check_subnormalized(H: HermitianOperator, name: str = "operator") -> float:
     """Require spectral norm <= 1 (+ slack); returns the measured norm."""
     norm = hermitian_norm(H.entries)
-    if norm > 1.0 + H.tol.norm_slack:
+    if norm > 1.0 + TOL.norm_slack:
         raise ValidationError(f"{name} has spectral norm {norm:.12f} > 1")
     return norm
 
 
-def shift_operator(H: HermitianOperator, n: int, tol: Tolerances = TOL) -> ShiftRegisterOperator:
+def shift_operator(H: HermitianOperator, n: int) -> ShiftRegisterOperator:
     """Materialize sum_j |j><j| (x) (H - j*2pi/2^n) as a dense block matrix."""
     if n < 1:
         raise RangeError(f"register size must be >= 1, got {n}")
     m = H.dim
     total = m * (1 << n)
-    if total > tol.max_total_dim:
+    if total > TOL.max_total_dim:
         raise ResourceError(
-            f"shift operator dimension {total} exceeds budget {tol.max_total_dim}"
+            f"shift operator dimension {total} exceeds budget {TOL.max_total_dim}"
         )
     shifts = np.arange(1 << n) * (2.0 * np.pi / (1 << n))
     blocks = np.kron(np.eye(1 << n), H.entries) - np.kron(np.diag(shifts), np.eye(m))
-    return ShiftRegisterOperator(HermitianOperator(blocks, tol=tol), n, m)
+    return ShiftRegisterOperator(HermitianOperator(blocks), n, m)
 
 
-def shift_evolution_factored(H: HermitianOperator, n: int, tol: Tolerances = TOL) -> UnitaryOperator:
+def shift_evolution_factored(H: HermitianOperator, n: int) -> UnitaryOperator:
     """exp(+i SHIFT_n(H)) built from n single-qubit phases and one exp(+iH).
 
     Register bit m contributes diag(1, exp(-i 2^m * 2pi/2^n)); bits are
@@ -297,12 +336,12 @@ def shift_evolution_factored(H: HermitianOperator, n: int, tol: Tolerances = TOL
     if n < 1:
         raise RangeError(f"register size must be >= 1, got {n}")
     total = H.dim * (1 << n)
-    if total > tol.max_total_dim:
+    if total > TOL.max_total_dim:
         raise ResourceError(
-            f"factored evolution dimension {total} exceeds budget {tol.max_total_dim}"
+            f"factored evolution dimension {total} exceeds budget {TOL.max_total_dim}"
         )
     register = np.array([[1.0]], dtype=np.complex128)
     for m in reversed(range(n)):
         theta = (1 << m) * 2.0 * np.pi / (1 << n)
         register = np.kron(register, np.diag([1.0, np.exp(-1j * theta)]))
-    return UnitaryOperator(np.kron(register, evolve(H, -1.0).entries), tol=tol)
+    return UnitaryOperator(np.kron(register, evolve(H, -1.0).entries))

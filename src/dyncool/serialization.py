@@ -20,6 +20,7 @@ import numpy as np
 from .cooling import CoolingConfig, StepResult, Trajectory
 from .errors import ValidationError
 from .gqsp import AngleSequence
+from .operators import square_entries
 from .signfun import FourierPolynomial
 
 __all__ = [
@@ -150,9 +151,7 @@ def _pairs_to_complex(pairs, count: int, what: str) -> np.ndarray:
 
 def matrix_document(M) -> dict:
     """Row-major [re, im] pairs with an explicit dimension."""
-    arr = M.entries if hasattr(M, "entries") else np.asarray(M, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValidationError(f"matrix document needs a square matrix, got {arr.shape}")
+    arr = square_entries(M, "matrix document")
     return {"dim": int(arr.shape[0]), "entries": _complex_pairs(arr)}
 
 

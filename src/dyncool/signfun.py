@@ -28,8 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CertificationError, RangeError, ValidationError
-from .operators import TOL, HermitianOperator, SpectralDecomposition, Tolerances, eig
+from .errors import CertificationError, ValidationError
+from .operators import HermitianOperator, SpectralDecomposition, eig
+from .operators import check_delta, check_epsilon, shifted_spectrum
 
 __all__ = [
     "C_DEG",
@@ -187,9 +188,7 @@ def _cheb_projection(func, n: int) -> np.ndarray:
     return c
 
 
-def build_sign_poly(
-    epsilon: float, delta: float, tol: Tolerances = TOL
-) -> RealOddPolynomial:
+def build_sign_poly(epsilon: float, delta: float) -> RealOddPolynomial:
     """Odd polynomial within delta of sign(x) outside [-eps/2, eps/2].
 
     Construction: Chebyshev projection of erf(2*sqrt(ln(4/delta))/eps * x)
@@ -198,10 +197,8 @@ def build_sign_poly(
     modulus stays strictly below 1. All three contract bounds are certified
     on a 100001-point grid; failure raises CertificationError.
     """
-    if not 0.0 < epsilon <= 0.7:
-        raise RangeError(f"epsilon must lie in (0, 0.7], got {epsilon}")
-    if not 0.0 < delta < 1.0:
-        raise RangeError(f"delta must lie in (0, 1), got {delta}")
+    check_epsilon(epsilon)
+    check_delta(delta)
 
     k_erf = 2.0 * np.sqrt(np.log(4.0 / delta)) / epsilon
     erf = np.frompyfunc(math.erf, 1, 1)
@@ -271,9 +268,7 @@ def to_fourier(P: RealOddPolynomial) -> FourierPolynomial:
     return FourierPolynomial(coeffs, k=d, m=d, epsilon=P.epsilon, delta=P.delta)
 
 
-def fourier_sign(
-    epsilon: float, delta: float, tol: Tolerances = TOL
-) -> FourierPolynomial:
+def fourier_sign(epsilon: float, delta: float) -> FourierPolynomial:
     """Fourier-side sign approximant certified on the angle grid.
 
     Built from the base polynomial at eps_eff = 2*sin(eps/2), whose guarantee
@@ -283,10 +278,9 @@ def fourier_sign(
     grids (one inverse FFT, `eval_fourier_grid`), plus the degree bound at
     the stated epsilon.
     """
-    if not 0.0 < epsilon <= 0.7:
-        raise RangeError(f"epsilon must lie in (0, 0.7], got {epsilon}")
+    check_epsilon(epsilon)
     eps_eff = 2.0 * np.sin(epsilon / 2.0)
-    S = to_fourier(build_sign_poly(eps_eff, delta, tol=tol))
+    S = to_fourier(build_sign_poly(eps_eff, delta))
     grid = np.linspace(-np.pi, np.pi, SIGN_GRID_POINTS)
     vals = eval_fourier_grid(S, SIGN_GRID_POINTS)
     if np.max(np.abs(vals.imag)) > 1e-12:
@@ -317,17 +311,10 @@ def apply_spectral(
     eigenvalue wraps into or across the transform's seam; eps is taken from
     the polynomial's metadata (0 when absent).
     """
-    eps = S.epsilon if S.epsilon is not None else 0.0
     dec = eig(H)
-    shifted = dec.eigenvalues - shift
-    lo, hi = -np.pi + eps / 2.0, np.pi - eps / 2.0
-    if np.any(shifted <= lo) or np.any(shifted >= hi):
-        bad = shifted[np.argmax(np.abs(shifted))] + shift
-        raise RangeError(
-            f"eigenvalue {bad:.6f} leaves ({lo:.4f}, {hi:.4f}) after shift {shift:.6f}"
-        )
+    shifted_spectrum(dec.eigenvalues, shift, S.epsilon)
     vals = spectral_values(S, dec, shift)
-    return HermitianOperator(dec.apply(vals, hermitian=True), tol=H.tol)
+    return HermitianOperator(dec.apply(vals, hermitian=True))
 
 
 def spectral_values(

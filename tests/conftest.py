@@ -28,3 +28,15 @@ def random_unitary(rng, dim):
 def random_projector(rng, dim, rank):
     basis = random_unitary(rng, dim)[:, :rank]
     return Projector(basis @ basis.conj().T)
+
+
+def laurent_sum(P, U):
+    """sum_{n=-k}^{m} a_n U^n by explicit matrix powers."""
+    dim = U.shape[0]
+    out = np.zeros((dim, dim), dtype=complex)
+    Udag = U.conj().T
+    for idx, a in enumerate(P.coeffs):
+        n = idx - P.k
+        base = U if n >= 0 else Udag
+        out += a * np.linalg.matrix_power(base, abs(n))
+    return out

@@ -39,7 +39,7 @@ from dyncool import (
 )
 from dyncool.cli import run_experiment
 
-from conftest import random_hermitian, random_projector, random_unitary
+from conftest import laurent_sum, random_hermitian, random_projector, random_unitary
 
 
 def report(num, name, ok, detail, elapsed, budget):
@@ -55,15 +55,6 @@ def report(num, name, ok, detail, elapsed, budget):
 def normalized_gue(rng, dim):
     A = sample_gue(rng, dim)
     return A / max(1.0, spectral_norm(A))
-
-
-def laurent_sum(P, U):
-    acc = np.zeros_like(U)
-    Ud = U.conj().T
-    for idx, a in enumerate(P.coeffs):
-        n = idx - P.k
-        acc += a * np.linalg.matrix_power(U if n >= 0 else Ud, abs(n))
-    return acc
 
 
 def two_sector_instances(dims, count, seed):

@@ -49,12 +49,15 @@ def write_config(tmp_path, **overrides):
 
 
 def test_import_loads_no_scipy():
-    # scipy is needed only by the Dyson quadrature, imported at first use;
-    # numpy.polynomial is not needed at all (signfun has its own Clenshaw sum)
+    # numpy alone at run time, the Dyson quadrature included; numpy.polynomial
+    # is not needed at all (signfun has its own Clenshaw sum)
     src = str(Path(dyncool.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
     probe = (
-        "import sys, dyncool.cli; "
+        "import sys, numpy as np, dyncool.cli; "
+        "from dyncool.dyson import dyson_term, path_weight; "
+        "dyson_term(0.5 * np.ones((2, 2)), np.diag([1.0, 0.0]), 0.25, 2); "
+        "path_weight((2, 0), 1.0); "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
         "or m.startswith('numpy.polynomial')))"
     )
@@ -251,6 +254,16 @@ class TestRunCommand:
         cfg = write_config(tmp_path, epsilon="abc")
         assert main(["run", "--config", cfg]) == 1
         assert "error: config key 'epsilon' must be a number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, bad",
+        [("epsilon", True), ("delta", False), ("margin", True), ("target_estimate", False)],
+    )
+    def test_bool_number_exits_nonzero(self, tmp_path, capsys, key, bad):
+        cfg = write_config(tmp_path, **{key: bad})
+        assert main(["run", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert f"error: config key {key!r} must be a number, got {bad!r}" in err
 
     @pytest.mark.parametrize("bad", [2.9, True, "3", None, float("inf")])
     @pytest.mark.parametrize("key", sorted(INTEGER_KEYS))

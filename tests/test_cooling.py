@@ -35,9 +35,7 @@ from dyncool.dyson import default_time, sample_gue
 from dyncool.errors import RangeError, ValidationError
 from dyncool.gqsp import synthesize_angles
 from dyncool.operators import (
-    TOL,
     HermitianOperator,
-    Tolerances,
     eig,
     evolve,
     projector_below,
@@ -196,7 +194,7 @@ class TestBinSlices:
     def test_observation_matches_direct_sums(self, case, seed):
         epsilon, lam = case
         cfg = CoolingConfig(epsilon=epsilon, steps=2, mode="exact_reflection")
-        ctx = cooling._Context(np.diag(lam).astype(complex), np.zeros((lam.size,) * 2), cfg, TOL)
+        ctx = cooling._Context(np.diag(lam).astype(complex), np.zeros((lam.size,) * 2), cfg)
         lam, n = ctx.lam, ctx.nbins
         amps = random_initial_state(np.random.default_rng(seed), lam.size)
         weights = np.abs(amps) ** 2
@@ -632,19 +630,13 @@ class TestSharedContext:
                 run(H, A, cfg, np.random.default_rng(0))
         assert not cold_memo.contexts
 
-    def test_tolerances_get_their_own_context(self, cold_memo):
+    def test_raw_array_and_operator_share_a_context(self, cold_memo):
         H, A = self.instance(12)
-        H *= (1.0 + 1e-11) / spectral_norm(H)  # inside the default norm slack only
+        H *= (1.0 + 1e-11) / spectral_norm(H)  # inside the norm slack
         cfg = CoolingConfig(epsilon=0.25, steps=3)
         run(HermitianOperator(H), A, cfg, np.random.default_rng(0))
         run(H, A, cfg, np.random.default_rng(0))  # a raw array is checked with TOL as well
         assert len(cold_memo.contexts) == 1
-        strict = HermitianOperator(H, tol=Tolerances(norm_slack=1e-12))
-        with pytest.raises(ValidationError, match="spectral norm"):
-            run(strict, A, cfg, np.random.default_rng(0))
-        loose = HermitianOperator(H, tol=Tolerances(hermiticity=1e-10))
-        run(loose, A, cfg, np.random.default_rng(0))
-        assert len(cold_memo.contexts) == 2
 
     def test_memo_never_exceeds_its_bound(self, cold_memo, monkeypatch):
         assert (cooling._MEMO_CONTEXTS, cooling._MEMO_STEP_BYTES) == (4, 256 << 20)

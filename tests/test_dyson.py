@@ -7,9 +7,11 @@ integrals for path weights.
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_simpson
 from scipy.stats import linregress
 
 from dyncool.dyson import (
+    _cumsimp,
     cooling_probability,
     default_time,
     dyson_partial_sum,
@@ -72,6 +74,21 @@ class TestClosedForms:
         for mult in (1, 2, 3):
             got = per_term_leakage(A, P, 0.04, order=1, t=mult * np.pi, n_steps=4096)
             assert got <= 1e-10, f"t={mult}pi: {got:.3e}"
+
+
+class TestCumulativeSimpson:
+    @pytest.mark.parametrize("n_steps", [8, 9, 64, 511, 4096, 4097])
+    def test_matches_scipy(self, n_steps):
+        # the quadrature's numpy sum against scipy's on complex matrix stacks
+        rng = np.random.default_rng(n_steps)
+        s = np.linspace(0.0, 2.5, n_steps + 1)
+        freq = rng.normal(size=(3, 3)) * 3.0
+        y = rng.normal(size=(3, 3)) * np.exp(1j * freq * s[:, None, None]) + s[:, None, None] ** 2
+        ref = (cumulative_simpson(y.real, x=s, axis=0, initial=0.0)
+               + 1j * cumulative_simpson(y.imag, x=s, axis=0, initial=0.0))
+        ours = _cumsimp(y, s)
+        assert ours.shape == ref.shape
+        assert np.max(np.abs(ours - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestBoundsAndConvergence:

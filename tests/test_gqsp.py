@@ -31,19 +31,7 @@ from dyncool.signfun import (
     to_fourier,
 )
 
-from conftest import random_unitary
-
-
-def laurent_sum(P, U):
-    """sum_{n=-k}^{m} a_n U^n by explicit matrix powers."""
-    dim = U.shape[0]
-    out = np.zeros((dim, dim), dtype=complex)
-    Udag = U.conj().T
-    for idx, a in enumerate(P.coeffs):
-        n = idx - P.k
-        base = U if n >= 0 else Udag
-        out += a * np.linalg.matrix_power(base, abs(n))
-    return out
+from conftest import laurent_sum, random_unitary
 
 
 def random_scaled_poly(rng, k, m, peak=0.9):

@@ -30,14 +30,19 @@ indicator and each bin's leakage-region indicator, with every column
 repeated for the real and imaginary parts of an amplitude; one product
 with the squared components of the amplitudes gives every bin weight, the
 energy, the ground overlap and every bin's leakage. The memo also keeps
-each context's step unitaries in the eigenbasis, with the index where the
-leakage region starts, filled lazily: a bin's unitary is built on its first
-visit with every check an uncached step makes (range guard, Hermiticity,
-eig reconstruction, unitarity). A step after measuring bin b applies only
-the column block of b's unitary over b's slice, since the collapsed state
-is zero elsewhere. Its record is a ``StepResult`` named tuple made from
-the row the loop gathers; a warm d=16 step costs about 9 us on a 2-CPU
-host with one BLAS thread.
+each context's step unitaries in the eigenbasis, filled lazily: a bin's
+unitary is built on its first visit with every check an uncached step
+makes (range guard, Hermiticity, eig reconstruction, unitarity). A step
+after measuring bin b applies only the column block of b's unitary over
+b's slice, since the collapsed state is zero elsewhere, then observes the
+result and builds the next draw's CDF. When b holds one eigenvalue, the
+collapsed state is that eigenvector up to a global phase whatever came
+before, so the kicked state and everything observed from it are the same
+on every visit: the memo entry carries them, derived from the checked
+unitary when it is built, and such a step makes no numpy call. Its record
+is a ``StepResult`` named tuple made from the row the loop gathers. On a
+2-CPU host with one BLAS thread, a warm d=16 step from a one-eigenvalue
+bin costs about 1 us and any other step about 9 us.
 
 The memo key is the content, not object identity: the bytes of H and A as
 complex128 with their shapes and the frozen config (A's key bytes double
@@ -79,6 +84,7 @@ from .operators import (
     StateVector,
     check_delta,
     check_epsilon,
+    check_margin,
     eig,
     evolve,
     hermitian_norm,
@@ -146,6 +152,7 @@ class CoolingConfig:
         check_delta(self.delta)
         if self.mode not in MODES:
             raise ValidationError(f"mode must be one of {MODES}, got {self.mode!r}")
+        check_margin(self.margin)
 
     @property
     def time(self) -> float:
@@ -201,14 +208,19 @@ def random_initial_state(rng: np.random.Generator, dim: int) -> np.ndarray:
     return vec / np.linalg.norm(vec)
 
 
-def _draw_index(probs, rng: np.random.Generator) -> int:
-    """Index drawn with weights ``probs``: the inverse-CDF draw that
-    ``rng.choice(n, p=probs / probs.sum())`` makes, from the same one double."""
+def _cdf(probs) -> list:
+    """The running sums of ``probs`` divided by their total."""
     cdf = list(accumulate(probs))
     total = cdf[-1]
     if not total > 0.0:
         raise ValidationError("state has no weight on any energy bin")
-    return bisect_right(cdf, rng.random(), key=lambda c: c / total)
+    return [c / total for c in cdf]
+
+
+def _draw_index(probs, rng: np.random.Generator) -> int:
+    """Index drawn with weights ``probs``: the inverse-CDF draw that
+    ``rng.choice(n, p=probs / probs.sum())`` makes, from the same one double."""
+    return bisect_right(_cdf(probs), rng.random())
 
 
 class _Bins:
@@ -318,6 +330,16 @@ def query_costs(epsilon: float, delta: float, sign_degree: int) -> tuple[int, in
     return sign_degree * reps + qpe, 4 * reps
 
 
+class _Fixed(NamedTuple):
+    """The post-kick state after a bin of one eigenvalue, shared by every
+    visit: read-only eigen-amplitudes, their ``observe`` row and the
+    normalised running sums of its bin weights, both as tuples."""
+
+    amps: np.ndarray
+    seen: tuple
+    cdf: tuple
+
+
 class _Context:
     """What ``run`` needs that depends only on (H, A, config), checked once.
 
@@ -346,14 +368,14 @@ class _Context:
         # eigenvalues ascend, so the ground space and each leakage region (past
         # a bin's cutoff plus half a bin) are a prefix and suffixes of them
         ground = int(np.count_nonzero(self.lam <= self.lam[0] + 1e-12))
-        self.leak_from = self.lam.searchsorted(
+        leak_from = self.lam.searchsorted(
             np.array(bins.estimates) + 1.5 * config.epsilon, side="left"
         ).tolist()
         n = self.nbins = len(bins.labels)
         rows = np.zeros((2 * n + 2, self.dim))
         for i, (start, stop) in enumerate(bins.slices):
             rows[i, start:stop] = 1.0
-            rows[n + 2 + i, self.leak_from[i] :] = 1.0
+            rows[n + 2 + i, leak_from[i] :] = 1.0
         rows[n] = self.lam
         rows[n + 1, :ground] = 1.0
         self.obs = np.repeat(rows, 2, axis=1)  # columns (re, im) per amplitude
@@ -372,12 +394,24 @@ class _Context:
         from one product with |amps|^2 taken as re^2 + im^2."""
         return np.dot(self.obs, amps.view(np.float64) ** 2).tolist()
 
-    def step(self, bin_idx: int) -> tuple[np.ndarray, int]:
+    def step(self, bin_idx: int) -> tuple[np.ndarray, _Fixed | None]:
         """The step unitary after measuring bin ``bin_idx``, V^dag U V, and
-        the index of the first eigenvalue past its leakage line."""
+        the fixed post-kick state if the bin holds one eigenvalue, else None.
+
+        The state collapsed onto a one-eigenvalue bin at slice (s, s+1) is
+        that eigenvector up to a global phase, so the kick leaves column s
+        of the unitary up to the same phase, which no weight sees.
+        """
         cutoff = self.bins.estimates[bin_idx] + self.config.epsilon
         step_u = _step_unitary(self.dec, self.a_mat, cutoff, self.config, self.S, self.angles)
-        return self.vecs_h @ step_u @ self.vecs, self.leak_from[bin_idx]
+        unitary = self.vecs_h @ step_u @ self.vecs
+        start, stop = self.bins.slices[bin_idx]
+        if stop - start > 1:
+            return unitary, None
+        amps = unitary[:, start].copy()
+        amps.setflags(write=False)
+        seen = self.observe(amps)
+        return unitary, _Fixed(amps, tuple(seen), tuple(_cdf(seen[: self.nbins])))
 
 
 class _Memo:
@@ -408,7 +442,7 @@ class _Memo:
                     self._drop(step_key)
             return ctx
 
-    def step(self, ctx: _Context, bin_idx: int) -> tuple[np.ndarray, int]:
+    def step(self, ctx: _Context, bin_idx: int) -> tuple[np.ndarray, _Fixed | None]:
         key = (ctx, bin_idx)
         with self.lock:
             entry = self.steps.get(key)
@@ -459,10 +493,13 @@ def run(
     memo of prepared contexts (see the module docstring), so H and A are
     validated and diagonalized once for all calls with the same content,
     and each bin's step unitary is built once while it stays in the memo.
-    A step reads every weight it needs from one observation product, draws
-    the bin from the bin weights, and kicks the bin's slice of amplitudes
-    with the column block of its unitary; the call holds each column block
-    it used, a view of the memo's unitary, until it returns.
+    A step draws the bin from the normalised running sums of the bin
+    weights and kicks the bin's slice of amplitudes with the column block
+    of its unitary, then reads every weight it needs from one observation
+    product; the call holds each column block it used, a view of the memo's
+    unitary, until it returns. After a bin of one eigenvalue the kicked
+    state, its weights and its running sums are the same on every visit, so
+    the step reads them from the memo entry instead.
     """
     return _trajectory(_MEMO.context(H, A, config), rng, initial_state, stopping)
 
@@ -479,28 +516,37 @@ def _trajectory(ctx: _Context, rng, initial_state=None, stopping=None) -> Trajec
     )
     amps = ctx.vecs_h @ state
     seen = ctx.observe(amps)
+    cdf = _cdf(seen[:n])
     initial_energy, initial_overlap = seen[n], seen[n + 1]
 
-    blocks = {}  # bin index -> the column block of its step unitary
+    kicks = {}  # bin index -> (its fixed post-kick state or None, its column block)
     measured, rows = [], []
     for step in range(ctx.config.steps):
-        idx = _draw_index(seen[:n], rng)
+        idx = bisect_right(cdf, rng.random())
         label, estimate = labels[idx], estimates[idx]
         measured.append(label)
         if stopping is not None and stopping.satisfied(estimate):
             amps = bins.collapse(amps, idx, seen[idx])
             seen = ctx.observe(amps)
+            cdf = _cdf(seen[:n])
             break
-        start, stop = slices[idx]
-        block = blocks.get(idx)
-        if block is None:
-            block = blocks[idx] = _MEMO.step(ctx, idx)[0][:, start:stop]
-        amps = block @ (amps[start:stop] / sqrt(seen[idx]))
-        seen = ctx.observe(amps)
+        kick = kicks.get(idx)
+        if kick is None:
+            unitary, fixed = _MEMO.step(ctx, idx)
+            start, stop = slices[idx]
+            kick = kicks[idx] = (fixed, unitary[:, start:stop] if fixed is None else None)
+        fixed, block = kick
+        if fixed is None:
+            start, stop = slices[idx]
+            amps = block @ (amps[start:stop] / sqrt(seen[idx]))
+            seen = ctx.observe(amps)
+            cdf = _cdf(seen[:n])
+        else:
+            amps, seen, cdf = fixed
         rows.append([step, label, estimate, seen[n], seen[n + 1], seen[n + 2 + idx],
                      per_eiH * (step + 1), per_UA * (step + 1)])
 
-    idx = _draw_index(seen[:n], rng)
+    idx = bisect_right(cdf, rng.random())
     final_bin, final_estimate = labels[idx], estimates[idx]
     final = ctx.observe(bins.collapse(amps, idx, seen[idx]))
     # each step's leak event compares its bin with the next measurement's

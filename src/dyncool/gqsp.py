@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MarginError, NumericError, SynthesisError, ValidationError
-from .operators import matrix_entries
+from .operators import check_margin, square_entries
 from .signfun import FourierPolynomial, eval_fourier_grid
 
 __all__ = [
@@ -229,8 +229,7 @@ def complete(P: FourierPolynomial, margin: float = 1e-4) -> CompletionPair:
     every root inside the disk and a real positive leading coefficient,
     declared on P's window [-k, m].
     """
-    if margin < 1e-6:
-        raise ValidationError(f"margin must be >= 1e-6, got {margin}")
+    check_margin(margin)
     P = _trim_support(P)
     max_abs = _grid_max(P)
     # 1e-9 slack keeps inputs rescaled exactly onto the margin from failing
@@ -304,7 +303,7 @@ def assemble_and_extract(angles: AngleSequence, U) -> AssembledBlock:
     group, [I (+) U^dag] for the negative group. Counts are structural
     (incremented per factor actually multiplied in).
     """
-    mat = matrix_entries(U)
+    mat = square_entries(U, "U")
     n = mat.shape[0]
     eye = np.eye(n, dtype=complex)
 

@@ -6,8 +6,9 @@ so every downstream bound check is limited by eigensolver accuracy rather
 than truncation error.
 
 The input rules the other modules share live here, each written once: the
-one tolerance set ``TOL``, the epsilon and delta ranges, the shifted-spectrum
-band of a sign transform and the wrapped-or-raw matrix coercion.
+one tolerance set ``TOL``, the epsilon, delta and completion-margin ranges,
+the register-size and register-budget check, the shifted-spectrum band of a
+sign transform and the wrapped-or-raw matrix coercion.
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ __all__ = [
     "check_subnormalized",
     "check_epsilon",
     "check_delta",
+    "check_margin",
+    "check_register",
     "shifted_spectrum",
     "matrix_entries",
     "square_entries",
@@ -74,6 +77,22 @@ def check_delta(delta: float) -> None:
     """Reject a per-step leakage delta outside (0, 1)."""
     if not 0.0 < delta < 1.0:
         raise RangeError(f"delta must lie in (0, 1), got {delta}")
+
+
+def check_margin(margin: float) -> None:
+    """Reject a completion margin that is not a finite number >= 1e-6."""
+    if not 1e-6 <= margin < np.inf:
+        raise ValidationError(f"margin must be a finite number >= 1e-6, got {margin}")
+
+
+def check_register(dim: int, n: int, label: str) -> None:
+    """Reject an n-bit register with n < 1, or one that takes a ``dim``-dimensional
+    operator past ``TOL.max_total_dim``; ``label`` names the result in the message."""
+    if n < 1:
+        raise RangeError(f"register size must be >= 1, got {n}")
+    total = dim * (1 << n)
+    if total > TOL.max_total_dim:
+        raise ResourceError(f"{label} dimension {total} exceeds budget {TOL.max_total_dim}")
 
 
 def shifted_spectrum(eigenvalues: np.ndarray, shift: float, epsilon: float | None) -> np.ndarray:
@@ -314,14 +333,8 @@ def check_subnormalized(H: HermitianOperator, name: str = "operator") -> float:
 
 def shift_operator(H: HermitianOperator, n: int) -> ShiftRegisterOperator:
     """Materialize sum_j |j><j| (x) (H - j*2pi/2^n) as a dense block matrix."""
-    if n < 1:
-        raise RangeError(f"register size must be >= 1, got {n}")
     m = H.dim
-    total = m * (1 << n)
-    if total > TOL.max_total_dim:
-        raise ResourceError(
-            f"shift operator dimension {total} exceeds budget {TOL.max_total_dim}"
-        )
+    check_register(m, n, "shift operator")
     shifts = np.arange(1 << n) * (2.0 * np.pi / (1 << n))
     blocks = np.kron(np.eye(1 << n), H.entries) - np.kron(np.diag(shifts), np.eye(m))
     return ShiftRegisterOperator(HermitianOperator(blocks), n, m)
@@ -333,13 +346,7 @@ def shift_evolution_factored(H: HermitianOperator, n: int) -> UnitaryOperator:
     Register bit m contributes diag(1, exp(-i 2^m * 2pi/2^n)); bits are
     kron'ed most-significant first so block j carries exp(-i j*2pi/2^n).
     """
-    if n < 1:
-        raise RangeError(f"register size must be >= 1, got {n}")
-    total = H.dim * (1 << n)
-    if total > TOL.max_total_dim:
-        raise ResourceError(
-            f"factored evolution dimension {total} exceeds budget {TOL.max_total_dim}"
-        )
+    check_register(H.dim, n, "factored evolution")
     register = np.array([[1.0]], dtype=np.complex128)
     for m in reversed(range(n)):
         theta = (1 << m) * 2.0 * np.pi / (1 << n)

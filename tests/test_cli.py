@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import dyncool
+from dyncool import cooling
 from dyncool.cli import (
     generate_hamiltonian,
     generate_perturbation,
@@ -283,6 +284,18 @@ class TestRunCommand:
         main(["run", "--config", write_config(tmp_path, **INTEGER_KEYS[key](float(value))),
               "--out", str(as_float)])
         assert as_float.read_bytes() == as_int.read_bytes()
+
+    @pytest.mark.parametrize(
+        "mode, margin", [("gqsp_circuit", float("nan")), ("exact_spectral", -5.0)]
+    )
+    def test_bad_margin_exits_before_any_trial(self, tmp_path, capsys, monkeypatch, mode, margin):
+        trials = []
+        monkeypatch.setattr(cooling, "_trajectory", lambda *a, **k: trials.append(a))
+        out = tmp_path / "out.csv"
+        cfg = write_config(tmp_path, mode=mode, margin=margin)
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 1
+        assert "error: margin must be a finite number >= 1e-6" in capsys.readouterr().err
+        assert not trials and not out.exists()
 
     def test_config_that_is_a_list_exits_nonzero(self, tmp_path, capsys):
         path = tmp_path / "list.json"

@@ -79,6 +79,9 @@ class TestConfig:
             CoolingConfig(epsilon=0.2, steps=4, delta=1.5)
         with pytest.raises(ValidationError):
             CoolingConfig(epsilon=0.2, steps=4, mode="magic")
+        for margin in (float("nan"), -5.0, 1e-7):
+            with pytest.raises(ValidationError):
+                CoolingConfig(epsilon=0.2, steps=4, margin=margin)
 
 
 class TestQpeProject:
@@ -378,7 +381,8 @@ class TestRunInvariants:
 
 def keyword_records(ctx, rng, stopping=None) -> list:
     """The step records of one ``_trajectory`` call, replayed on the same
-    context primitives and built by keyword, one field at a time."""
+    context primitives and built by keyword, one field at a time. After a
+    bin of one eigenvalue the replay takes the memo's fixed post-kick state."""
     n, bins = ctx.nbins, ctx.bins
     amps = ctx.vecs_h @ random_initial_state(rng, ctx.dim)
     seen = ctx.observe(amps)
@@ -390,9 +394,12 @@ def keyword_records(ctx, rng, stopping=None) -> list:
             seen = ctx.observe(bins.collapse(amps, idx, seen[idx]))
             break
         start, stop = bins.slices[idx]
-        unitary, _ = cooling._MEMO.step(ctx, idx)
-        amps = unitary[:, start:stop] @ (amps[start:stop] / sqrt(seen[idx]))
-        seen = ctx.observe(amps)
+        unitary, fixed = cooling._MEMO.step(ctx, idx)
+        if fixed is None:
+            amps = unitary[:, start:stop] @ (amps[start:stop] / sqrt(seen[idx]))
+            seen = ctx.observe(amps)
+        else:
+            amps, seen = fixed.amps, list(fixed.seen)
         kept.append((step, idx, seen))
     labels.append(bins.labels[cooling._draw_index(seen[:n], rng)])
     return [
@@ -446,9 +453,10 @@ class TestStepRecord:
     @pytest.mark.parametrize("target", [None, -0.4])
     @pytest.mark.parametrize("mode", MODES)
     def test_trajectory_records_equal_keyword_records(self, mode, target):
+        # at d=9 some bins hold one eigenvalue and some more, so both kick paths run
         rng = np.random.default_rng(48)
-        H = random_hermitian(rng, 8, norm=1.0)
-        A = normalized_gue(rng, 8)
+        H = random_hermitian(rng, 9, norm=1.0)
+        A = normalized_gue(rng, 9)
         cfg = CoolingConfig(epsilon=0.2, steps=8, delta=0.9, mode=mode)
         stopping = None if target is None else StoppingRule(target)
         ctx = cooling._MEMO.context(H, A, cfg)
@@ -467,6 +475,60 @@ class TestStepRecord:
             assert lengths == {cfg.steps} and max(rises) >= 2
         else:  # some trials stop after a few steps, some run to the end
             assert any(0 < k < cfg.steps for k in lengths) and cfg.steps in lengths
+
+
+class TestFixedState:
+    """A bin of one eigenvalue collapses every incoming state onto the same
+    eigenvector up to a phase, so the memo keeps its post-kick state."""
+
+    @staticmethod
+    def context(mode, monkeypatch):
+        monkeypatch.setattr(
+            cooling, "_MEMO", cooling._Memo(cooling._MEMO_CONTEXTS, cooling._MEMO_STEP_BYTES)
+        )
+        rng = np.random.default_rng(48)
+        H = random_hermitian(rng, 9, norm=1.0)
+        A = normalized_gue(rng, 9)
+        cfg = CoolingConfig(epsilon=0.2, steps=8, delta=0.9, mode=mode)
+        return cooling._MEMO.context(H, A, cfg)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_fixed_state_is_the_kick_of_any_incoming_state(self, mode, monkeypatch):
+        ctx = self.context(mode, monkeypatch)
+        n = ctx.nbins
+        widths = [stop - start for start, stop in ctx.bins.slices]
+        assert 1 in widths and max(widths) > 1
+        for idx, (start, stop) in enumerate(ctx.bins.slices):
+            unitary, fixed = cooling._MEMO.step(ctx, idx)
+            if stop - start > 1:
+                assert fixed is None
+                continue
+            assert not fixed.amps.flags.writeable
+            assert fixed.cdf == tuple(cooling._cdf(fixed.seen[:n]))
+            for seed in range(3):
+                amps = ctx.vecs_h @ random_initial_state(np.random.default_rng(seed), ctx.dim)
+                weight = ctx.observe(amps)[idx]
+                kicked = unitary[:, start:stop] @ (amps[start:stop] / sqrt(weight))
+                assert np.allclose(fixed.seen, ctx.observe(kicked), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_stop_after_fixed_step_draws_from_the_collapsed_state(self, mode, monkeypatch):
+        # the final draw after a stop must use the collapsed state's own CDF,
+        # which puts all weight on the stopping bin, not the fixed state's CDF
+        ctx = self.context(mode, monkeypatch)
+        stopping = StoppingRule(-0.4)
+        index = {label: i for i, label in enumerate(ctx.bins.labels)}
+        above = [not stopping.satisfied(e) for e in ctx.bins.estimates]
+        stale_misses = 0.0  # expected final draws above the target from a stale CDF
+        for trial in range(40):
+            traj = cooling._trajectory(ctx, np.random.default_rng((48, trial)), stopping=stopping)
+            if not 0 < len(traj.steps) < ctx.config.steps:
+                continue
+            assert stopping.satisfied(traj.final_energy_estimate)
+            _, fixed = cooling._MEMO.step(ctx, index[traj.steps[-1].bin_index])
+            if fixed is not None:
+                stale_misses += sum(w for w, up in zip(fixed.seen, above) if up)
+        assert stale_misses > 2.0
 
 
 class TestStepCache:

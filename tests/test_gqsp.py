@@ -11,7 +11,13 @@ import numpy as np
 import pytest
 
 from dyncool import gqsp
-from dyncool.errors import MarginError, NumericError, SynthesisError, ValidationError
+from dyncool.errors import (
+    DyncoolError,
+    MarginError,
+    NumericError,
+    SynthesisError,
+    ValidationError,
+)
 from dyncool.gqsp import (
     COMPLETION_GRID_POINTS,
     AngleSequence,
@@ -79,6 +85,11 @@ class TestComplete:
     def test_margin_floor_enforced(self):
         with pytest.raises(ValidationError):
             complete(FourierPolynomial([0.5], 0, 0), margin=1e-7)
+
+    @pytest.mark.parametrize("margin", [float("nan"), float("inf"), -5.0])
+    def test_margin_must_be_finite(self, margin):
+        with pytest.raises(DyncoolError, match="margin must be a finite number >= 1e-6"):
+            complete(FourierPolynomial([0.5], 0, 0), margin=margin)
 
     def test_sign_polynomial_completes(self):
         S = to_fourier(build_sign_poly(0.5, 0.25))
@@ -200,6 +211,11 @@ class TestAssemble:
             res = assemble_and_extract(angles, U)
             gram = res.unitary.conj().T @ res.unitary
             assert np.linalg.norm(gram - np.eye(6)) <= 1e-9
+
+    def test_non_square_unitary_rejected(self):
+        angles = AngleSequence(np.zeros(2), np.zeros(2), 0.0, k=0, m=1)
+        with pytest.raises(ValidationError, match=r"U must be a square matrix, got shape \(2, 3\)"):
+            assemble_and_extract(angles, np.zeros((2, 3)))
 
     def test_zero_angles_reproduce_powers(self):
         rng = np.random.default_rng(29)

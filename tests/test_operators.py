@@ -4,6 +4,7 @@ import pytest
 from dyncool import (
     HermitianOperator,
     Projector,
+    RangeError,
     ResourceError,
     StateVector,
     UnitaryOperator,
@@ -170,6 +171,17 @@ class TestShiftOperator:
     def test_budget_enforced(self):
         with pytest.raises(ResourceError):
             shift_operator(HermitianOperator(np.eye(16)), 9)
+
+    @pytest.mark.parametrize(
+        "build, label",
+        [(shift_operator, "shift operator"), (shift_evolution_factored, "factored evolution")],
+    )
+    def test_register_checks_are_shared(self, build, label):
+        H = HermitianOperator(np.eye(16))
+        with pytest.raises(RangeError, match="register size must be >= 1, got 0"):
+            build(H, 0)
+        with pytest.raises(ResourceError, match=f"^{label} dimension 8192 exceeds budget 4096$"):
+            build(H, 9)
 
     def test_factored_form_matches_direct_exponential(self):
         rng = np.random.default_rng(29)

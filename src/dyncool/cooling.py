@@ -7,7 +7,8 @@ operator plus a weak perturbation for a time that turns the perturbation
 into a half-strength kick inside the cold sector. Population can only cross
 the cutoff through the leakage channel, bounded per step by delta.
 
-Three interchangeable constructions of the sign operator:
+Three interchangeable constructions of the sign, each one real value per
+eigenvalue of H:
 
 - "exact_spectral": evaluate the certified polynomial on the spectrum.
 - "gqsp_circuit": evaluate the synthesized rotation sequence at each
@@ -18,43 +19,31 @@ Three interchangeable constructions of the sign operator:
 - "exact_reflection": the ideal limit I - 2P(below cutoff), no polynomial
   error at all.
 
-``run`` works in H's eigenbasis: it carries the state as eigen-amplitudes
-V^dag psi. The eigenvalues ascend, so every energy bin is a contiguous
-slice of the eigenbasis. Everything else a trajectory needs depends only on
-(H, A, config), so every ``run`` call (the trials of one experiment,
-parameter sweeps) shares one prepared context from a module-level memo: a
-read-only copy of A, eig(H), the bin slices, the ground space, the sign
-polynomial or angles, the query costs and one real observation matrix.
-Its rows are the bin indicators, the eigenvalues, the ground-space
-indicator and each bin's leakage-region indicator, with every column
-repeated for the real and imaginary parts of an amplitude; one product
-with the squared components of the amplitudes gives every bin weight, the
-energy, the ground overlap and every bin's leakage. The memo also keeps
-each context's step unitaries in the eigenbasis, filled lazily: a bin's
-unitary is built on its first visit with every check an uncached step
-makes (range guard, Hermiticity, eig reconstruction, unitarity). A step
-after measuring bin b applies only the column block of b's unitary over
-b's slice, since the collapsed state is zero elsewhere, then observes the
-result and builds the next draw's CDF. When b holds one eigenvalue, the
-collapsed state is that eigenvector up to a global phase whatever came
-before, so the kicked state and everything observed from it are the same
-on every visit: the memo entry carries them, derived from the checked
-unitary when it is built, and such a step makes no numpy call. Its record
-is a ``StepResult`` named tuple made from the row the loop gathers. On a
-2-CPU host with one BLAS thread, a warm d=16 step from a one-eigenvalue
-bin costs about 1 us and any other step about 9 us.
+Every kick is built one way, in H's eigenbasis V where the sign is
+diagonal: at cutoff c it is exp(-iT K) with K = diag(s) + (sqrt(delta)/2)
+V^dag A V, s the sign values at c and T the step time. Each build checks
+the shifted spectrum against the sign's band (polynomial modes), K's
+Hermiticity, the eig reconstruction of K and the unitarity of the result.
 
-The memo key is the content, not object identity: the bytes of H and A as
-complex128 with their shapes and the frozen config (A's key bytes double
-as the context's read-only copy of A), so a raw array and a wrapped operator
-with the same entries share a context, and an array changed in place gets
-a new one.
-Input is validated only when a context is built; invalid input raises and
-never enters the memo, so it raises on every call. The memo holds at most
-``_MEMO_CONTEXTS`` = 4 contexts and ``_MEMO_STEP_BYTES`` = 256 MiB of step
-unitaries over all of them, both evicted least recently used. An evicted
-bin is rebuilt, with every check, on its next visit; a unitary larger than
-the whole budget (d > 4096) is used for its step and not kept.
+``run`` carries the state as eigen-amplitudes V^dag psi; the eigenvalues
+ascend, so every energy bin is a contiguous slice of them. What a
+trajectory needs beyond that depends only on (H, A, config) and comes from
+a module-level memo of contexts keyed by content (the bytes of H and A as
+complex128 with their shapes, and the frozen config): eig(H), V^dag A V,
+the bin slices, the sign polynomial or angles, the query costs and one real
+observation matrix, whose product with the squared real and imaginary
+parts of the amplitudes gives every bin weight, the energy, the ground
+overlap and every bin's leakage. Input is validated only when a context is
+built, so invalid input never enters the memo and raises on every call.
+The memo also keeps, per context and bin b, the kick unitary exp(-iT K_b)
+at b's cutoff, built with every check on b's first visit; a step applies
+only its column block over b's slice, where the collapsed state lives.
+When b holds one eigenvalue, the collapsed state is that eigenvector up to
+a global phase, so the entry also carries the kicked state and everything
+observed from it. The memo holds at most ``_MEMO_CONTEXTS`` contexts and
+``_MEMO_STEP_BYTES`` of step unitaries, both evicted least recently used;
+an evicted bin is rebuilt, with every check, on its next visit, and a
+unitary larger than the whole budget is used for its step and not kept.
 
 The coherent variant keeps the energy register as an explicit tensor factor
 instead of sampling it; one step is block-diagonal over register values,
@@ -268,6 +257,22 @@ def qpe_project(
     return bins.labels[idx], bins.estimates[idx], dec.eigenvectors @ collapsed
 
 
+def _sign_values(dec, cutoff, config, S=None, angles=None) -> np.ndarray:
+    """The sign of each eigenvalue of H - cutoff under the configured mode;
+    the polynomial modes first check the shifted spectrum against S's band."""
+    if config.mode == "exact_reflection":
+        return np.where(dec.eigenvalues < cutoff, -1.0, 1.0)
+    if S is None:
+        raise ValidationError(f"mode {config.mode!r} needs the sign polynomial")
+    shifted = shifted_spectrum(dec.eigenvalues, cutoff, S.epsilon)
+    if config.mode == "exact_spectral":
+        return spectral_values(S, dec, cutoff)
+    # gqsp_circuit: the encoded block of e^{i(H - cutoff)} is V diag(p) V^dag
+    if angles is None:
+        angles, _, _ = synthesize_angles(S, margin=config.margin)
+    return eval_angles(angles, np.exp(1j * shifted)).real
+
+
 def build_hsign(
     dec: SpectralDecomposition,
     cutoff: float,
@@ -276,41 +281,44 @@ def build_hsign(
     angles=None,
 ) -> np.ndarray:
     """Smoothed (or exact) sign of H - cutoff under the configured mode."""
-    if config.mode == "exact_reflection":
-        # I - 2P(below cutoff): a reflection by construction, so no Projector check
-        return dec.apply(np.where(dec.eigenvalues < cutoff, -1.0, 1.0), hermitian=True)
-    if S is None:
-        raise ValidationError(f"mode {config.mode!r} needs the sign polynomial")
-    shifted = shifted_spectrum(dec.eigenvalues, cutoff, S.epsilon)
-    if config.mode == "exact_spectral":
-        return dec.apply(spectral_values(S, dec, cutoff), hermitian=True)
-    # gqsp_circuit: the encoded block of e^{i(H - cutoff)} is V diag(p) V^dag
-    if angles is None:
-        angles, _, _ = synthesize_angles(S, margin=config.margin)
-    return dec.apply(eval_angles(angles, np.exp(1j * shifted)).real, hermitian=True)
+    return dec.apply(_sign_values(dec, cutoff, config, S, angles), hermitian=True)
 
 
-def _kick_unitary(hsign: np.ndarray, a_mat: np.ndarray, delta: float) -> np.ndarray:
-    htilde = HermitianOperator(hsign + 0.5 * np.sqrt(delta) * a_mat)
-    return evolve(htilde, default_time(delta)).entries
+def _rotated_perturbation(A, dec: SpectralDecomposition) -> np.ndarray:
+    """V^dag A V, symmetrized, for a perturbation A checked first: Hermitian,
+    of ``dec``'s shape and of spectral norm <= 1."""
+    a = HermitianOperator(matrix_entries(A)).entries
+    if a.shape != (dec.dim, dec.dim):
+        raise ValidationError(f"perturbation shape {a.shape} does not match dimension {dec.dim}")
+    if hermitian_norm(a) > 1.0 + TOL.norm_slack:
+        raise ValidationError("perturbation must have spectral norm <= 1")
+    vecs = dec.eigenvectors
+    rotated = vecs.conj().T @ a @ vecs
+    return (rotated + rotated.conj().T) / 2.0
 
 
-def _step_unitary(dec, a_mat, cutoff, config, S=None, angles=None) -> np.ndarray:
-    """The step operator at one cutoff: the sign kick of ``cooling_step``."""
-    return _kick_unitary(build_hsign(dec, cutoff, config, S, angles), a_mat, config.delta)
+def _kick(signs: np.ndarray, a_rot: np.ndarray, delta: float) -> np.ndarray:
+    """The step operator in H's eigenbasis, exp(-iT K) with K = diag(signs) +
+    (sqrt(delta)/2) a_rot, a_rot = V^dag A V. K passes the Hermiticity check,
+    and ``evolve`` checks its eig reconstruction and the result's unitarity."""
+    gen = HermitianOperator(np.diag(signs) + 0.5 * np.sqrt(delta) * a_rot)
+    return evolve(gen, default_time(delta)).entries
 
 
 def cooling_step(
     dec: SpectralDecomposition,
     state: np.ndarray,
-    A: np.ndarray,
+    A,
     cutoff: float,
     config: CoolingConfig,
     S: FourierPolynomial | None = None,
     angles=None,
 ) -> np.ndarray:
     """Evolve under H_sign + (sqrt(delta)/2) A for the step time."""
-    return _step_unitary(dec, A, cutoff, config, S, angles) @ state
+    signs = _sign_values(dec, cutoff, config, S, angles)
+    kick = _kick(signs, _rotated_perturbation(A, dec), config.delta)
+    vecs = dec.eigenvectors
+    return vecs @ (kick @ (vecs.conj().T @ state))
 
 
 def query_costs(epsilon: float, delta: float, sign_degree: int) -> tuple[int, int]:
@@ -343,27 +351,20 @@ class _Fixed(NamedTuple):
 class _Context:
     """What ``run`` needs that depends only on (H, A, config), checked once.
 
-    ``h`` and ``a`` are complex128 arrays, ``a`` read-only.
+    ``h`` and ``a`` are complex128 arrays; A is kept only as ``a_rot`` = V^dag A V.
     """
 
     def __init__(self, h: np.ndarray, a: np.ndarray, config: CoolingConfig):
         H = HermitianOperator(h)
         self.dec = eig(H)
-        self.lam, self.vecs = self.dec.eigenvalues, self.dec.eigenvectors
+        self.lam = self.dec.eigenvalues
         norm = float(np.max(np.abs(self.lam)))
         if norm > 1.0 + TOL.norm_slack:
             raise ValidationError(f"hamiltonian has spectral norm {norm:.12f} > 1")
-        HermitianOperator(a)  # square, finite and Hermitian
-        if a.shape != h.shape:
-            raise ValidationError(
-                f"perturbation shape {a.shape} does not match hamiltonian {h.shape}"
-            )
-        if hermitian_norm(a) > 1.0 + TOL.norm_slack:
-            raise ValidationError("perturbation must have spectral norm <= 1")
-        self.a_mat = a
+        self.a_rot = _rotated_perturbation(a, self.dec)
         self.config = config
         self.dim = H.dim
-        self.vecs_h = self.vecs.conj().T
+        self.vecs_h = self.dec.eigenvectors.conj().T
         self.bins = bins = _Bins(self.lam, config.epsilon)
         # eigenvalues ascend, so the ground space and each leakage region (past
         # a bin's cutoff plus half a bin) are a prefix and suffixes of them
@@ -395,16 +396,17 @@ class _Context:
         return np.dot(self.obs, amps.view(np.float64) ** 2).tolist()
 
     def step(self, bin_idx: int) -> tuple[np.ndarray, _Fixed | None]:
-        """The step unitary after measuring bin ``bin_idx``, V^dag U V, and
-        the fixed post-kick state if the bin holds one eigenvalue, else None.
+        """The kick unitary exp(-iT K_b) after measuring bin b = ``bin_idx``,
+        in H's eigenbasis, and the fixed post-kick state if the bin holds one
+        eigenvalue, else None.
 
         The state collapsed onto a one-eigenvalue bin at slice (s, s+1) is
         that eigenvector up to a global phase, so the kick leaves column s
         of the unitary up to the same phase, which no weight sees.
         """
         cutoff = self.bins.estimates[bin_idx] + self.config.epsilon
-        step_u = _step_unitary(self.dec, self.a_mat, cutoff, self.config, self.S, self.angles)
-        unitary = self.vecs_h @ step_u @ self.vecs
+        signs = _sign_values(self.dec, cutoff, self.config, self.S, self.angles)
+        unitary = _kick(signs, self.a_rot, self.config.delta)
         start, stop = self.bins.slices[bin_idx]
         if stop - start > 1:
             return unitary, None
@@ -434,7 +436,6 @@ class _Memo:
             if ctx is not None:
                 self.contexts.move_to_end(key)
                 return ctx
-            a = np.frombuffer(key[3], dtype=np.complex128).reshape(a.shape)
             ctx = self.contexts[key] = _Context(h, a, config)
             if len(self.contexts) > self.max_contexts:
                 old = self.contexts.popitem(last=False)[1]
@@ -488,18 +489,10 @@ def run(
     i.e. past the cutoff-plus-half-bin line the sign construction defends.
     The trajectory counts as a success when no step leaks.
 
-    The state is carried as eigen-amplitudes. Everything that depends only
-    on (H, A, config), step unitaries included, comes from the module's
-    memo of prepared contexts (see the module docstring), so H and A are
-    validated and diagonalized once for all calls with the same content,
-    and each bin's step unitary is built once while it stays in the memo.
-    A step draws the bin from the normalised running sums of the bin
-    weights and kicks the bin's slice of amplitudes with the column block
-    of its unitary, then reads every weight it needs from one observation
-    product; the call holds each column block it used, a view of the memo's
-    unitary, until it returns. After a bin of one eigenvalue the kicked
-    state, its weights and its running sums are the same on every visit, so
-    the step reads them from the memo entry instead.
+    H and A are validated and diagonalized once per content, and each bin's
+    kick unitary exp(-iT K_b) is built once while it stays in the module's
+    memo (see the module docstring). The call holds each column block it
+    used, a view of a memo unitary, until it returns.
     """
     return _trajectory(_MEMO.context(H, A, config), rng, initial_state, stopping)
 
@@ -613,14 +606,14 @@ def coherent_step(
     preserved.
     """
     check_delta(delta)
-    a_mat = matrix_entries(A)
+    a_rot = _rotated_perturbation(A, dec)
     reg = 2**n
-    dim = dec.eigenvalues.size
     width = 2.0 * np.pi / reg
-    blocks = np.asarray(joint, dtype=complex).reshape(reg, dim).copy()
+    vecs = dec.eigenvectors
+    # row j of ``blocks`` holds V^dag times register block j
+    blocks = np.asarray(joint, dtype=complex).reshape(reg, dec.dim) @ vecs.conj()
     for j in range(reg):
         if np.linalg.norm(blocks[j]) == 0.0:
             continue
-        hsign = dec.apply(spectral_values(S, dec, j * width + width), hermitian=True)
-        blocks[j] = _kick_unitary(hsign, a_mat, delta) @ blocks[j]
-    return blocks.reshape(-1)
+        blocks[j] = _kick(spectral_values(S, dec, j * width + width), a_rot, delta) @ blocks[j]
+    return (blocks @ vecs.T).reshape(-1)

@@ -531,6 +531,99 @@ class TestFixedState:
         assert stale_misses > 2.0
 
 
+class TestOneKick:
+    """Every step is built by ``cooling._kick`` in H's eigenbasis; these pin it
+    to the original-basis construction exp(-iT (build_hsign + (sqrt(delta)/2) A))."""
+
+    @staticmethod
+    def instance(mode):
+        rng = np.random.default_rng(48)
+        H = random_hermitian(rng, 9, norm=1.0)
+        A = normalized_gue(rng, 9)
+        cfg = CoolingConfig(epsilon=0.2, steps=8, delta=0.9, mode=mode)
+        S = angles = None
+        if mode != "exact_reflection":
+            S = fourier_sign(cfg.epsilon, cfg.delta)
+            if mode == "gqsp_circuit":
+                angles, _, _ = synthesize_angles(S, margin=cfg.margin)
+        return H, A, cfg, S, angles
+
+    @staticmethod
+    def reference(dec, A, cutoff, cfg, S, angles):
+        hsign = build_hsign(dec, cutoff, cfg, S, angles)
+        generator = HermitianOperator(hsign + 0.5 * np.sqrt(cfg.delta) * A)
+        return evolve(generator, default_time(cfg.delta)).entries
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_memo_unitary_is_the_original_basis_step(self, mode):
+        H, A, cfg, S, angles = self.instance(mode)
+        ctx = cooling._Context(H.entries, A, cfg)
+        vecs = ctx.dec.eigenvectors
+        widths = [stop - start for start, stop in ctx.bins.slices]
+        assert 1 in widths and max(widths) > 1
+        for idx, estimate in enumerate(ctx.bins.estimates):
+            unitary, _ = ctx.step(idx)
+            expected = self.reference(ctx.dec, A, estimate + cfg.epsilon, cfg, S, angles)
+            assert np.max(np.abs(unitary - vecs.conj().T @ expected @ vecs)) <= 1e-12
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_cooling_step_is_the_original_basis_step(self, mode):
+        H, A, cfg, S, angles = self.instance(mode)
+        dec = eig(H)
+        state = random_initial_state(np.random.default_rng(5), 9)
+        for estimate in cooling._Bins(dec.eigenvalues, cfg.epsilon).estimates:
+            cutoff = estimate + cfg.epsilon
+            expected = self.reference(dec, A, cutoff, cfg, S, angles)
+            unitary = cooling_step(dec, np.eye(9), A, cutoff, cfg, S, angles)
+            assert np.max(np.abs(unitary - expected)) <= 1e-12
+            after = cooling_step(dec, state, A, cutoff, cfg, S, angles)
+            assert np.max(np.abs(after - expected @ state)) <= 1e-12
+
+    def test_every_step_goes_through_the_builder(self, monkeypatch):
+        class Built(Exception):
+            pass
+
+        def builder(*args):
+            raise Built
+
+        monkeypatch.setattr(cooling, "_MEMO", cooling._Memo(1, cooling._MEMO_STEP_BYTES))
+        monkeypatch.setattr(cooling, "_kick", builder)
+        H, A, cfg, S, _ = self.instance("exact_spectral")
+        dec = eig(H)
+        with pytest.raises(Built):
+            run(H, A, cfg, np.random.default_rng(0))
+        with pytest.raises(Built):
+            cooling_step(dec, random_initial_state(np.random.default_rng(0), 9), A, 0.0, cfg, S)
+        n = 4
+        joint = prepare_joint(dec, random_initial_state(np.random.default_rng(0), 9), n)
+        with pytest.raises(Built):
+            coherent_step(joint, dec, A, n, fourier_sign(2.0 * np.pi / 2**n, 0.1), 0.1)
+
+    BAD_A = {
+        "shape": lambda A: A[:4, :4],
+        "non_hermitian": lambda A: A + np.triu(np.full_like(A, 1e-6), 1),
+        "norm": lambda A: 5.0 * A / spectral_norm(A),
+    }
+
+    @pytest.mark.parametrize("bad", sorted(BAD_A))
+    def test_cooling_step_rejects_a_bad_perturbation(self, bad):
+        H, A, cfg, S, _ = self.instance("exact_spectral")
+        dec = eig(H)
+        state = random_initial_state(np.random.default_rng(0), 9)
+        with pytest.raises(ValidationError):
+            cooling_step(dec, state, self.BAD_A[bad](A), 0.0, cfg, S)
+
+    @pytest.mark.parametrize("bad", sorted(BAD_A))
+    def test_coherent_step_rejects_a_bad_perturbation(self, bad):
+        H, A, _, _, _ = self.instance("exact_spectral")
+        dec = eig(H)
+        n = 4
+        joint = prepare_joint(dec, random_initial_state(np.random.default_rng(0), 9), n)
+        S = fourier_sign(2.0 * np.pi / 2**n, 0.1)
+        with pytest.raises(ValidationError):
+            coherent_step(joint, dec, self.BAD_A[bad](A), n, S, 0.1)
+
+
 class TestStepCache:
     """``run`` builds the step unitary once per visited bin; a hand-written
     loop over the public ``cooling_step`` rebuilds it at every step."""
@@ -541,10 +634,10 @@ class TestStepCache:
         H = random_hermitian(rng, 6, norm=1.0)
         A = normalized_gue(rng, 6)
         cfg = CoolingConfig(epsilon=0.3, steps=10, delta=0.8, mode=mode)
-        built = []
-        step_unitary = cooling._step_unitary
+        built = []  # the bin index of every step unitary built
+        step = cooling._Context.step
         monkeypatch.setattr(
-            cooling, "_step_unitary", lambda *a: built.append(a[2]) or step_unitary(*a)
+            cooling._Context, "step", lambda ctx, b: built.append(b) or step(ctx, b)
         )
         traj = run(H, A, cfg, np.random.default_rng((6, 1)))
         monkeypatch.undo()
@@ -723,10 +816,10 @@ class TestSharedContext:
         expected = run_experiment(H, A, cfg, seed=7, trials=6)
         small = cooling._Memo(2, 3 * 8 * 8 * 16)
         monkeypatch.setattr(cooling, "_MEMO", small)
-        built = []
-        step_unitary = cooling._step_unitary
+        built = []  # the bin index of every step unitary built
+        step = cooling._Context.step
         monkeypatch.setattr(
-            cooling, "_step_unitary", lambda *a: built.append(a[2]) or step_unitary(*a)
+            cooling._Context, "step", lambda ctx, b: built.append(b) or step(ctx, b)
         )
         for t in range(6):
             assert run(H, A, cfg, np.random.default_rng((7, t))) == expected[t]
@@ -759,7 +852,7 @@ class TestSharedContext:
         def forbidden(*args):
             raise AssertionError("a warm memo rebuilt a step unitary")
 
-        monkeypatch.setattr(cooling, "_step_unitary", forbidden)
+        monkeypatch.setattr(cooling, "_kick", forbidden)
         assert trajectory_rows(name) == cold
 
 

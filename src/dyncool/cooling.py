@@ -35,15 +35,13 @@ observation matrix, whose product with the squared real and imaginary
 parts of the amplitudes gives every bin weight, the energy, the ground
 overlap and every bin's leakage. Input is validated only when a context is
 built, so invalid input never enters the memo and raises on every call.
-The memo also keeps, per context and bin b, the kick unitary exp(-iT K_b)
-at b's cutoff, built with every check on b's first visit; a step applies
-only its column block over b's slice, where the collapsed state lives.
-When b holds one eigenvalue, the collapsed state is that eigenvector up to
-a global phase, so the entry also carries the kicked state and everything
-observed from it. The memo holds at most ``_MEMO_CONTEXTS`` contexts and
-``_MEMO_STEP_BYTES`` of step unitaries, both evicted least recently used;
-an evicted bin is rebuilt, with every check, on its next visit, and a
-unitary larger than the whole budget is used for its step and not kept.
+Each context also keeps, per bin b, the columns of the kick exp(-iT K_b)
+over b's slice, where a measured state lives, built with every check on b's
+first visit; for a bin of one eigenvalue, whose collapsed state is that
+eigenvector up to a global phase, it keeps the kicked state and all that is
+observed from it instead. All bins' blocks hold d columns in total, so the
+memo's one bound, ``_MEMO_CONTEXTS`` contexts evicted least recently used,
+bounds them too.
 
 The coherent variant keeps the energy register as an explicit tensor factor
 instead of sampling it; one step is block-diagonal over register values,
@@ -74,6 +72,7 @@ from .operators import (
     check_delta,
     check_epsilon,
     check_margin,
+    check_register,
     eig,
     evolve,
     hermitian_norm,
@@ -102,7 +101,6 @@ __all__ = [
 MODES = ("exact_spectral", "gqsp_circuit", "exact_reflection")
 
 _MEMO_CONTEXTS = 4
-_MEMO_STEP_BYTES = 256 << 20
 
 
 @lru_cache(maxsize=64)
@@ -187,9 +185,25 @@ class Trajectory:
 
 def _state_vec(state, dim: int) -> np.ndarray:
     vec = (state if isinstance(state, StateVector) else StateVector(state)).amplitudes
-    if vec.shape != (dim,):
-        raise ValidationError(f"state must have shape ({dim},), got {vec.shape}")
-    return vec / np.linalg.norm(vec)
+    return _amplitudes(vec, dim) / np.linalg.norm(vec)
+
+
+def _amplitudes(state, dim: int, name: str = "state") -> np.ndarray:
+    """``state`` as complex amplitudes; its leading dimension must be ``dim``
+    and every entry finite."""
+    arr = np.asarray(state, dtype=complex)
+    if arr.shape[:1] != (dim,):
+        raise ValidationError(f"{name} must have leading dimension {dim}, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"{name} contains non-finite amplitudes")
+    return arr
+
+
+def _register_blocks(joint, n: int, dim: int) -> np.ndarray:
+    """A joint state of an n-bit register and a ``dim``-dimensional system,
+    checked, as 2^n rows of ``dim`` amplitudes, one per register value."""
+    check_register(dim, n, "joint state")
+    return _amplitudes(np.ravel(joint), dim << n, "joint state").reshape(1 << n, dim)
 
 
 def random_initial_state(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -249,7 +263,7 @@ def qpe_project(
     subnormalized, so clamping only trims centers that poke past the edge).
     """
     bins = _Bins(dec.eigenvalues, epsilon)
-    amps = dec.eigenvectors.conj().T @ state
+    amps = dec.eigenvectors.conj().T @ _amplitudes(state, dec.dim)
     weights = np.abs(amps) ** 2
     probs = [weights[start:stop].sum() for start, stop in bins.slices]
     idx = _draw_index(probs, rng)
@@ -315,6 +329,7 @@ def cooling_step(
     angles=None,
 ) -> np.ndarray:
     """Evolve under H_sign + (sqrt(delta)/2) A for the step time."""
+    state = _amplitudes(state, dec.dim)
     signs = _sign_values(dec, cutoff, config, S, angles)
     kick = _kick(signs, _rotated_perturbation(A, dec), config.delta)
     vecs = dec.eigenvectors
@@ -339,9 +354,8 @@ def query_costs(epsilon: float, delta: float, sign_degree: int) -> tuple[int, in
 
 
 class _Fixed(NamedTuple):
-    """The post-kick state after a bin of one eigenvalue, shared by every
-    visit: read-only eigen-amplitudes, their ``observe`` row and the
-    normalised running sums of its bin weights, both as tuples."""
+    """The shared post-kick state after a one-eigenvalue bin: read-only
+    eigen-amplitudes, their ``observe`` row and its ``_cdf``, both as tuples."""
 
     amps: np.ndarray
     seen: tuple
@@ -388,6 +402,8 @@ class _Context:
             if config.mode == "gqsp_circuit":
                 self.angles = _angles_cached(config.epsilon, config.delta, config.margin)
         self.per_eiH, self.per_UA = query_costs(config.epsilon, config.delta, sign_degree)
+        self.kicks = [None] * n  # per bin: ``step``'s entry once the bin is visited
+        self.lock = threading.Lock()
 
     def observe(self, amps: np.ndarray) -> list:
         """For eigen-amplitudes ``amps``: the ``nbins`` bin weights, then the
@@ -395,10 +411,10 @@ class _Context:
         from one product with |amps|^2 taken as re^2 + im^2."""
         return np.dot(self.obs, amps.view(np.float64) ** 2).tolist()
 
-    def step(self, bin_idx: int) -> tuple[np.ndarray, _Fixed | None]:
-        """The kick unitary exp(-iT K_b) after measuring bin b = ``bin_idx``,
-        in H's eigenbasis, and the fixed post-kick state if the bin holds one
-        eigenvalue, else None.
+    def step(self, bin_idx: int) -> np.ndarray | _Fixed:
+        """The read-only column block of the kick exp(-iT K_b) over the slice
+        of bin b = ``bin_idx``, in H's eigenbasis, or the fixed post-kick
+        state if the bin holds one eigenvalue; the checks run on the whole kick.
 
         The state collapsed onto a one-eigenvalue bin at slice (s, s+1) is
         that eigenvector up to a global phase, so the kick leaves column s
@@ -406,26 +422,30 @@ class _Context:
         """
         cutoff = self.bins.estimates[bin_idx] + self.config.epsilon
         signs = _sign_values(self.dec, cutoff, self.config, self.S, self.angles)
-        unitary = _kick(signs, self.a_rot, self.config.delta)
         start, stop = self.bins.slices[bin_idx]
+        block = _kick(signs, self.a_rot, self.config.delta)[:, start:stop].copy()
+        block.setflags(write=False)
         if stop - start > 1:
-            return unitary, None
-        amps = unitary[:, start].copy()
-        amps.setflags(write=False)
-        seen = self.observe(amps)
-        return unitary, _Fixed(amps, tuple(seen), tuple(_cdf(seen[: self.nbins])))
+            return block
+        seen = self.observe(block[:, 0])
+        return _Fixed(block[:, 0], tuple(seen), tuple(_cdf(seen[: self.nbins])))
+
+    def kick(self, bin_idx: int) -> np.ndarray | _Fixed:
+        """``kicks[bin_idx]``, built by ``step`` on the bin's first visit; the
+        lock makes threads that share the context build each bin once."""
+        with self.lock:
+            if self.kicks[bin_idx] is None:
+                self.kicks[bin_idx] = self.step(bin_idx)
+            return self.kicks[bin_idx]
 
 
 class _Memo:
-    """Prepared contexts by content, and their step unitaries by (context,
-    bin); both bounded and evicted least recently used. One lock guards
-    both, so threads may share the memo."""
+    """Prepared contexts by content, at most ``contexts`` of them, evicted
+    least recently used. A lock guards it, so threads may share the memo."""
 
-    def __init__(self, contexts: int, step_bytes: int):
-        self.max_contexts, self.max_step_bytes = contexts, step_bytes
+    def __init__(self, contexts: int):
+        self.max_contexts = contexts
         self.contexts = OrderedDict()
-        self.steps = OrderedDict()
-        self.step_bytes = 0
         self.lock = threading.Lock()
 
     def context(self, H, A, config: CoolingConfig) -> _Context:
@@ -438,40 +458,11 @@ class _Memo:
                 return ctx
             ctx = self.contexts[key] = _Context(h, a, config)
             if len(self.contexts) > self.max_contexts:
-                old = self.contexts.popitem(last=False)[1]
-                for step_key in [k for k in self.steps if k[0] is old]:
-                    self._drop(step_key)
+                self.contexts.popitem(last=False)
             return ctx
 
-    def step(self, ctx: _Context, bin_idx: int) -> tuple[np.ndarray, _Fixed | None]:
-        key = (ctx, bin_idx)
-        with self.lock:
-            entry = self.steps.get(key)
-            if entry is not None:
-                self.steps.move_to_end(key)
-                return entry
-            entry = ctx.step(bin_idx)
-            size = entry[0].nbytes
-            # a context evicted while a caller still holds it keeps no steps
-            live = any(c is ctx for c in self.contexts.values())
-            if live and size <= self.max_step_bytes:
-                while self.step_bytes + size > self.max_step_bytes:
-                    self._drop(next(iter(self.steps)))
-                self.steps[key] = entry
-                self.step_bytes += size
-            return entry
 
-    def _drop(self, key):
-        self.step_bytes -= self.steps.pop(key)[0].nbytes
-
-    def clear(self):
-        with self.lock:
-            self.contexts.clear()
-            self.steps.clear()
-            self.step_bytes = 0
-
-
-_MEMO = _Memo(_MEMO_CONTEXTS, _MEMO_STEP_BYTES)
+_MEMO = _Memo(_MEMO_CONTEXTS)
 
 
 def run(
@@ -490,9 +481,8 @@ def run(
     The trajectory counts as a success when no step leaks.
 
     H and A are validated and diagonalized once per content, and each bin's
-    kick unitary exp(-iT K_b) is built once while it stays in the module's
-    memo (see the module docstring). The call holds each column block it
-    used, a view of a memo unitary, until it returns.
+    kick is built once while its context stays in the module's memo (see
+    the module docstring).
     """
     return _trajectory(_MEMO.context(H, A, config), rng, initial_state, stopping)
 
@@ -501,7 +491,7 @@ def _trajectory(ctx: _Context, rng, initial_state=None, stopping=None) -> Trajec
     """One ``run`` trajectory on a prepared context."""
     bins, n = ctx.bins, ctx.nbins
     labels, estimates, slices = bins.labels, bins.estimates, bins.slices
-    per_eiH, per_UA = ctx.per_eiH, ctx.per_UA
+    per_eiH, per_UA, kicks = ctx.per_eiH, ctx.per_UA, ctx.kicks
     state = (
         random_initial_state(rng, ctx.dim)
         if initial_state is None
@@ -512,7 +502,6 @@ def _trajectory(ctx: _Context, rng, initial_state=None, stopping=None) -> Trajec
     cdf = _cdf(seen[:n])
     initial_energy, initial_overlap = seen[n], seen[n + 1]
 
-    kicks = {}  # bin index -> (its fixed post-kick state or None, its column block)
     measured, rows = [], []
     for step in range(ctx.config.steps):
         idx = bisect_right(cdf, rng.random())
@@ -523,19 +512,16 @@ def _trajectory(ctx: _Context, rng, initial_state=None, stopping=None) -> Trajec
             seen = ctx.observe(amps)
             cdf = _cdf(seen[:n])
             break
-        kick = kicks.get(idx)
+        kick = kicks[idx]
         if kick is None:
-            unitary, fixed = _MEMO.step(ctx, idx)
+            kick = ctx.kick(idx)
+        if type(kick) is _Fixed:
+            amps, seen, cdf = kick
+        else:
             start, stop = slices[idx]
-            kick = kicks[idx] = (fixed, unitary[:, start:stop] if fixed is None else None)
-        fixed, block = kick
-        if fixed is None:
-            start, stop = slices[idx]
-            amps = block @ (amps[start:stop] / sqrt(seen[idx]))
+            amps = kick @ (amps[start:stop] / sqrt(seen[idx]))
             seen = ctx.observe(amps)
             cdf = _cdf(seen[:n])
-        else:
-            amps, seen, cdf = fixed
         rows.append([step, label, estimate, seen[n], seen[n + 1], seen[n + 2 + idx],
                      per_eiH * (step + 1), per_UA * (step + 1)])
 
@@ -568,9 +554,8 @@ def prepare_joint(dec: SpectralDecomposition, state, n: int) -> np.ndarray:
     j * 2pi/2^n; negative energies wrap to the register's upper half, which
     the periodic polynomial evaluation treats correctly without unwrapping.
     """
-    if n < 1:
-        raise ValidationError(f"register needs at least one bit, got {n}")
-    dim = dec.eigenvalues.size
+    dim = dec.dim
+    check_register(dim, n, "joint state")
     reg = 2**n
     vec = _state_vec(state, dim)
     amps = dec.eigenvectors.conj().T @ vec
@@ -585,8 +570,8 @@ def prepare_joint(dec: SpectralDecomposition, state, n: int) -> np.ndarray:
 
 def register_populations(joint: np.ndarray, n: int) -> np.ndarray:
     """Probability of each register value."""
-    reg = 2**n
-    blocks = np.asarray(joint, dtype=complex).reshape(reg, -1)
+    # the system dimension is what the joint's size leaves per register value
+    blocks = _register_blocks(joint, n, max(1, np.size(joint) // 2**n))
     return np.sum(np.abs(blocks) ** 2, axis=1)
 
 
@@ -611,7 +596,7 @@ def coherent_step(
     width = 2.0 * np.pi / reg
     vecs = dec.eigenvectors
     # row j of ``blocks`` holds V^dag times register block j
-    blocks = np.asarray(joint, dtype=complex).reshape(reg, dec.dim) @ vecs.conj()
+    blocks = _register_blocks(joint, n, dec.dim) @ vecs.conj()
     for j in range(reg):
         if np.linalg.norm(blocks[j]) == 0.0:
             continue

@@ -5,7 +5,9 @@ closed-form two-coupling toy model, and signed-shift reconstruction of the
 coherent branches.
 """
 
+import gc
 import sys
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from math import sqrt
 
@@ -32,7 +34,7 @@ from dyncool.cooling import (
     run,
 )
 from dyncool.dyson import default_time, sample_gue
-from dyncool.errors import RangeError, ValidationError
+from dyncool.errors import RangeError, ResourceError, ValidationError
 from dyncool.gqsp import synthesize_angles
 from dyncool.operators import (
     HermitianOperator,
@@ -382,7 +384,7 @@ class TestRunInvariants:
 def keyword_records(ctx, rng, stopping=None) -> list:
     """The step records of one ``_trajectory`` call, replayed on the same
     context primitives and built by keyword, one field at a time. After a
-    bin of one eigenvalue the replay takes the memo's fixed post-kick state."""
+    bin of one eigenvalue the replay takes the context's fixed post-kick state."""
     n, bins = ctx.nbins, ctx.bins
     amps = ctx.vecs_h @ random_initial_state(rng, ctx.dim)
     seen = ctx.observe(amps)
@@ -394,12 +396,12 @@ def keyword_records(ctx, rng, stopping=None) -> list:
             seen = ctx.observe(bins.collapse(amps, idx, seen[idx]))
             break
         start, stop = bins.slices[idx]
-        unitary, fixed = cooling._MEMO.step(ctx, idx)
-        if fixed is None:
-            amps = unitary[:, start:stop] @ (amps[start:stop] / sqrt(seen[idx]))
-            seen = ctx.observe(amps)
+        entry = ctx.kick(idx)
+        if isinstance(entry, cooling._Fixed):
+            amps, seen = entry.amps, list(entry.seen)
         else:
-            amps, seen = fixed.amps, list(fixed.seen)
+            amps = entry @ (amps[start:stop] / sqrt(seen[idx]))
+            seen = ctx.observe(amps)
         kept.append((step, idx, seen))
     labels.append(bins.labels[cooling._draw_index(seen[:n], rng)])
     return [
@@ -479,13 +481,11 @@ class TestStepRecord:
 
 class TestFixedState:
     """A bin of one eigenvalue collapses every incoming state onto the same
-    eigenvector up to a phase, so the memo keeps its post-kick state."""
+    eigenvector up to a phase, so the context keeps its post-kick state."""
 
     @staticmethod
     def context(mode, monkeypatch):
-        monkeypatch.setattr(
-            cooling, "_MEMO", cooling._Memo(cooling._MEMO_CONTEXTS, cooling._MEMO_STEP_BYTES)
-        )
+        monkeypatch.setattr(cooling, "_MEMO", cooling._Memo(cooling._MEMO_CONTEXTS))
         rng = np.random.default_rng(48)
         H = random_hermitian(rng, 9, norm=1.0)
         A = normalized_gue(rng, 9)
@@ -499,10 +499,15 @@ class TestFixedState:
         widths = [stop - start for start, stop in ctx.bins.slices]
         assert 1 in widths and max(widths) > 1
         for idx, (start, stop) in enumerate(ctx.bins.slices):
-            unitary, fixed = cooling._MEMO.step(ctx, idx)
+            fixed = ctx.kick(idx)
             if stop - start > 1:
-                assert fixed is None
+                assert not isinstance(fixed, cooling._Fixed)
                 continue
+            # the whole kick, built again independently of the context's entry
+            cutoff = ctx.bins.estimates[idx] + ctx.config.epsilon
+            signs = cooling._sign_values(ctx.dec, cutoff, ctx.config, ctx.S, ctx.angles)
+            unitary = cooling._kick(signs, ctx.a_rot, ctx.config.delta)
+            assert np.array_equal(fixed.amps, unitary[:, start])
             assert not fixed.amps.flags.writeable
             assert fixed.cdf == tuple(cooling._cdf(fixed.seen[:n]))
             for seed in range(3):
@@ -525,8 +530,8 @@ class TestFixedState:
             if not 0 < len(traj.steps) < ctx.config.steps:
                 continue
             assert stopping.satisfied(traj.final_energy_estimate)
-            _, fixed = cooling._MEMO.step(ctx, index[traj.steps[-1].bin_index])
-            if fixed is not None:
+            fixed = ctx.kick(index[traj.steps[-1].bin_index])
+            if isinstance(fixed, cooling._Fixed):
                 stale_misses += sum(w for w, up in zip(fixed.seen, above) if up)
         assert stale_misses > 2.0
 
@@ -562,9 +567,12 @@ class TestOneKick:
         widths = [stop - start for start, stop in ctx.bins.slices]
         assert 1 in widths and max(widths) > 1
         for idx, estimate in enumerate(ctx.bins.estimates):
-            unitary, _ = ctx.step(idx)
+            entry = ctx.step(idx)
+            block = entry.amps[:, None] if isinstance(entry, cooling._Fixed) else entry
+            start, stop = ctx.bins.slices[idx]
             expected = self.reference(ctx.dec, A, estimate + cfg.epsilon, cfg, S, angles)
-            assert np.max(np.abs(unitary - vecs.conj().T @ expected @ vecs)) <= 1e-12
+            assert block.shape == (ctx.dim, stop - start) and not block.flags.writeable
+            assert np.max(np.abs(block - (vecs.conj().T @ expected @ vecs)[:, start:stop])) <= 1e-12
 
     @pytest.mark.parametrize("mode", MODES)
     def test_cooling_step_is_the_original_basis_step(self, mode):
@@ -586,7 +594,7 @@ class TestOneKick:
         def builder(*args):
             raise Built
 
-        monkeypatch.setattr(cooling, "_MEMO", cooling._Memo(1, cooling._MEMO_STEP_BYTES))
+        monkeypatch.setattr(cooling, "_MEMO", cooling._Memo(1))
         monkeypatch.setattr(cooling, "_kick", builder)
         H, A, cfg, S, _ = self.instance("exact_spectral")
         dec = eig(H)
@@ -685,7 +693,7 @@ class TestSharedContext:
 
     @pytest.fixture(autouse=True)
     def cold_memo(self, monkeypatch):
-        memo = cooling._Memo(cooling._MEMO_CONTEXTS, cooling._MEMO_STEP_BYTES)
+        memo = cooling._Memo(cooling._MEMO_CONTEXTS)
         monkeypatch.setattr(cooling, "_MEMO", memo)
         return memo
 
@@ -739,13 +747,22 @@ class TestSharedContext:
             ]
 
     def test_evicted_context_keeps_no_steps(self):
-        memo = cooling._Memo(1, cooling._MEMO_STEP_BYTES)
+        # a context's steps live only in it, and the memo keeps no reference
+        # to a context it evicted; a caller still holding one runs unchanged
+        memo = cooling._Memo(1)
         cfg = CoolingConfig(epsilon=0.25, steps=3)
-        held = memo.context(*self.instance(1), cfg)
+        H, A = self.instance(1)
+        held = memo.context(H, A, cfg)
         memo.context(*self.instance(2), cfg)  # evicts ``held``
-        unitary, _ = memo.step(held, 0)
-        assert unitary.shape == (8, 8)
-        assert not memo.steps and memo.step_bytes == 0
+        assert all(ctx is not held for ctx in memo.contexts.values())
+        got = cooling._trajectory(held, np.random.default_rng(1))
+        assert any(entry is not None for entry in held.kicks)
+        assert got == cooling._trajectory(memo.context(H, A, cfg), np.random.default_rng(1))
+        evicted = weakref.ref(held)
+        memo.context(*self.instance(2), cfg)
+        del held
+        gc.collect()
+        assert evicted() is None
 
     def test_in_place_change_is_not_served_a_stale_context(self, cold_memo):
         H, A = self.instance(5)
@@ -755,7 +772,7 @@ class TestSharedContext:
             saved = arr.copy()
             arr *= 0.5
             changed = run(H, A, cfg, np.random.default_rng(1))
-            cold_memo.clear()
+            cold_memo.contexts.clear()
             assert run(H, A, cfg, np.random.default_rng(1)) == changed != first
             arr[...] = saved
             assert run(H, A, cfg, np.random.default_rng(1)) == first
@@ -793,45 +810,54 @@ class TestSharedContext:
         run(H, A, cfg, np.random.default_rng(0))  # a raw array is checked with TOL as well
         assert len(cold_memo.contexts) == 1
 
+    @staticmethod
+    def spy_builds(monkeypatch) -> list:
+        """The (context, bin index) of every step ``_Context.step`` builds."""
+        built, step = [], cooling._Context.step
+        monkeypatch.setattr(
+            cooling._Context, "step", lambda ctx, b: built.append((ctx, b)) or step(ctx, b)
+        )
+        return built
+
     def test_memo_never_exceeds_its_bound(self, cold_memo, monkeypatch):
-        assert (cooling._MEMO_CONTEXTS, cooling._MEMO_STEP_BYTES) == (4, 256 << 20)
+        assert cooling._MEMO_CONTEXTS == 4
         cfg = CoolingConfig(epsilon=0.2, steps=8, delta=0.8)
-
-        def check(memo):
-            assert len(memo.contexts) <= memo.max_contexts
-            assert memo.step_bytes <= memo.max_step_bytes
-            assert memo.step_bytes == sum(u.nbytes for u, _ in memo.steps.values())
-            live = list(memo.contexts.values())
-            assert all(any(ctx is c for c in live) for ctx, _ in memo.steps)
-
         for seed in range(7):
             H, A = self.instance(seed)
             run(H, A, cfg, np.random.default_rng(seed))
-            check(cold_memo)
+            assert len(cold_memo.contexts) <= cold_memo.max_contexts
         assert len(cold_memo.contexts) == 4
 
-        # the same policy at a budget of three 8 x 8 step unitaries: evicted bins
-        # are rebuilt, and the trajectories do not change
-        H, A = self.instance(2)
-        expected = run_experiment(H, A, cfg, seed=7, trials=6)
-        small = cooling._Memo(2, 3 * 8 * 8 * 16)
+        # once every bin is visited, a context's entries hold the d columns of
+        # one d x d complex array
+        for ctx in cold_memo.contexts.values():
+            entries = [ctx.kick(b) for b in range(ctx.nbins)]
+            blocks = [e.amps[:, None] if isinstance(e, cooling._Fixed) else e for e in entries]
+            assert all(block.shape[0] == ctx.dim for block in blocks)
+            assert sum(block.shape[1] for block in blocks) == ctx.dim
+            assert sum(block.nbytes for block in blocks) == ctx.dim**2 * 16
+
+        # at a bound of two contexts, three inputs in turn evict each other: an
+        # evicted context is rebuilt with its bins, and no trajectory changes
+        instances = [self.instance(seed) for seed in range(3)]
+        expected = [run_experiment(H, A, cfg, seed=7, trials=6) for H, A in instances]
+        small = cooling._Memo(2)
         monkeypatch.setattr(cooling, "_MEMO", small)
-        built = []  # the bin index of every step unitary built
-        step = cooling._Context.step
-        monkeypatch.setattr(
-            cooling._Context, "step", lambda ctx, b: built.append(b) or step(ctx, b)
-        )
-        for t in range(6):
-            assert run(H, A, cfg, np.random.default_rng((7, t))) == expected[t]
-            check(small)
-        assert len(built) > len(set(built)) and len(small.steps) == 3
+        built = self.spy_builds(monkeypatch)
+        for _ in range(2):
+            for (H, A), want in zip(instances, expected):
+                assert run_experiment(H, A, cfg, seed=7, trials=6) == want
+                assert len(small.contexts) <= 2
+        assert len({ctx for ctx, _ in built}) == 6
+        assert len(built) == len(set(built))
 
     def test_threads_share_the_memo(self, monkeypatch):
-        memo = cooling._Memo(2, 3 * 8 * 8 * 16)
+        memo = cooling._Memo(2)
         monkeypatch.setattr(cooling, "_MEMO", memo)
         cfg = CoolingConfig(epsilon=0.2, steps=8, delta=0.8)
         instances = [self.instance(seed) for seed in range(3)]
         expected = [run_experiment(H, A, cfg, seed=1, trials=4) for H, A in instances]
+        built = self.spy_builds(monkeypatch)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -842,8 +868,7 @@ class TestSharedContext:
             sys.setswitchinterval(interval)
         assert results == expected * 10
         assert len(memo.contexts) <= 2
-        assert memo.step_bytes == sum(u.nbytes for u, _ in memo.steps.values())
-        assert memo.step_bytes <= memo.max_step_bytes
+        assert built and len(built) == len(set(built))  # each context builds a bin once
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_cold_and_warm_memo_agree_on_pinned_inputs(self, name, monkeypatch):
@@ -969,3 +994,60 @@ class TestCoherentRoute:
         amps_before = np.abs(dec.eigenvectors.conj().T @ joint.reshape(2**n, 8).T)
         amps_after = np.abs(dec.eigenvectors.conj().T @ after.reshape(2**n, 8).T)
         assert np.max(np.abs(amps_before - amps_after)) <= 1e-10
+
+
+class TestMalformedStates:
+    """A state or joint register vector of the wrong size or with a
+    non-finite entry, or a register outside the register rule, ends in a
+    ``DyncoolError`` instead of a numpy error or NaN output."""
+
+    @staticmethod
+    def instance(n=4):
+        rng = np.random.default_rng(31)
+        dec = eig(random_hermitian(rng, 8, norm=0.95))
+        A = normalized_gue(rng, 8)
+        psi = random_initial_state(rng, 8)
+        return dec, A, psi, prepare_joint(dec, psi, n), fourier_sign(2.0 * np.pi / 2**n, 0.1)
+
+    BAD_STATES = {
+        "length": np.ones(5) / sqrt(5),
+        "nan": np.where(np.arange(8) == 2, np.nan, 1.0 / sqrt(8)),
+    }
+
+    @pytest.mark.parametrize("bad", sorted(BAD_STATES))
+    def test_state_steps_reject_a_bad_state(self, bad):
+        dec, A, _, _, _ = self.instance()
+        cfg = CoolingConfig(epsilon=0.25, steps=2)
+        S = fourier_sign(cfg.epsilon, cfg.delta)
+        with pytest.raises(ValidationError):
+            cooling_step(dec, self.BAD_STATES[bad], A, 0.0, cfg, S)
+        with pytest.raises(ValidationError):
+            qpe_project(dec, self.BAD_STATES[bad], cfg.epsilon, np.random.default_rng(0))
+
+    def test_joint_steps_reject_a_bad_joint(self):
+        dec, A, _, joint, S = self.instance()
+        nan = np.where(np.arange(joint.size) == 3, np.nan, joint)
+        for bad in (joint[:-1], np.append(joint, 0.0), nan):
+            with pytest.raises(ValidationError):
+                coherent_step(bad, dec, A, 4, S, 0.1)
+            with pytest.raises(ValidationError):
+                register_populations(bad, 4)
+
+    def test_one_register_rule(self):
+        dec, A, psi, joint, S = self.instance()
+        assert operators.TOL.max_total_dim == 4096
+        assert prepare_joint(dec, psi, 9).size == 4096  # 8 * 2^9, at the budget
+        big = np.zeros(8 << 10, dtype=complex)
+        with pytest.raises(ResourceError, match="8192 exceeds budget 4096"):
+            prepare_joint(dec, psi, 10)
+        with pytest.raises(ResourceError):
+            coherent_step(big, dec, A, 10, S, 0.1)
+        with pytest.raises(ResourceError):
+            register_populations(big, 10)
+        for n in (0, -1):
+            with pytest.raises(RangeError, match=f"register size must be >= 1, got {n}"):
+                prepare_joint(dec, psi, n)
+            with pytest.raises(RangeError):
+                coherent_step(joint, dec, A, n, S, 0.1)
+            with pytest.raises(RangeError):
+                register_populations(joint, n)

@@ -20,14 +20,13 @@ from .dyson import effective_error, leakage, sample_gue
 from .errors import (
     CertificationError,
     DyncoolError,
-    ResourceError,
     ValidationError,
 )
 from .gqsp import assemble_and_extract, synthesize_angles
 from .operators import (
-    TOL,
     HermitianOperator,
     Projector,
+    check_dim,
     check_subnormalized,
     hermitian_norm,
     spectral_norm,
@@ -54,8 +53,6 @@ __all__ = [
     "generate_perturbation",
     "run_experiment",
 ]
-
-MAX_SITES = 12
 
 _PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 _PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -101,8 +98,7 @@ def _tfim_matrix(sites: int, coupling: float, field: float) -> np.ndarray:
     """-J sum Z_i Z_{i+1} - h sum X_i on an open chain."""
     if sites < 2:
         raise ValidationError(f"chain needs at least 2 sites, got {sites}")
-    if sites > MAX_SITES:
-        raise ResourceError(f"chain of {sites} sites exceeds the {MAX_SITES}-site cap")
+    check_dim(1, "hamiltonian", sites)
     dim = 2**sites
     H = np.zeros((dim, dim))
     for i in range(sites - 1):
@@ -124,8 +120,7 @@ def generate_hamiltonian(source: dict, rng: np.random.Generator) -> np.ndarray:
     kind = _require(source, "type")
     if kind == "random":
         dim = _integer(source, "dim")
-        if dim > TOL.max_total_dim:
-            raise ResourceError(f"hamiltonian dimension {dim} exceeds budget {TOL.max_total_dim}")
+        check_dim(dim, "hamiltonian")
         mat = sample_gue(rng, dim)
         return mat / hermitian_norm(mat)
     if kind == "tfim":

@@ -188,12 +188,13 @@ def _state_vec(state, dim: int) -> np.ndarray:
     return _amplitudes(vec, dim) / np.linalg.norm(vec)
 
 
-def _amplitudes(state, dim: int, name: str = "state") -> np.ndarray:
-    """``state`` as complex amplitudes; its leading dimension must be ``dim``
-    and every entry finite."""
+def _amplitudes(state, dim: int, name: str = "state", columns: bool = False) -> np.ndarray:
+    """``state`` as complex amplitudes, every entry finite: a vector of length
+    ``dim``, or with ``columns`` any array of leading dimension ``dim``."""
     arr = np.asarray(state, dtype=complex)
-    if arr.shape[:1] != (dim,):
-        raise ValidationError(f"{name} must have leading dimension {dim}, got shape {arr.shape}")
+    if arr.shape[:1] != (dim,) or (arr.ndim != 1 and not columns):
+        want = f"leading dimension {dim}" if columns else f"shape ({dim},)"
+        raise ValidationError(f"{name} must have {want}, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValidationError(f"{name} contains non-finite amplitudes")
     return arr
@@ -329,7 +330,7 @@ def cooling_step(
     angles=None,
 ) -> np.ndarray:
     """Evolve under H_sign + (sqrt(delta)/2) A for the step time."""
-    state = _amplitudes(state, dec.dim)
+    state = _amplitudes(state, dec.dim, columns=True)
     signs = _sign_values(dec, cutoff, config, S, angles)
     kick = _kick(signs, _rotated_perturbation(A, dec), config.delta)
     vecs = dec.eigenvectors

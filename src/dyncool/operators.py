@@ -40,6 +40,7 @@ __all__ = [
     "check_epsilon",
     "check_delta",
     "check_margin",
+    "check_dim",
     "check_register",
     "shifted_spectrum",
     "matrix_entries",
@@ -85,14 +86,21 @@ def check_margin(margin: float) -> None:
         raise ValidationError(f"margin must be a finite number >= 1e-6, got {margin}")
 
 
+def check_dim(dim: int, label: str, n: int = 0) -> None:
+    """Reject a ``label`` operator of dimension ``dim * 2**n`` past ``TOL.max_total_dim``;
+    an n past the budget's bit length is refused before 2**n is formed."""
+    budget = TOL.max_total_dim
+    if n > budget.bit_length():
+        raise ResourceError(f"{label} dimension {dim} * 2^{n} exceeds budget {budget}")
+    if dim << n > budget:
+        raise ResourceError(f"{label} dimension {dim << n} exceeds budget {budget}")
+
+
 def check_register(dim: int, n: int, label: str) -> None:
-    """Reject an n-bit register with n < 1, or one that takes a ``dim``-dimensional
-    operator past ``TOL.max_total_dim``; ``label`` names the result in the message."""
+    """Reject an n-bit register with n < 1, or one whose ``dim * 2**n`` ``check_dim`` refuses."""
     if n < 1:
         raise RangeError(f"register size must be >= 1, got {n}")
-    total = dim * (1 << n)
-    if total > TOL.max_total_dim:
-        raise ResourceError(f"{label} dimension {total} exceeds budget {TOL.max_total_dim}")
+    check_dim(dim, label, n)
 
 
 def shifted_spectrum(eigenvalues: np.ndarray, shift: float, epsilon: float | None) -> np.ndarray:

@@ -2,9 +2,10 @@
 
 Floats are emitted with %.17g so every float64 survives a round trip
 through the standard json parser bit-exactly, and two runs with the same
-inputs produce byte-identical files. Writes go through a temp file in the
-target directory followed by os.replace, so readers never observe a
-half-written document.
+inputs produce byte-identical files. The CSV formats each distinct float
+once; zeros are not shared. Writes go through a temp file in the target
+directory followed by os.replace, so readers never observe a half-written
+document.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from .cooling import CoolingConfig, StepResult, Trajectory
 from .errors import ValidationError
 from .gqsp import AngleSequence
-from .operators import square_entries
+from .operators import check_dim, square_entries
 from .signfun import FourierPolynomial
 
 __all__ = [
@@ -68,6 +69,15 @@ def _fmt_float(x: float) -> str:
     if "." not in text and "e" not in text:
         text += ".0"
     return text
+
+
+class _Tokens(dict):
+    """``_fmt_float`` tokens by value; zeros are not stored, as 0.0 == -0.0."""
+    def __missing__(self, x) -> str:
+        text = _fmt_float(x)
+        if x:
+            self[x] = text
+        return text
 
 
 def to_json(obj) -> str:
@@ -159,6 +169,7 @@ def matrix_from_document(doc: dict) -> np.ndarray:
     dim = doc.get("dim") if isinstance(doc, dict) else None
     if not isinstance(dim, int) or dim < 1:
         raise ValidationError(f"matrix document needs a positive integer 'dim', got {dim!r}")
+    check_dim(dim, "matrix document")
     flat = _pairs_to_complex(doc.get("entries"), dim * dim, "matrix entries")
     return flat.reshape(dim, dim)
 
@@ -302,13 +313,13 @@ def trajectory_csv_text(trajectories, config: CoolingConfig) -> str:
         f" delta={_fmt_float(config.delta)} steps={config.steps} mode={config.mode}",
         ",".join(CSV_COLUMNS),
     ]
+    tokens = _Tokens()
     for trial, traj in enumerate(trajectories):
         success = int(traj.success)
-        for s in traj.steps:
+        for step, _, estimate, energy, overlap, leakage, eiH, UA, _ in traj.steps:
             lines.append(
-                f"{trial},{s.step},{_fmt_float(s.energy_estimate)},"
-                f"{_fmt_float(s.true_energy)},{_fmt_float(s.ground_overlap)},"
-                f"{_fmt_float(s.leakage_weight)},{s.queries_eiH},{s.queries_UA},{success}"
+                f"{trial},{step},{tokens[estimate]},{tokens[energy]},"
+                f"{tokens[overlap]},{tokens[leakage]},{eiH},{UA},{success}"
             )
     return "\n".join(lines) + "\n"
 

@@ -251,6 +251,27 @@ class TestRunCommand:
         assert main(["run", "--config", cfg]) == 1
         assert "error: matrix document needs a positive integer 'dim'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, source, message",
+        [
+            ("hamiltonian", "file", "matrix document dimension 4097 exceeds budget 4096"),
+            ("perturbation", "file", "matrix document dimension 4097 exceeds budget 4096"),
+            ("hamiltonian", {"type": "tfim", "sites": 13},
+             "hamiltonian dimension 8192 exceeds budget 4096"),
+            ("hamiltonian", {"type": "tfim", "sites": 10**6},
+             "hamiltonian dimension 1 * 2^1000000 exceeds budget 4096"),
+        ],
+        ids=["file", "file-perturbation", "tfim-13", "tfim-1e6"],
+    )
+    def test_every_source_has_the_dimension_budget(self, tmp_path, capsys, key, source, message):
+        if source == "file":
+            # the budget is checked before any entry is read, so none are given
+            path = tmp_path / "big.json"
+            path.write_text(json.dumps({"dim": TOL.max_total_dim + 1, "entries": []}))
+            source = {"type": "file", "path": str(path)}
+        assert main(["run", "--config", write_config(tmp_path, **{key: source})]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_non_numeric_value_exits_nonzero(self, tmp_path, capsys):
         cfg = write_config(tmp_path, epsilon="abc")
         assert main(["run", "--config", cfg]) == 1

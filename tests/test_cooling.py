@@ -1024,6 +1024,16 @@ class TestMalformedStates:
         with pytest.raises(ValidationError):
             qpe_project(dec, self.BAD_STATES[bad], cfg.epsilon, np.random.default_rng(0))
 
+    def test_only_cooling_step_takes_columns(self):
+        dec, A, _, _, _ = self.instance()
+        cfg = CoolingConfig(epsilon=0.25, steps=2)
+        S = fourier_sign(cfg.epsilon, cfg.delta)
+        for cols in (np.eye(8) / sqrt(8), np.ones((8, 1)) / sqrt(8)):
+            kicked = cooling_step(dec, cols, A, 0.0, cfg, S)
+            assert kicked.shape == cols.shape
+            with pytest.raises(ValidationError, match=r"state must have shape \(8,\), got"):
+                qpe_project(dec, cols, cfg.epsilon, np.random.default_rng(0))
+
     def test_joint_steps_reject_a_bad_joint(self):
         dec, A, _, joint, S = self.instance()
         nan = np.where(np.arange(joint.size) == 3, np.nan, joint)

@@ -10,8 +10,10 @@ import pytest
 from dyncool import CoolingConfig, FourierPolynomial, AngleSequence, run
 from dyncool.cooling import StepResult, Trajectory
 from dyncool.errors import ValidationError
+from dyncool.cli import run_experiment
 from dyncool.serialization import (
     CSV_COLUMNS,
+    _fmt_float,
     angles_document,
     angles_from_document,
     canonical_hash,
@@ -225,3 +227,82 @@ class TestTrajectoryFormats:
         plain = run_record(config, 9, H, A, trajectories)
         tagged = run_record(config, 9, H, A, trajectories, source={"note": 1})
         assert plain["config_hash"] != tagged["config_hash"]
+
+
+def per_value_csv(trajectories, config) -> str:
+    """The trajectory CSV with ``_fmt_float`` called on every float cell."""
+    lines = [
+        f"# dyncool-trajectories v1 epsilon={_fmt_float(config.epsilon)}"
+        f" delta={_fmt_float(config.delta)} steps={config.steps} mode={config.mode}",
+        ",".join(CSV_COLUMNS),
+    ]
+    for trial, traj in enumerate(trajectories):
+        success = int(traj.success)
+        for s in traj.steps:
+            lines.append(
+                f"{trial},{s.step},{_fmt_float(s.energy_estimate)},"
+                f"{_fmt_float(s.true_energy)},{_fmt_float(s.ground_overlap)},"
+                f"{_fmt_float(s.leakage_weight)},{s.queries_eiH},{s.queries_UA},{success}"
+            )
+    return "\n".join(lines) + "\n"
+
+
+FLOAT_COLUMNS = ("energy_estimate", "true_energy", "ground_overlap", "leakage_weight")
+
+
+def rows_trajectory(rows):
+    """A trajectory whose steps carry the given float cells, one dict per step
+    (columns left out read 0.5)."""
+    steps = tuple(
+        StepResult(i, 0, **{c: row.get(c, 0.5) for c in FLOAT_COLUMNS},
+                   queries_eiH=1, queries_UA=2, leak_event=False)
+        for i, row in enumerate(rows)
+    )
+    return Trajectory(steps, 0.0, 0.0, 0, 0.0, 0.0, 0.0, 0, True)
+
+
+class TestCsvTokens:
+    """Each distinct float is formatted once per CSV document; the text must
+    equal the per-value loop's byte for byte."""
+
+    CONFIG = CoolingConfig(epsilon=0.25, steps=2, delta=0.5)
+
+    @pytest.mark.parametrize("mode", ["exact_spectral", "exact_reflection", "gqsp_circuit"])
+    def test_real_run_matches_the_per_value_loop(self, mode):
+        rng = np.random.default_rng(16)
+        H = random_hermitian(rng, 16, norm=0.9)
+        A = random_hermitian(rng, 16, norm=1.0)
+        config = CoolingConfig(epsilon=0.1, steps=32, mode=mode)
+        trajectories = run_experiment(H, A, config, seed=3, trials=25)
+        cells = [getattr(s, c) for t in trajectories for s in t.steps for c in FLOAT_COLUMNS]
+        assert len(set(cells)) < len(cells) / 2  # repeated values, so the memo is hit
+        assert trajectory_csv_text(trajectories, config) == per_value_csv(trajectories, config)
+
+    @pytest.mark.parametrize("column", FLOAT_COLUMNS)
+    @pytest.mark.parametrize("first, second", [(0.0, -0.0), (-0.0, 0.0)])
+    def test_signed_zeros_keep_their_sign(self, column, first, second):
+        rows = [{column: first}, {column: second}, dict.fromkeys(FLOAT_COLUMNS, second)]
+        text = trajectory_csv_text([rows_trajectory(rows)], self.CONFIG)
+        assert text == per_value_csv([rows_trajectory(rows)], self.CONFIG)
+        col = 2 + FLOAT_COLUMNS.index(column)
+        cells = [line.split(",")[col] for line in text.splitlines()[2:]]
+        assert cells == [_fmt_float(first), _fmt_float(second), _fmt_float(second)]
+
+    @pytest.mark.parametrize("column", FLOAT_COLUMNS)
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("repeats", [0, 3])
+    def test_non_finite_still_raises(self, column, bad, repeats):
+        rows = [dict.fromkeys(FLOAT_COLUMNS, 0.25)] * repeats + [{column: bad}]
+        with pytest.raises(ValidationError, match="^cannot serialize non-finite value"):
+            trajectory_csv_text([rows_trajectory(rows)], self.CONFIG)
+
+    @pytest.mark.parametrize("column", FLOAT_COLUMNS)
+    def test_numpy_floats_and_ints_format_as_floats(self, column):
+        values = [1, 1.0, np.float64(1.0), np.float64(-0.5), -0.5, 3, 2**60, float(2**60)]
+        rows = [{column: v} for v in values] + [{c: v for c in FLOAT_COLUMNS} for v in values]
+        text = trajectory_csv_text([rows_trajectory(rows)], self.CONFIG)
+        assert text == per_value_csv([rows_trajectory(rows)], self.CONFIG)
+        col = 2 + FLOAT_COLUMNS.index(column)
+        cells = [line.split(",")[col] for line in text.splitlines()[2:2 + len(values)]]
+        assert cells == ["1.0", "1.0", "1.0", "-0.5", "-0.5", "3.0",
+                         "1.152921504606847e+18", "1.152921504606847e+18"]

@@ -21,7 +21,6 @@ from .operators import (
     TOL,
     HermitianOperator,
     Projector,
-    ShiftRegisterOperator,
     SpectralDecomposition,
     StateVector,
     Tolerances,

@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from . import cooling
+from . import cooling, operators
 from .cooling import CoolingConfig, StoppingRule
 from .dyson import effective_error, leakage, sample_gue
 from .errors import (
@@ -69,20 +69,13 @@ def _require(doc: dict, key: str):
 def _number(doc: dict, key: str, default=None) -> float:
     """doc[key] as a float, never a bool; the key is required when default is None."""
     value = _require(doc, key) if default is None else doc.get(key, default)
-    if not isinstance(value, bool):
-        try:
-            return float(value)
-        except (TypeError, ValueError, OverflowError):
-            pass
-    raise ValidationError(f"config key {key!r} must be a number, got {value!r}")
+    return operators._number(value, f"config key {key!r}")
 
 
 def _integer(doc: dict, key: str, default=None) -> int:
     """doc[key] as an int: an int or an integral float, never a bool."""
     value = _require(doc, key) if default is None else doc.get(key, default)
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, float) and value.is_integer():
+    if operators._is_integer(value) or isinstance(value, float) and value.is_integer():
         return int(value)
     raise ValidationError(f"config key {key!r} must be an integer, got {value!r}")
 

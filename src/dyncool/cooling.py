@@ -30,11 +30,11 @@ ascend, so every energy bin is a contiguous slice of them. What a
 trajectory needs beyond that depends only on (H, A, config) and comes from
 a module-level memo of contexts keyed by content (the bytes of H and A as
 complex128 with their shapes, and the frozen config): eig(H), V^dag A V,
-the bin slices, the sign polynomial or angles, the query costs and one real
-observation matrix, whose product with the squared real and imaginary
-parts of the amplitudes gives every bin weight, the energy, the ground
-overlap and every bin's leakage. Input is validated only when a context is
-built, so invalid input never enters the memo and raises on every call.
+the bin slices, the query costs and one real observation matrix, whose
+product with the squared real and imaginary parts of the amplitudes gives
+every bin weight, the energy, the ground overlap and every bin's leakage.
+Input, the config's sign synthesis included, is checked only when a context
+is built, so invalid input never enters the memo and raises on every call.
 Each context also keeps, per bin b, the columns of the kick exp(-iT K_b)
 over b's slice, where a measured state lives, built with every check on b's
 first visit; for a bin of one eigenvalue, whose collapsed state is that
@@ -65,13 +65,13 @@ from .dyson import default_time
 from .errors import ValidationError
 from .gqsp import eval_angles, synthesize_angles
 from .operators import (
-    TOL,
     HermitianOperator,
     SpectralDecomposition,
     StateVector,
     check_delta,
     check_epsilon,
     check_margin,
+    check_norm,
     check_register,
     eig,
     evolve,
@@ -272,31 +272,23 @@ def qpe_project(
     return bins.labels[idx], bins.estimates[idx], dec.eigenvectors @ collapsed
 
 
-def _sign_values(dec, cutoff, config, S=None, angles=None) -> np.ndarray:
+def _sign_values(dec, cutoff, config) -> np.ndarray:
     """The sign of each eigenvalue of H - cutoff under the configured mode;
-    the polynomial modes first check the shifted spectrum against S's band."""
+    the polynomial modes first check the shifted spectrum against the sign's band."""
     if config.mode == "exact_reflection":
         return np.where(dec.eigenvalues < cutoff, -1.0, 1.0)
-    if S is None:
-        raise ValidationError(f"mode {config.mode!r} needs the sign polynomial")
+    S = _sign_cached(config.epsilon, config.delta)
     shifted = shifted_spectrum(dec.eigenvalues, cutoff, S.epsilon)
     if config.mode == "exact_spectral":
         return spectral_values(S, dec, cutoff)
     # gqsp_circuit: the encoded block of e^{i(H - cutoff)} is V diag(p) V^dag
-    if angles is None:
-        angles, _, _ = synthesize_angles(S, margin=config.margin)
+    angles = _angles_cached(config.epsilon, config.delta, config.margin)
     return eval_angles(angles, np.exp(1j * shifted)).real
 
 
-def build_hsign(
-    dec: SpectralDecomposition,
-    cutoff: float,
-    config: CoolingConfig,
-    S: FourierPolynomial | None = None,
-    angles=None,
-) -> np.ndarray:
+def build_hsign(dec: SpectralDecomposition, cutoff: float, config: CoolingConfig) -> np.ndarray:
     """Smoothed (or exact) sign of H - cutoff under the configured mode."""
-    return dec.apply(_sign_values(dec, cutoff, config, S, angles), hermitian=True)
+    return dec.apply(_sign_values(dec, cutoff, config), hermitian=True)
 
 
 def _rotated_perturbation(A, dec: SpectralDecomposition) -> np.ndarray:
@@ -305,8 +297,7 @@ def _rotated_perturbation(A, dec: SpectralDecomposition) -> np.ndarray:
     a = HermitianOperator(matrix_entries(A)).entries
     if a.shape != (dec.dim, dec.dim):
         raise ValidationError(f"perturbation shape {a.shape} does not match dimension {dec.dim}")
-    if hermitian_norm(a) > 1.0 + TOL.norm_slack:
-        raise ValidationError("perturbation must have spectral norm <= 1")
+    check_norm(hermitian_norm(a), "perturbation")
     vecs = dec.eigenvectors
     rotated = vecs.conj().T @ a @ vecs
     return (rotated + rotated.conj().T) / 2.0
@@ -326,12 +317,10 @@ def cooling_step(
     A,
     cutoff: float,
     config: CoolingConfig,
-    S: FourierPolynomial | None = None,
-    angles=None,
 ) -> np.ndarray:
     """Evolve under H_sign + (sqrt(delta)/2) A for the step time."""
     state = _amplitudes(state, dec.dim, columns=True)
-    signs = _sign_values(dec, cutoff, config, S, angles)
+    signs = _sign_values(dec, cutoff, config)
     kick = _kick(signs, _rotated_perturbation(A, dec), config.delta)
     vecs = dec.eigenvectors
     return vecs @ (kick @ (vecs.conj().T @ state))
@@ -373,9 +362,7 @@ class _Context:
         H = HermitianOperator(h)
         self.dec = eig(H)
         self.lam = self.dec.eigenvalues
-        norm = float(np.max(np.abs(self.lam)))
-        if norm > 1.0 + TOL.norm_slack:
-            raise ValidationError(f"hamiltonian has spectral norm {norm:.12f} > 1")
+        check_norm(float(np.max(np.abs(self.lam))), "hamiltonian")
         self.a_rot = _rotated_perturbation(a, self.dec)
         self.config = config
         self.dim = H.dim
@@ -395,13 +382,11 @@ class _Context:
         rows[n] = self.lam
         rows[n + 1, :ground] = 1.0
         self.obs = np.repeat(rows, 2, axis=1)  # columns (re, im) per amplitude
-        self.S = self.angles = None
         sign_degree = 0
         if config.mode != "exact_reflection":
-            self.S = _sign_cached(config.epsilon, config.delta)
-            sign_degree = self.S.degree
-            if config.mode == "gqsp_circuit":
-                self.angles = _angles_cached(config.epsilon, config.delta, config.margin)
+            sign_degree = _sign_cached(config.epsilon, config.delta).degree
+        if config.mode == "gqsp_circuit":  # a failed synthesis raises before the memo keeps self
+            _angles_cached(config.epsilon, config.delta, config.margin)
         self.per_eiH, self.per_UA = query_costs(config.epsilon, config.delta, sign_degree)
         self.kicks = [None] * n  # per bin: ``step``'s entry once the bin is visited
         self.lock = threading.Lock()
@@ -422,7 +407,7 @@ class _Context:
         of the unitary up to the same phase, which no weight sees.
         """
         cutoff = self.bins.estimates[bin_idx] + self.config.epsilon
-        signs = _sign_values(self.dec, cutoff, self.config, self.S, self.angles)
+        signs = _sign_values(self.dec, cutoff, self.config)
         start, stop = self.bins.slices[bin_idx]
         block = _kick(signs, self.a_rot, self.config.delta)[:, start:stop].copy()
         block.setflags(write=False)

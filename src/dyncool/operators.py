@@ -6,9 +6,9 @@ so every downstream bound check is limited by eigensolver accuracy rather
 than truncation error.
 
 The input rules the other modules share live here, each written once: the
-one tolerance set ``TOL``, the epsilon, delta and completion-margin ranges,
-the register-size and register-budget check, the shifted-spectrum band of a
-sign transform and the wrapped-or-raw matrix coercion.
+one tolerance set ``TOL``, numbers that are never bools, the epsilon, delta
+and completion-margin ranges, the register checks, the spectral-norm bound,
+the shifted-spectrum band of a sign transform and the matrix coercion.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ __all__ = [
     "Projector",
     "StateVector",
     "SpectralDecomposition",
-    "ShiftRegisterOperator",
     "eig",
     "evolve",
     "reflection",
@@ -36,6 +35,7 @@ __all__ = [
     "hermitian_norm",
     "shift_operator",
     "shift_evolution_factored",
+    "check_norm",
     "check_subnormalized",
     "check_epsilon",
     "check_delta",
@@ -59,13 +59,25 @@ class Tolerances:
     reconstruction: float = 1e-9
     state_norm: float = 1e-10
     norm_slack: float = 1e-10
-    group_law: float = 1e-9
-    factorization: float = 1e-10
-    zero_norm: float = 1e-14
     max_total_dim: int = 4096
 
 
 TOL = Tolerances()
+
+
+def _number(value, what: str) -> float:
+    """``value`` as a float; a bool is not a number, though ``float(True)`` is 1."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ValidationError(f"{what} must be a number, got {value!r}")
+
+
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an int or a numpy integer; a bool is not one here."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def check_epsilon(epsilon: float) -> None:
@@ -241,7 +253,7 @@ class SpectralDecomposition:
     """Eigenvalues (ascending) and a matching unitary eigenvector matrix.
 
     Column j of ``eigenvectors`` belongs to ``eigenvalues[j]``. Ordering ties
-    are resolved by the backend's column order, re-sorted stably.
+    keep the backend's column order.
     """
 
     eigenvalues: np.ndarray
@@ -274,29 +286,13 @@ class SpectralDecomposition:
         return self.apply(self.eigenvalues)
 
 
-@dataclass(frozen=True)
-class ShiftRegisterOperator:
-    """Block operator sum_j |j><j| (x) (H - j*2pi/2^n) over an n-bit register."""
-
-    operator: HermitianOperator
-    n: int
-    base_dim: int
-
-    @property
-    def dim(self) -> int:
-        return self.operator.dim
-
-
 def eig(H: HermitianOperator) -> SpectralDecomposition:
     """Full eigendecomposition with an ascending-order contract.
 
     Raises NumericError-grade ValidationError if the reconstruction drifts
     beyond the global tolerance (eigh should sit far below it).
     """
-    vals, vecs = np.linalg.eigh(H.entries)
-    order = np.argsort(vals, kind="stable")
-    vals, vecs = vals[order], vecs[:, order]
-    dec = SpectralDecomposition(vals, vecs)
+    dec = SpectralDecomposition(*np.linalg.eigh(H.entries))  # eigh's eigenvalues ascend
     err = np.max(np.abs(dec.reconstruct() - H.entries))
     if err > TOL.reconstruction:
         raise ValidationError(f"eigendecomposition reconstruction error {err:.3e}")
@@ -331,21 +327,25 @@ def hermitian_norm(mat: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvalsh(mat))))
 
 
-def check_subnormalized(H: HermitianOperator, name: str = "operator") -> float:
-    """Require spectral norm <= 1 (+ slack); returns the measured norm."""
-    norm = hermitian_norm(H.entries)
+def check_norm(norm: float, name: str) -> float:
+    """Require a measured spectral norm <= 1 (+ ``TOL.norm_slack``); returns it."""
     if norm > 1.0 + TOL.norm_slack:
         raise ValidationError(f"{name} has spectral norm {norm:.12f} > 1")
     return norm
 
 
-def shift_operator(H: HermitianOperator, n: int) -> ShiftRegisterOperator:
+def check_subnormalized(H: HermitianOperator, name: str = "operator") -> float:
+    """Require spectral norm <= 1 (+ slack); returns the measured norm."""
+    return check_norm(hermitian_norm(H.entries), name)
+
+
+def shift_operator(H: HermitianOperator, n: int) -> HermitianOperator:
     """Materialize sum_j |j><j| (x) (H - j*2pi/2^n) as a dense block matrix."""
     m = H.dim
     check_register(m, n, "shift operator")
     shifts = np.arange(1 << n) * (2.0 * np.pi / (1 << n))
     blocks = np.kron(np.eye(1 << n), H.entries) - np.kron(np.diag(shifts), np.eye(m))
-    return ShiftRegisterOperator(HermitianOperator(blocks), n, m)
+    return HermitianOperator(blocks)
 
 
 def shift_evolution_factored(H: HermitianOperator, n: int) -> UnitaryOperator:

@@ -21,7 +21,7 @@ import numpy as np
 from .cooling import CoolingConfig, StepResult, Trajectory
 from .errors import ValidationError
 from .gqsp import AngleSequence
-from .operators import check_dim, square_entries
+from .operators import _is_integer, _number, check_dim, square_entries
 from .signfun import FourierPolynomial
 
 __all__ = [
@@ -150,7 +150,7 @@ def _complex_pairs(values) -> list:
 def _pairs_to_complex(pairs, count: int, what: str) -> np.ndarray:
     try:
         arr = np.asarray(pairs, dtype=np.float64)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValidationError(f"{what} must be numeric [re, im] pairs") from None
     if arr.shape != (count, 2):
         raise ValidationError(f"{what} must be {count} [re, im] pairs, got {arr.shape}")
@@ -167,7 +167,7 @@ def matrix_document(M) -> dict:
 
 def matrix_from_document(doc: dict) -> np.ndarray:
     dim = doc.get("dim") if isinstance(doc, dict) else None
-    if not isinstance(dim, int) or dim < 1:
+    if not _is_integer(dim) or dim < 1:
         raise ValidationError(f"matrix document needs a positive integer 'dim', got {dim!r}")
     check_dim(dim, "matrix document")
     flat = _pairs_to_complex(doc.get("entries"), dim * dim, "matrix entries")
@@ -192,7 +192,7 @@ def _window(doc) -> tuple[int, int]:
         raise ValidationError(f"expected a JSON object, got {type(doc).__name__}")
     for key in ("k", "m"):
         value = doc.get(key)
-        if type(value) is not int or value < 0:
+        if not _is_integer(value) or value < 0:
             raise ValidationError(
                 f"document needs a non-negative integer {key!r}, got {value!r}"
             )
@@ -203,12 +203,11 @@ def polynomial_from_document(doc: dict) -> FourierPolynomial:
     k, m = _window(doc)
     coeffs = _pairs_to_complex(doc.get("coefficients"), k + m + 1, "coefficients")
     eps, delta = doc.get("epsilon"), doc.get("delta")
-    try:
-        eps = None if eps is None else float(eps)
-        delta = None if delta is None else float(delta)
-    except (TypeError, ValueError):
-        raise ValidationError("polynomial 'epsilon' and 'delta' must be numbers") from None
-    return FourierPolynomial(coeffs, k, m, eps, delta)
+    return FourierPolynomial(
+        coeffs, k, m,
+        None if eps is None else _number(eps, "polynomial 'epsilon'"),
+        None if delta is None else _number(delta, "polynomial 'delta'"),
+    )
 
 
 def angles_document(angles: AngleSequence) -> dict:
@@ -226,10 +225,9 @@ def angles_from_document(doc: dict) -> AngleSequence:
     try:
         theta = np.asarray(doc.get("theta"), dtype=np.float64)
         phi = np.asarray(doc.get("phi"), dtype=np.float64)
-        lam = float(doc.get("lambda"))
-    except (TypeError, ValueError):
-        raise ValidationError("angle document needs numeric theta, phi and lambda") from None
-    return AngleSequence(theta, phi, lam, k=k, m=m)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError("angle document needs numeric theta and phi") from None
+    return AngleSequence(theta, phi, _number(doc.get("lambda"), "angle 'lambda'"), k=k, m=m)
 
 
 def config_document(config: CoolingConfig) -> dict:

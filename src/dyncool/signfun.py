@@ -125,6 +125,29 @@ class FourierPolynomial:
         return max(self.k, self.m)
 
 
+def _certify(grid, vals, band, degree: int, epsilon: float, delta: float) -> tuple:
+    """(max_abs, band_error) of a sign approximant's ``vals`` on ``grid``, certified:
+    max |vals| <= 1 and max |vals - sign| <= delta over the mask ``band``, each within
+    ``_BOUND_SLACK``, and the ``C_DEG`` bound on ``degree`` (enforced at delta <= 1/2)."""
+    max_abs = float(np.max(np.abs(vals)))
+    if max_abs > 1.0 + _BOUND_SLACK:
+        raise CertificationError(f"modulus bound failed: max |P| = {max_abs:.12f}")
+    errors = np.abs(vals[band] - np.sign(grid[band]))
+    band_error = float(np.max(errors))
+    if band_error > delta + _BOUND_SLACK:
+        raise CertificationError(
+            f"sign-band bound failed: error {band_error:.3e} > delta={delta} "
+            f"at x={grid[band][np.argmax(errors)]:.6f}"
+        )
+    bound = C_DEG * (1.0 / epsilon) * np.log(1.0 / delta)
+    if delta <= 0.5 and degree > bound:
+        raise CertificationError(
+            f"degree {degree} exceeds C_deg*(1/eps)*ln(1/delta) = {bound:.1f} "
+            f"at epsilon={epsilon}"
+        )
+    return max_abs, band_error
+
+
 def _chebval(x: np.ndarray, c: np.ndarray) -> np.ndarray:
     """sum_j c_j T_j(x) by Clenshaw's recurrence (len(c) >= 2), with the
     operations of numpy's ``chebval`` in the same order, so the values are
@@ -231,25 +254,8 @@ def build_sign_poly(epsilon: float, delta: float) -> RealOddPolynomial:
     scale = _RESCALE / max(float(np.max(np.abs(vals))), 1.0)
     coeffs *= scale
     vals *= scale
-    max_abs = float(np.max(np.abs(vals)))
-    band = np.abs(grid) >= epsilon / 2.0
-    band_error = float(np.max(np.abs(vals[band] - np.sign(grid[band]))))
-
-    if max_abs > 1.0 + _BOUND_SLACK:
-        raise CertificationError(f"modulus bound failed: max |P| = {max_abs:.12f}")
-    if band_error > delta + _BOUND_SLACK:
-        worst = grid[band][np.argmax(np.abs(vals[band] - np.sign(grid[band])))]
-        raise CertificationError(
-            f"sign-band bound failed: error {band_error:.3e} > delta={delta} "
-            f"at x={worst:.6f}"
-        )
-    degree = keep
-    if delta <= 0.5 and degree > C_DEG * (1.0 / epsilon) * np.log(1.0 / delta):
-        raise CertificationError(
-            f"degree {degree} exceeds C_deg*(1/eps)*ln(1/delta) = "
-            f"{C_DEG * (1.0 / epsilon) * np.log(1.0 / delta):.1f}"
-        )
-    return RealOddPolynomial(coeffs, epsilon, delta, max_abs, band_error)
+    bounds = _certify(grid, vals, np.abs(grid) >= epsilon / 2.0, keep, epsilon, delta)
+    return RealOddPolynomial(coeffs, epsilon, delta, *bounds)
 
 
 def to_fourier(P: RealOddPolynomial) -> FourierPolynomial:
@@ -285,21 +291,9 @@ def fourier_sign(epsilon: float, delta: float) -> FourierPolynomial:
     vals = eval_fourier_grid(S, SIGN_GRID_POINTS)
     if np.max(np.abs(vals.imag)) > 1e-12:
         raise CertificationError("Fourier sign transform is not real on the circle")
-    vals = vals.real
-    max_abs = float(np.max(np.abs(vals)))
-    if max_abs > 1.0 + _BOUND_SLACK:
-        raise CertificationError(f"modulus bound failed on circle: {max_abs:.12f}")
     band = (np.abs(grid) >= epsilon / 2.0) & (np.abs(grid) <= np.pi - epsilon / 2.0)
-    band_error = float(np.max(np.abs(vals[band] - np.sign(grid[band]))))
-    if band_error > delta + _BOUND_SLACK:
-        raise CertificationError(
-            f"Fourier sign-band bound failed: {band_error:.3e} > delta={delta}"
-        )
-    if delta <= 0.5 and S.degree > C_DEG * (1.0 / epsilon) * np.log(1.0 / delta):
-        raise CertificationError(
-            f"degree {S.degree} exceeds the documented bound at epsilon={epsilon}"
-        )
-    return FourierPolynomial(S.coeffs, S.k, S.m, epsilon, delta, max_abs, band_error)
+    bounds = _certify(grid, vals.real, band, S.degree, epsilon, delta)
+    return FourierPolynomial(S.coeffs, S.k, S.m, epsilon, delta, *bounds)
 
 
 def apply_spectral(

@@ -251,6 +251,14 @@ class TestRunCommand:
         assert main(["run", "--config", cfg]) == 1
         assert "error: matrix document needs a positive integer 'dim'" in capsys.readouterr().err
 
+    def test_matrix_document_with_a_bool_dim_exits_nonzero(self, tmp_path, capsys):
+        hpath = tmp_path / "h.json"
+        hpath.write_text(json.dumps({"dim": True, "entries": [[0.5, 0.0]]}))
+        cfg = write_config(tmp_path, hamiltonian={"type": "file", "path": str(hpath)})
+        assert main(["run", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: matrix document needs a positive integer 'dim', got True\n"
+
     @pytest.mark.parametrize(
         "key, source, message",
         [
@@ -394,8 +402,10 @@ class TestGqspCommand:
             {"k": 0, "m": 0, "coefficients": [[float("nan"), 0.0]]},
             # finite coefficients whose values on the completion grid overflow
             {"k": 1, "m": 1, "coefficients": [[1e308, 0.0], [0.0, 0.0], [1e308, 0.0]]},
+            {"k": 0, "m": 1, "coefficients": [[0.25, 0.0], [0.25, 0.0]], "epsilon": True},
         ],
-        ids=["missing_k", "list", "string_k", "negative_k", "nan_coefficient", "overflow"],
+        ids=["missing_k", "list", "string_k", "negative_k", "nan_coefficient", "overflow",
+             "bool_epsilon"],
     )
     def test_malformed_polynomial_exits_nonzero(self, tmp_path, capsys, doc):
         poly = tmp_path / "poly.json"

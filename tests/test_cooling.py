@@ -34,8 +34,7 @@ from dyncool.cooling import (
     run,
 )
 from dyncool.dyson import default_time, sample_gue
-from dyncool.errors import RangeError, ResourceError, ValidationError
-from dyncool.gqsp import synthesize_angles
+from dyncool.errors import MarginError, RangeError, ResourceError, ValidationError
 from dyncool.operators import (
     HermitianOperator,
     eig,
@@ -240,10 +239,9 @@ class TestBuildHsign:
         dec = eig(HermitianOperator(np.diag(lam)))
         epsilon, delta = 0.3, 0.05
         cutoff = -0.1
-        S = fourier_sign(epsilon, delta)
         cfg_s = CoolingConfig(epsilon=epsilon, steps=4, delta=delta)
         cfg_r = CoolingConfig(epsilon=epsilon, steps=4, delta=delta, mode="exact_reflection")
-        hs = build_hsign(dec, cutoff, cfg_s, S)
+        hs = build_hsign(dec, cutoff, cfg_s)
         hr = build_hsign(dec, cutoff, cfg_r)
         assert np.linalg.norm(hs - hr, 2) <= delta + 1e-9
 
@@ -252,12 +250,11 @@ class TestBuildHsign:
         H = random_hermitian(rng, 6, norm=0.9)
         dec = eig(H)
         epsilon, delta = 0.3, 0.1
-        S = fourier_sign(epsilon, delta)
         cfg_s = CoolingConfig(epsilon=epsilon, steps=4, delta=delta)
         cfg_g = CoolingConfig(epsilon=epsilon, steps=4, delta=delta, mode="gqsp_circuit")
         for cutoff in (-0.4, 0.1, 0.8):
-            hs = build_hsign(dec, cutoff, cfg_s, S)
-            hg = build_hsign(dec, cutoff, cfg_g, S)
+            hs = build_hsign(dec, cutoff, cfg_s)
+            hg = build_hsign(dec, cutoff, cfg_g)
             assert np.linalg.norm(hs - hg, 2) <= 1e-9
 
     def test_reflection_equals_projector_route(self):
@@ -268,14 +265,11 @@ class TestBuildHsign:
             expected = reflection(projector_below(dec, cutoff)).entries
             assert np.max(np.abs(build_hsign(dec, cutoff, cfg) - expected)) <= 1e-14
 
-    def test_range_guard_and_missing_polynomial(self):
+    def test_range_guard(self):
         dec = eig(HermitianOperator(np.diag([-0.9, 0.9])))
         cfg = CoolingConfig(epsilon=0.3, steps=4)
-        S = fourier_sign(0.3, 0.25)
         with pytest.raises(RangeError):
-            build_hsign(dec, 2.5, cfg, S)
-        with pytest.raises(ValidationError):
-            build_hsign(dec, 0.0, cfg, None)
+            build_hsign(dec, 2.5, cfg)
 
 
 class TestRunInvariants:
@@ -505,7 +499,7 @@ class TestFixedState:
                 continue
             # the whole kick, built again independently of the context's entry
             cutoff = ctx.bins.estimates[idx] + ctx.config.epsilon
-            signs = cooling._sign_values(ctx.dec, cutoff, ctx.config, ctx.S, ctx.angles)
+            signs = cooling._sign_values(ctx.dec, cutoff, ctx.config)
             unitary = cooling._kick(signs, ctx.a_rot, ctx.config.delta)
             assert np.array_equal(fixed.amps, unitary[:, start])
             assert not fixed.amps.flags.writeable
@@ -546,22 +540,17 @@ class TestOneKick:
         H = random_hermitian(rng, 9, norm=1.0)
         A = normalized_gue(rng, 9)
         cfg = CoolingConfig(epsilon=0.2, steps=8, delta=0.9, mode=mode)
-        S = angles = None
-        if mode != "exact_reflection":
-            S = fourier_sign(cfg.epsilon, cfg.delta)
-            if mode == "gqsp_circuit":
-                angles, _, _ = synthesize_angles(S, margin=cfg.margin)
-        return H, A, cfg, S, angles
+        return H, A, cfg
 
     @staticmethod
-    def reference(dec, A, cutoff, cfg, S, angles):
-        hsign = build_hsign(dec, cutoff, cfg, S, angles)
+    def reference(dec, A, cutoff, cfg):
+        hsign = build_hsign(dec, cutoff, cfg)
         generator = HermitianOperator(hsign + 0.5 * np.sqrt(cfg.delta) * A)
         return evolve(generator, default_time(cfg.delta)).entries
 
     @pytest.mark.parametrize("mode", MODES)
     def test_memo_unitary_is_the_original_basis_step(self, mode):
-        H, A, cfg, S, angles = self.instance(mode)
+        H, A, cfg = self.instance(mode)
         ctx = cooling._Context(H.entries, A, cfg)
         vecs = ctx.dec.eigenvectors
         widths = [stop - start for start, stop in ctx.bins.slices]
@@ -570,21 +559,21 @@ class TestOneKick:
             entry = ctx.step(idx)
             block = entry.amps[:, None] if isinstance(entry, cooling._Fixed) else entry
             start, stop = ctx.bins.slices[idx]
-            expected = self.reference(ctx.dec, A, estimate + cfg.epsilon, cfg, S, angles)
+            expected = self.reference(ctx.dec, A, estimate + cfg.epsilon, cfg)
             assert block.shape == (ctx.dim, stop - start) and not block.flags.writeable
             assert np.max(np.abs(block - (vecs.conj().T @ expected @ vecs)[:, start:stop])) <= 1e-12
 
     @pytest.mark.parametrize("mode", MODES)
     def test_cooling_step_is_the_original_basis_step(self, mode):
-        H, A, cfg, S, angles = self.instance(mode)
+        H, A, cfg = self.instance(mode)
         dec = eig(H)
         state = random_initial_state(np.random.default_rng(5), 9)
         for estimate in cooling._Bins(dec.eigenvalues, cfg.epsilon).estimates:
             cutoff = estimate + cfg.epsilon
-            expected = self.reference(dec, A, cutoff, cfg, S, angles)
-            unitary = cooling_step(dec, np.eye(9), A, cutoff, cfg, S, angles)
+            expected = self.reference(dec, A, cutoff, cfg)
+            unitary = cooling_step(dec, np.eye(9), A, cutoff, cfg)
             assert np.max(np.abs(unitary - expected)) <= 1e-12
-            after = cooling_step(dec, state, A, cutoff, cfg, S, angles)
+            after = cooling_step(dec, state, A, cutoff, cfg)
             assert np.max(np.abs(after - expected @ state)) <= 1e-12
 
     def test_every_step_goes_through_the_builder(self, monkeypatch):
@@ -596,12 +585,12 @@ class TestOneKick:
 
         monkeypatch.setattr(cooling, "_MEMO", cooling._Memo(1))
         monkeypatch.setattr(cooling, "_kick", builder)
-        H, A, cfg, S, _ = self.instance("exact_spectral")
+        H, A, cfg = self.instance("exact_spectral")
         dec = eig(H)
         with pytest.raises(Built):
             run(H, A, cfg, np.random.default_rng(0))
         with pytest.raises(Built):
-            cooling_step(dec, random_initial_state(np.random.default_rng(0), 9), A, 0.0, cfg, S)
+            cooling_step(dec, random_initial_state(np.random.default_rng(0), 9), A, 0.0, cfg)
         n = 4
         joint = prepare_joint(dec, random_initial_state(np.random.default_rng(0), 9), n)
         with pytest.raises(Built):
@@ -615,15 +604,15 @@ class TestOneKick:
 
     @pytest.mark.parametrize("bad", sorted(BAD_A))
     def test_cooling_step_rejects_a_bad_perturbation(self, bad):
-        H, A, cfg, S, _ = self.instance("exact_spectral")
+        H, A, cfg = self.instance("exact_spectral")
         dec = eig(H)
         state = random_initial_state(np.random.default_rng(0), 9)
         with pytest.raises(ValidationError):
-            cooling_step(dec, state, self.BAD_A[bad](A), 0.0, cfg, S)
+            cooling_step(dec, state, self.BAD_A[bad](A), 0.0, cfg)
 
     @pytest.mark.parametrize("bad", sorted(BAD_A))
     def test_coherent_step_rejects_a_bad_perturbation(self, bad):
-        H, A, _, _, _ = self.instance("exact_spectral")
+        H, A, _ = self.instance("exact_spectral")
         dec = eig(H)
         n = 4
         joint = prepare_joint(dec, random_initial_state(np.random.default_rng(0), 9), n)
@@ -651,11 +640,7 @@ class TestStepCache:
         monkeypatch.undo()
 
         dec = eig(H)
-        S = angles = None
-        if mode != "exact_reflection":
-            S = fourier_sign(cfg.epsilon, cfg.delta)
-            if mode == "gqsp_circuit":
-                angles, _, _ = synthesize_angles(S, margin=cfg.margin)
+        S = None if mode == "exact_reflection" else fourier_sign(cfg.epsilon, cfg.delta)
         per_eiH, per_UA = query_costs(cfg.epsilon, cfg.delta, 0 if S is None else S.degree)
         rng = np.random.default_rng((6, 1))
         state = random_initial_state(rng, 6)
@@ -663,7 +648,7 @@ class TestStepCache:
         assert len(traj.steps) == cfg.steps
         for s in traj.steps:
             b, estimate, state = qpe_project(dec, state, cfg.epsilon, rng)
-            state = cooling_step(dec, state, A, estimate + cfg.epsilon, cfg, S, angles)
+            state = cooling_step(dec, state, A, estimate + cfg.epsilon, cfg)
             bins.append(b)
             tail = dec.eigenvalues >= estimate + 1.5 * cfg.epsilon
             leak = np.sum(np.abs(dec.eigenvectors[:, tail].conj().T @ state) ** 2)
@@ -799,6 +784,15 @@ class TestSharedContext:
         cfg = CoolingConfig(epsilon=0.25, steps=3)
         for _ in range(3):
             with pytest.raises(ValidationError):
+                run(H, A, cfg, np.random.default_rng(0))
+        assert not cold_memo.contexts
+
+    def test_failed_synthesis_raises_on_every_call(self, cold_memo):
+        # a context resolves its config's angles before the memo keeps it
+        H, A = self.instance(9)
+        cfg = CoolingConfig(epsilon=0.25, steps=3, mode="gqsp_circuit", margin=1.5)
+        for _ in range(3):
+            with pytest.raises(MarginError):
                 run(H, A, cfg, np.random.default_rng(0))
         assert not cold_memo.contexts
 
@@ -1018,18 +1012,16 @@ class TestMalformedStates:
     def test_state_steps_reject_a_bad_state(self, bad):
         dec, A, _, _, _ = self.instance()
         cfg = CoolingConfig(epsilon=0.25, steps=2)
-        S = fourier_sign(cfg.epsilon, cfg.delta)
         with pytest.raises(ValidationError):
-            cooling_step(dec, self.BAD_STATES[bad], A, 0.0, cfg, S)
+            cooling_step(dec, self.BAD_STATES[bad], A, 0.0, cfg)
         with pytest.raises(ValidationError):
             qpe_project(dec, self.BAD_STATES[bad], cfg.epsilon, np.random.default_rng(0))
 
     def test_only_cooling_step_takes_columns(self):
         dec, A, _, _, _ = self.instance()
         cfg = CoolingConfig(epsilon=0.25, steps=2)
-        S = fourier_sign(cfg.epsilon, cfg.delta)
         for cols in (np.eye(8) / sqrt(8), np.ones((8, 1)) / sqrt(8)):
-            kicked = cooling_step(dec, cols, A, 0.0, cfg, S)
+            kicked = cooling_step(dec, cols, A, 0.0, cfg)
             assert kicked.shape == cols.shape
             with pytest.raises(ValidationError, match=r"state must have shape \(8,\), got"):
                 qpe_project(dec, cols, cfg.epsilon, np.random.default_rng(0))

@@ -166,7 +166,7 @@ class TestShiftOperator:
     def test_single_qubit_register_blocks(self):
         H = HermitianOperator([[2.0]])
         S = shift_operator(H, 1)
-        assert np.allclose(S.operator.entries, np.diag([2.0, 2.0 - np.pi]))
+        assert np.allclose(S.entries, np.diag([2.0, 2.0 - np.pi]))
 
     def test_budget_enforced(self):
         with pytest.raises(ResourceError):
@@ -188,6 +188,6 @@ class TestShiftOperator:
         for dim in (1, 2, 3, 4):
             for n in (1, 2, 3, 4):
                 H = random_hermitian(rng, dim, norm=0.9)
-                direct = evolve(shift_operator(H, n).operator, -1.0).entries
+                direct = evolve(shift_operator(H, n), -1.0).entries
                 factored = shift_evolution_factored(H, n).entries
                 assert np.max(np.abs(direct - factored)) <= 1e-10

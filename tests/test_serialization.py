@@ -6,10 +6,12 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dyncool import CoolingConfig, FourierPolynomial, AngleSequence, run
 from dyncool.cooling import StepResult, Trajectory
-from dyncool.errors import ValidationError
+from dyncool.errors import DyncoolError, ValidationError
 from dyncool.cli import run_experiment
 from dyncool.serialization import (
     CSV_COLUMNS,
@@ -129,6 +131,59 @@ class TestDocuments:
         for doc in bad_angles:
             with pytest.raises(ValidationError):
                 angles_from_document(doc)
+
+
+# the three document readers, each with a valid document; the 1 x 1 matrix has
+# the one entry pair that a bool dim of True would match
+READERS = {
+    "matrix": (matrix_from_document, matrix_document(np.array([[0.5]]))),
+    "polynomial": (
+        polynomial_from_document,
+        polynomial_document(FourierPolynomial([0.25, 0.5, 0.25], k=1, m=1, epsilon=0.1, delta=0.02)),
+    ),
+    "angles": (angles_from_document, angles_document(AngleSequence([0.1, 0.2], [0.3, 0.4], 0.5, k=0, m=1))),
+}
+
+JSON_SCALARS = (
+    st.booleans() | st.integers() | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=6) | st.none()
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+class TestMalformedDocuments:
+    """A document read from disk ends in a ``DyncoolError`` or an object, never
+    in another exception, whatever JSON value one of its fields holds."""
+
+    @pytest.mark.parametrize(
+        "kind, key", [(kind, key) for kind, (_, doc) in READERS.items() for key in doc]
+    )
+    @settings(max_examples=60, deadline=None)
+    @given(value=JSON_VALUES)
+    @example(value=10**400)  # past float64, as json.loads may return
+    @example(value=[[10**400, 0.0]])
+    def test_any_json_value_in_any_field(self, kind, key, value):
+        reader, good = READERS[kind]
+        doc = json.loads(json.dumps({**good, key: value}))
+        try:
+            reader(doc)
+        except DyncoolError:
+            pass
+
+    @pytest.mark.parametrize(
+        "kind, key",
+        [("matrix", "dim"), ("polynomial", "k"), ("polynomial", "m"), ("polynomial", "epsilon"),
+         ("polynomial", "delta"), ("angles", "k"), ("angles", "m"), ("angles", "lambda")],
+    )
+    @pytest.mark.parametrize("value", [True, False])
+    def test_a_bool_is_never_a_number(self, kind, key, value):
+        reader, good = READERS[kind]
+        with pytest.raises(ValidationError, match=f"got {value}$"):
+            reader({**good, key: value})
 
 
 class TestFileWrites:

@@ -67,7 +67,7 @@ def _require(doc: dict, key: str):
 
 
 def _number(doc: dict, key: str, default=None) -> float:
-    """doc[key] as a float, never a bool; the key is required when default is None."""
+    """doc[key] as a float, never a bool or a string; the key is required when default is None."""
     value = _require(doc, key) if default is None else doc.get(key, default)
     return operators._number(value, f"config key {key!r}")
 

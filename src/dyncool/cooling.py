@@ -68,6 +68,8 @@ from .operators import (
     HermitianOperator,
     SpectralDecomposition,
     StateVector,
+    _is_integer,
+    _number,
     check_delta,
     check_epsilon,
     check_margin,
@@ -131,15 +133,17 @@ class CoolingConfig:
     margin: float = 1e-6
 
     def __post_init__(self):
-        check_epsilon(self.epsilon)
+        check_epsilon(_number(self.epsilon, "epsilon"))
+        if not _is_integer(self.steps):
+            raise ValidationError(f"steps must be an integer, got {self.steps!r}")
         if self.steps < 1:
             raise ValidationError(f"need at least one step, got {self.steps}")
         if self.delta is None:
             object.__setattr__(self, "delta", 1.0 / self.steps)
-        check_delta(self.delta)
+        check_delta(_number(self.delta, "delta"))
         if self.mode not in MODES:
             raise ValidationError(f"mode must be one of {MODES}, got {self.mode!r}")
-        check_margin(self.margin)
+        check_margin(_number(self.margin, "margin"))
 
     @property
     def time(self) -> float:

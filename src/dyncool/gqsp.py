@@ -6,12 +6,14 @@ construction: FFTs of log(1 - |P|^2) on an N-point circle grid, N doubled
 until the coefficients past Q's degree are negligible), in O(N log N).
 `compute_angles` peels the pair into a rotation sequence: one base
 rotation, then m steps interleaving controlled-U and k steps interleaving
-controlled-U^dag. `assemble_and_extract` multiplies the sequence back out
-and reports the top-left block plus structural query counts, which is the
-reconstruction contract the tests certify. Checks on the uniform circle
-grid evaluate it with one inverse FFT (`eval_fourier_grid`).
-When U is known through its eigenphases, `eval_angles` evaluates the same
-sequence per eigenphase as a product of 2x2 matrices, in O(deg * d).
+controlled-U^dag. One walk (`_walk`) multiplies the sequence out on a pair
+of rows, with two carriers. `assemble_and_extract` carries the two block
+rows of the circuit against a concrete U (one n x n product per controlled
+step) and reports the top-left block plus structural query counts, which
+is the reconstruction contract the tests certify. When U is known through
+its eigenphases, `eval_angles` carries the first column of the 2x2 product
+per eigenphase, in O(deg * d). Checks on the uniform circle grid evaluate
+P with one inverse FFT (`eval_fourier_grid`).
 
 Peeling invariant: the partial product's first block column is a pair of
 Laurent polynomials with |.|^2 summing to 1 on the circle; each inverse step
@@ -22,6 +24,7 @@ and their magnitude tracked as a residual diagnostic.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -296,36 +299,45 @@ def compute_angles(pair: CompletionPair) -> AngleSequence:
     return AngleSequence(theta, phi, lam, k=k, m=m, peel_residual=residual)
 
 
+def _walk(angles: AngleSequence, col: np.ndarray, multiply, u, u_dag) -> np.ndarray:
+    """The rotation sequence applied to ``col``, whose two rows are (top, bottom).
+
+    Factor 0 is the base rotation. Each controlled-U calls
+    ``multiply(top, u)`` and each controlled-U^dag ``multiply(bottom, u_dag)``,
+    which multiply that row in place; the rotation after it mixes the two
+    rows with its four scalars.
+    """
+    lam = np.concatenate(([angles.lam], np.zeros(angles.k + angles.m)))
+    rotations = np.moveaxis(rotation_matrix(angles.theta, angles.phi, lam), -1, 0)
+    for j, rotation in enumerate(rotations):
+        if 0 < j <= angles.m:
+            multiply(col[0], u)
+        elif j:
+            multiply(col[1], u_dag)
+        col = rotation @ col
+    return col
+
+
 def assemble_and_extract(angles: AngleSequence, U) -> AssembledBlock:
     """Multiply out the rotation sequence against a concrete unitary.
 
-    Controlled applications are direct-sum blocks: [U (+) I] for the positive
-    group, [I (+) U^dag] for the negative group. Counts are structural
-    (incremented per factor actually multiplied in).
+    The product G is walked from the identity as its two block rows, each
+    n x 2n block flattened into one row: controlled-U multiplies the top
+    block by U and controlled-U^dag the bottom block by U^dag, one n x n
+    product each. Counts are structural: the sizes m and k of the two
+    controlled groups.
     """
     mat = square_entries(U, "U")
     n = mat.shape[0]
-    eye = np.eye(n, dtype=complex)
 
-    def controlled(top: np.ndarray, bottom: np.ndarray) -> np.ndarray:
-        out = np.zeros((2 * n, 2 * n), dtype=complex)
-        out[:n, :n] = top
-        out[n:, n:] = bottom
-        return out
+    def times(row, factor):
+        # a row of the walk's array is contiguous, so both reshapes are views;
+        # numpy buffers the input that overlaps ``out``
+        np.matmul(factor, row.reshape(n, -1), out=row.reshape(n, -1))
 
-    G = np.kron(rotation_matrix(angles.theta[0], angles.phi[0], angles.lam), eye)
-    cu = cudag = 0
-    for j in range(1, angles.m + 1):
-        G = controlled(mat, eye) @ G
-        G = np.kron(rotation_matrix(angles.theta[j], angles.phi[j]), eye) @ G
-        cu += 1
-    for j in range(angles.m + 1, angles.m + angles.k + 1):
-        G = controlled(eye, mat.conj().T) @ G
-        G = np.kron(rotation_matrix(angles.theta[j], angles.phi[j]), eye) @ G
-        cudag += 1
-    return AssembledBlock(
-        block=G[:n, :n], unitary=G, cu_applications=cu, cu_dag_applications=cudag
-    )
+    rows = np.eye(2 * n, dtype=complex).reshape(2, -1)
+    G = _walk(angles, rows, times, mat, mat.conj().T).reshape(2 * n, 2 * n)
+    return AssembledBlock(G[:n, :n], G, cu_applications=angles.m, cu_dag_applications=angles.k)
 
 
 def eval_angles(angles: AngleSequence, z) -> np.ndarray:
@@ -333,24 +345,15 @@ def eval_angles(angles: AngleSequence, z) -> np.ndarray:
 
     On an eigenvector of U with eigenvalue z, every factor that
     `assemble_and_extract` multiplies acts on the pair (|0>|v>, |1>|v>) as a
-    2x2 matrix, so its block is V diag(eval_angles(angles, z)) V^dag. Only
-    the first column (top, bottom) of the 2x2 product is carried:
-    controlled-U multiplies top by z, controlled-U^dag multiplies bottom by
-    conj(z), and each rotation mixes the pair.
+    2x2 matrix, so its block is V diag(eval_angles(angles, z)) V^dag. The
+    same walk carries the first column (top, bottom) of that 2x2 product,
+    one pair per z: controlled-U multiplies top by z and controlled-U^dag
+    multiplies bottom by conj(z).
     """
     z = np.asarray(z, dtype=complex)
-    lam = np.zeros(angles.theta.size)
-    lam[0] = angles.lam
-    rotations = np.moveaxis(rotation_matrix(angles.theta, angles.phi, lam), -1, 0)
-    col = np.outer(rotations[0][:, 0], np.ones_like(z))
-    for j in range(1, angles.m + 1):
-        col[0] *= z
-        col = rotations[j] @ col
-    zbar = z.conj()
-    for j in range(angles.m + 1, angles.m + angles.k + 1):
-        col[1] *= zbar
-        col = rotations[j] @ col
-    return col[0]
+    col = np.zeros((2, z.size), dtype=complex)
+    col[0] = 1.0
+    return _walk(angles, col, operator.imul, z, z.conj())[0]
 
 
 def synthesize_angles(

@@ -6,9 +6,10 @@ so every downstream bound check is limited by eigensolver accuracy rather
 than truncation error.
 
 The input rules the other modules share live here, each written once: the
-one tolerance set ``TOL``, numbers that are never bools, the epsilon, delta
-and completion-margin ranges, the register checks, the spectral-norm bound,
-the shifted-spectrum band of a sign transform and the matrix coercion.
+one tolerance set ``TOL``, numbers that are never bools or strings, the
+epsilon, delta and completion-margin ranges, the register checks, the
+spectral-norm bound, the shifted-spectrum band of a sign transform and the
+matrix coercion, which refuses an empty matrix.
 """
 
 from __future__ import annotations
@@ -65,12 +66,17 @@ class Tolerances:
 TOL = Tolerances()
 
 
+def _is_number(value) -> bool:
+    """Whether ``value`` is an int, a float or a numpy number; a bool or a string is not one."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 def _number(value, what: str) -> float:
-    """``value`` as a float; a bool is not a number, though ``float(True)`` is 1."""
-    if not isinstance(value, bool):
+    """``value`` as a float, if ``_is_number`` accepts it and float64 holds it."""
+    if _is_number(value):
         try:
             return float(value)
-        except (TypeError, ValueError, OverflowError):
+        except OverflowError:
             pass
     raise ValidationError(f"{what} must be a number, got {value!r}")
 
@@ -143,6 +149,8 @@ def square_entries(M, name: str) -> np.ndarray:
 
 def _as_matrix(entries, name: str) -> np.ndarray:
     arr = square_entries(np.array(entries, dtype=np.complex128, order="C"), name)
+    if not arr.size:
+        raise ValidationError(f"{name} must not be empty")
     if not np.all(np.isfinite(arr.view(np.float64))):
         raise ValidationError(f"{name} contains non-finite entries")
     arr.setflags(write=False)
@@ -157,7 +165,7 @@ class HermitianOperator:
 
     def __post_init__(self):
         arr = _as_matrix(self.entries, "HermitianOperator")
-        dev = np.max(np.abs(arr - arr.conj().T)) if arr.size else 0.0
+        dev = np.max(np.abs(arr - arr.conj().T))
         if dev > TOL.hermiticity:
             raise ValidationError(
                 f"matrix deviates from Hermitian by {dev:.3e} "
@@ -199,7 +207,7 @@ class Projector:
 
     def __post_init__(self):
         arr = _as_matrix(self.entries, "Projector")
-        herm = np.max(np.abs(arr - arr.conj().T)) if arr.size else 0.0
+        herm = np.max(np.abs(arr - arr.conj().T))
         if herm > TOL.hermiticity:
             raise ValidationError(f"projector deviates from Hermitian by {herm:.3e}")
         idem = np.max(np.abs(arr @ arr - arr))

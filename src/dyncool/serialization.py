@@ -21,7 +21,7 @@ import numpy as np
 from .cooling import CoolingConfig, StepResult, Trajectory
 from .errors import ValidationError
 from .gqsp import AngleSequence
-from .operators import _is_integer, _number, check_dim, square_entries
+from .operators import _is_integer, _is_number, _number, check_dim, square_entries
 from .signfun import FourierPolynomial
 
 __all__ = [
@@ -147,15 +147,24 @@ def _complex_pairs(values) -> list:
     return out
 
 
-def _pairs_to_complex(pairs, count: int, what: str) -> np.ndarray:
+def _numbers(values, what: str) -> np.ndarray:
+    """``values`` as a float64 array whose every element is a finite number
+    (``_is_number``: never a bool or a string)."""
     try:
-        arr = np.asarray(pairs, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"{what} must be numeric [re, im] pairs") from None
+        arr = np.array(values, dtype=object)
+        if all(map(_is_number, arr.flat)):
+            arr = arr.astype(np.float64)
+            if np.all(np.isfinite(arr)):
+                return arr
+    except (ValueError, OverflowError):
+        pass
+    raise ValidationError(f"{what} must hold only finite numbers")
+
+
+def _pairs_to_complex(pairs, count: int, what: str) -> np.ndarray:
+    arr = _numbers(pairs, what)
     if arr.shape != (count, 2):
         raise ValidationError(f"{what} must be {count} [re, im] pairs, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{what} must be finite")
     return arr[:, 0] + 1j * arr[:, 1]
 
 
@@ -222,11 +231,8 @@ def angles_document(angles: AngleSequence) -> dict:
 
 def angles_from_document(doc: dict) -> AngleSequence:
     k, m = _window(doc)
-    try:
-        theta = np.asarray(doc.get("theta"), dtype=np.float64)
-        phi = np.asarray(doc.get("phi"), dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError("angle document needs numeric theta and phi") from None
+    theta = _numbers(doc.get("theta"), "angle 'theta'")
+    phi = _numbers(doc.get("phi"), "angle 'phi'")
     return AngleSequence(theta, phi, _number(doc.get("lambda"), "angle 'lambda'"), k=k, m=m)
 
 

@@ -295,6 +295,16 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert f"error: config key {key!r} must be a number, got {bad!r}" in err
 
+    @pytest.mark.parametrize(
+        "key, bad",
+        [("epsilon", "0.2"), ("delta", "0.1"), ("margin", "1e-6"), ("target_estimate", "-0.5")],
+    )
+    def test_numeric_string_exits_nonzero(self, tmp_path, capsys, key, bad):
+        cfg = write_config(tmp_path, **{key: bad})
+        assert main(["run", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert f"error: config key {key!r} must be a number, got {bad!r}" in err
+
     @pytest.mark.parametrize("bad", [2.9, True, "3", None, float("inf")])
     @pytest.mark.parametrize("key", sorted(INTEGER_KEYS))
     def test_non_integer_count_exits_nonzero(self, tmp_path, capsys, key, bad):

@@ -84,6 +84,28 @@ class TestConfig:
             with pytest.raises(ValidationError):
                 CoolingConfig(epsilon=0.2, steps=4, margin=margin)
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"steps": 2.5, "delta": 0.25}, "steps must be an integer, got 2.5"),
+            ({"steps": True}, "steps must be an integer, got True"),
+            ({"steps": "3"}, "steps must be an integer, got '3'"),
+            ({"margin": True}, "margin must be a number, got True"),
+            ({"epsilon": "0.2"}, "epsilon must be a number, got '0.2'"),
+            ({"delta": "0.25"}, "delta must be a number, got '0.25'"),
+        ],
+        ids=["float-steps", "bool-steps", "string-steps", "bool-margin", "string-epsilon",
+             "string-delta"],
+    )
+    def test_numbers_are_never_bools_or_strings(self, overrides, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            CoolingConfig(**{"epsilon": 0.2, "steps": 3, **overrides})
+
+    def test_stored_numbers_keep_their_types(self):
+        cfg = CoolingConfig(epsilon=np.float64(0.25), steps=np.int64(4), margin=1)
+        assert type(cfg.epsilon) is np.float64 and type(cfg.steps) is np.int64
+        assert cfg.margin == 1 and type(cfg.margin) is int
+
 
 class TestQpeProject:
     def test_collapse_lands_in_one_bin(self):

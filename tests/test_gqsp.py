@@ -272,6 +272,45 @@ class TestAssemble:
         assert np.linalg.norm(res.block - scale * laurent_sum(P, U)) <= 1e-7
 
 
+def dense_product(angles, U):
+    """The rotation sequence multiplied out as 2n x 2n matrices: each rotation
+    as R (x) I_n, controlled-U as U (+) I_n and controlled-U^dag as I_n (+) U^dag."""
+    n = U.shape[0]
+    eye, zero = np.eye(n), np.zeros((n, n))
+    G = np.kron(rotation_matrix(angles.theta[0], angles.phi[0], angles.lam), eye)
+    for j in range(1, angles.m + angles.k + 1):
+        top, bottom = (U, eye) if j <= angles.m else (eye, U.conj().T)
+        G = np.block([[top, zero], [zero, bottom]]) @ G
+        G = np.kron(rotation_matrix(angles.theta[j], angles.phi[j]), eye) @ G
+    return G
+
+
+class TestDenseProduct:
+    """The walk of two block rows against an independent dense multiply-out."""
+
+    def test_random_angles(self):
+        rng = np.random.default_rng(53)
+        for k, m in [(0, 0), (0, 6), (6, 0), (6, 6), *rng.integers(0, 7, (4, 2))]:
+            angles = AngleSequence(
+                rng.uniform(0, np.pi / 2, k + m + 1),
+                rng.uniform(-np.pi, np.pi, k + m + 1),
+                float(rng.uniform(-np.pi, np.pi)),
+                k=int(k),
+                m=int(m),
+            )
+            for dim in range(1, 7):
+                U = random_unitary(rng, dim)
+                walked = assemble_and_extract(angles, U).unitary
+                assert np.max(np.abs(walked - dense_product(angles, U))) <= 1e-12, (k, m, dim)
+
+    def test_sign_sequence(self):
+        angles, _, _ = synthesize_angles(fourier_sign(0.1, 1.0 / 32.0), margin=1e-6)
+        assert angles.k == angles.m == 139
+        U = random_unitary(np.random.default_rng(59), 6)
+        walked = assemble_and_extract(angles, U).unitary
+        assert np.max(np.abs(walked - dense_product(angles, U))) <= 1e-12
+
+
 class TestEvalAngles:
     """Per-eigenphase evaluation against the dense product it replaces in
     the cooling loop: the block of U = V diag(z) V^dag is V diag(p(z)) V^dag."""

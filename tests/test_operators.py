@@ -6,6 +6,7 @@ from dyncool import (
     Projector,
     RangeError,
     ResourceError,
+    SpectralDecomposition,
     StateVector,
     UnitaryOperator,
     ValidationError,
@@ -59,6 +60,20 @@ class TestValidation:
     def test_rejects_non_idempotent(self):
         with pytest.raises(ValidationError):
             Projector([[0.5, 0], [0, 0]])
+
+    @pytest.mark.parametrize(
+        "build, name",
+        [
+            (UnitaryOperator, "UnitaryOperator"),
+            (Projector, "Projector"),
+            (lambda empty: SpectralDecomposition(np.zeros(0), empty), "eigenvectors"),
+            (lambda empty: eig(HermitianOperator(empty)), "HermitianOperator"),
+        ],
+        ids=["unitary", "projector", "decomposition", "eig"],
+    )
+    def test_rejects_empty_matrix(self, build, name):
+        with pytest.raises(ValidationError, match=f"^{name} must not be empty$"):
+            build(np.zeros((0, 0)))
 
     def test_rejects_unnormalized_state(self):
         with pytest.raises(ValidationError):

@@ -185,6 +185,25 @@ class TestMalformedDocuments:
         with pytest.raises(ValidationError, match=f"got {value}$"):
             reader({**good, key: value})
 
+    @pytest.mark.parametrize(
+        "kind, key, what",
+        [("matrix", "entries", "matrix entries"), ("polynomial", "coefficients", "coefficients"),
+         ("angles", "theta", "angle 'theta'"), ("angles", "phi", "angle 'phi'")],
+    )
+    @settings(max_examples=30, deadline=None)
+    @given(value=st.booleans() | st.text(max_size=6), data=st.data())
+    @example(value=True, data=None)
+    @example(value="0.5", data=None)
+    def test_a_bool_or_string_inside_an_array_is_never_a_number(
+        self, kind, key, what, value, data
+    ):
+        reader, good = READERS[kind]
+        elements = np.array(good[key], dtype=object)
+        at = 0 if data is None else data.draw(st.integers(0, elements.size - 1))
+        elements.flat[at] = value
+        with pytest.raises(ValidationError, match=f"^{what} must hold only finite numbers$"):
+            reader({**good, key: elements.tolist()})
+
 
 class TestFileWrites:
     def test_atomic_write_and_read(self, tmp_path):

@@ -29,7 +29,8 @@ from math import ceil, factorial
 import numpy as np
 
 from .errors import RangeError, ResolutionError, ValidationError
-from .operators import HermitianOperator, check_delta, evolve, spectral_norm, square_entries
+from .operators import HermitianOperator, _bound, check_delta, evolve, spectral_norm
+from .operators import square_entries
 
 __all__ = [
     "MAX_EXPANSION_ORDER",
@@ -219,11 +220,8 @@ def dyson_term(
     fine = _expansion_stack(A, P, delta, order, t, 2 * n_steps)[order][-1]
     estimate = float(np.linalg.norm(fine - coarse, 2))
     bound = dyson_term_bound(order, t, delta)
-    if estimate > 0.1 * bound + 1e-12:
-        raise ResolutionError(
-            f"quadrature uncertainty {estimate:.3e} exceeds 10% of the "
-            f"order-{order} bound {bound:.3e}; raise n_steps"
-        )
+    name = f"order-{order} quadrature uncertainty at n_steps={n_steps}"
+    _bound(name, estimate, 0.1 * bound + 1e-12, ResolutionError)
     return DysonTerm(order, t, delta, fine, estimate, bound)
 
 

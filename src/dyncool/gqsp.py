@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MarginError, NumericError, SynthesisError, ValidationError
-from .operators import check_margin, square_entries
+from .operators import _bound, check_margin, square_entries
 from .signfun import FourierPolynomial, eval_fourier_grid
 
 __all__ = [
@@ -93,6 +93,8 @@ class AngleSequence:
                 f"angle arrays must have length k+m+1={n}, got "
                 f"{theta.shape} and {phi.shape}"
             )
+        if not np.isfinite([*theta, *phi, self.lam]).all():
+            raise ValidationError("angles theta, phi and lam must be finite")
         theta.setflags(write=False)
         phi.setflags(write=False)
         object.__setattr__(self, "theta", theta)
@@ -116,10 +118,7 @@ class CompletionPair:
         total += _abs_on_grid(self.Q) ** 2
         residual = float(np.max(np.abs(total - 1.0)))
         object.__setattr__(self, "identity_residual", residual)
-        if not residual <= 1e-8:
-            raise NumericError(
-                f"|P|^2 + |Q|^2 deviates from 1 by {residual:.3e} on the circle"
-            )
+        _bound("max ||P|^2 + |Q|^2 - 1| on the circle", residual, 1e-8, NumericError)
 
 
 @dataclass(frozen=True)
@@ -154,9 +153,7 @@ def _abs_on_grid(P: FourierPolynomial) -> np.ndarray:
 def _grid_max(P: FourierPolynomial) -> float:
     """max |P| on the completion grid, which must be finite."""
     max_abs = float(np.max(_abs_on_grid(P)))
-    if not np.isfinite(max_abs):
-        raise NumericError(f"max |P| on the completion grid is {max_abs}")
-    return max_abs
+    return _bound("max |P| on the completion grid", max_abs, np.finfo(float).max, NumericError)
 
 
 def _trim_support(S: FourierPolynomial) -> FourierPolynomial:
@@ -234,13 +231,9 @@ def complete(P: FourierPolynomial, margin: float = 1e-4) -> CompletionPair:
     """
     check_margin(margin)
     P = _trim_support(P)
-    max_abs = _grid_max(P)
     # 1e-9 slack keeps inputs rescaled exactly onto the margin from failing
     # the check by rounding noise
-    if max_abs > 1.0 - margin + 1e-9:
-        raise MarginError(
-            f"max |P| = {max_abs:.9f} exceeds 1 - margin = {1.0 - margin:.9f}"
-        )
+    _bound(f"max |P| with margin {margin!r}", _grid_max(P), 1.0 - margin + 1e-9, MarginError)
     Q = FourierPolynomial(_outer_complement(P.coeffs), k=P.k, m=P.m)
     return CompletionPair(P, Q)
 

@@ -6,10 +6,12 @@ so every downstream bound check is limited by eigensolver accuracy rather
 than truncation error.
 
 The input rules the other modules share live here, each written once: the
-one tolerance set ``TOL``, numbers that are never bools or strings, the
-epsilon, delta and completion-margin ranges, the register checks, the
-spectral-norm bound, the shifted-spectrum band of a sign transform and the
-matrix coercion, which refuses an empty matrix.
+one tolerance set ``TOL``, the one bound check ``_bound`` that every
+certificate's measured value goes through (a NaN fails it), numbers that are
+never bools or strings, the epsilon, delta and completion-margin ranges, the
+register checks, the spectral-norm bound, the Hermiticity and unitarity
+measurements, the shifted-spectrum band of a sign transform and the matrix
+coercion, which refuses an empty matrix.
 """
 
 from __future__ import annotations
@@ -64,6 +66,14 @@ class Tolerances:
 
 
 TOL = Tolerances()
+
+
+def _bound(name: str, value, limit, error=ValidationError):
+    """``value`` if ``value <= limit``, else ``error`` naming both numbers exactly;
+    a NaN fails. A finiteness bound uses ``np.finfo(float).max``, since inf <= inf."""
+    if not value <= limit:
+        raise error(f"{name} = {float(value)!r} is not <= {float(limit)!r}")
+    return value
 
 
 def _is_number(value) -> bool:
@@ -157,6 +167,18 @@ def _as_matrix(entries, name: str) -> np.ndarray:
     return arr
 
 
+def _hermitian(arr: np.ndarray, name: str) -> None:
+    """Require max |arr - arr^dagger| <= ``TOL.hermiticity``."""
+    _bound(f"deviation of {name} from Hermitian", np.max(np.abs(arr - arr.conj().T)),
+           TOL.hermiticity)
+
+
+def _unitary(arr: np.ndarray, name: str) -> None:
+    """Require max |arr arr^dagger - I| <= ``TOL.unitarity``."""
+    dev = np.max(np.abs(arr @ arr.conj().T - np.eye(arr.shape[0])))
+    _bound(f"deviation of {name} from unitary", dev, TOL.unitarity)
+
+
 @dataclass(frozen=True)
 class HermitianOperator:
     """A validated Hermitian matrix."""
@@ -165,12 +187,7 @@ class HermitianOperator:
 
     def __post_init__(self):
         arr = _as_matrix(self.entries, "HermitianOperator")
-        dev = np.max(np.abs(arr - arr.conj().T))
-        if dev > TOL.hermiticity:
-            raise ValidationError(
-                f"matrix deviates from Hermitian by {dev:.3e} "
-                f"(tolerance {TOL.hermiticity:.0e})"
-            )
+        _hermitian(arr, "HermitianOperator")
         object.__setattr__(self, "entries", arr)
 
     @property
@@ -186,12 +203,7 @@ class UnitaryOperator:
 
     def __post_init__(self):
         arr = _as_matrix(self.entries, "UnitaryOperator")
-        dev = np.max(np.abs(arr @ arr.conj().T - np.eye(arr.shape[0])))
-        if dev > TOL.unitarity:
-            raise ValidationError(
-                f"matrix deviates from unitary by {dev:.3e} "
-                f"(tolerance {TOL.unitarity:.0e})"
-            )
+        _unitary(arr, "UnitaryOperator")
         object.__setattr__(self, "entries", arr)
 
     @property
@@ -207,18 +219,12 @@ class Projector:
 
     def __post_init__(self):
         arr = _as_matrix(self.entries, "Projector")
-        herm = np.max(np.abs(arr - arr.conj().T))
-        if herm > TOL.hermiticity:
-            raise ValidationError(f"projector deviates from Hermitian by {herm:.3e}")
-        idem = np.max(np.abs(arr @ arr - arr))
-        if idem > TOL.idempotence:
-            raise ValidationError(f"projector deviates from idempotent by {idem:.3e}")
+        _hermitian(arr, "Projector")
+        _bound("deviation of Projector from idempotent", np.max(np.abs(arr @ arr - arr)),
+               TOL.idempotence)
         vals = np.linalg.eigvalsh(arr)
-        dev = np.min(np.stack([np.abs(vals), np.abs(vals - 1.0)]), axis=0)
-        if np.max(dev) > TOL.projector_spectrum:
-            raise ValidationError(
-                f"projector spectrum deviates from {{0,1}} by {np.max(dev):.3e}"
-            )
+        dev = np.max(np.minimum(np.abs(vals), np.abs(vals - 1.0)))
+        _bound("deviation of Projector spectrum from {0, 1}", dev, TOL.projector_spectrum)
         object.__setattr__(self, "entries", arr)
 
     @property
@@ -245,9 +251,7 @@ class StateVector:
             raise ValidationError(f"state must be a vector, got shape {arr.shape}")
         if not np.all(np.isfinite(arr.view(np.float64))):
             raise ValidationError("state contains non-finite amplitudes")
-        norm = np.linalg.norm(arr)
-        if abs(norm - 1.0) > TOL.state_norm:
-            raise ValidationError(f"state norm {norm:.12f} is not 1 within tolerance")
+        _bound("deviation of state norm from 1", abs(np.linalg.norm(arr) - 1.0), TOL.state_norm)
         arr.setflags(write=False)
         object.__setattr__(self, "amplitudes", arr)
 
@@ -274,9 +278,7 @@ class SpectralDecomposition:
             raise ValidationError("eigenvalue/eigenvector shape mismatch")
         if np.any(np.diff(vals) < 0):
             raise ValidationError("eigenvalues must be ascending")
-        dev = np.max(np.abs(vecs @ vecs.conj().T - np.eye(vecs.shape[0])))
-        if dev > TOL.unitarity:
-            raise ValidationError(f"eigenvector matrix deviates from unitary by {dev:.3e}")
+        _unitary(vecs, "eigenvectors")
         vals.setflags(write=False)
         object.__setattr__(self, "eigenvalues", vals)
         object.__setattr__(self, "eigenvectors", vecs)
@@ -302,8 +304,7 @@ def eig(H: HermitianOperator) -> SpectralDecomposition:
     """
     dec = SpectralDecomposition(*np.linalg.eigh(H.entries))  # eigh's eigenvalues ascend
     err = np.max(np.abs(dec.reconstruct() - H.entries))
-    if err > TOL.reconstruction:
-        raise ValidationError(f"eigendecomposition reconstruction error {err:.3e}")
+    _bound("eigendecomposition reconstruction error", err, TOL.reconstruction)
     return dec
 
 
@@ -337,9 +338,7 @@ def hermitian_norm(mat: np.ndarray) -> float:
 
 def check_norm(norm: float, name: str) -> float:
     """Require a measured spectral norm <= 1 (+ ``TOL.norm_slack``); returns it."""
-    if norm > 1.0 + TOL.norm_slack:
-        raise ValidationError(f"{name} has spectral norm {norm:.12f} > 1")
-    return norm
+    return _bound(f"spectral norm of {name}", norm, 1.0 + TOL.norm_slack)
 
 
 def check_subnormalized(H: HermitianOperator, name: str = "operator") -> float:

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import CertificationError, ValidationError
 from .operators import HermitianOperator, SpectralDecomposition, eig
-from .operators import check_delta, check_epsilon, shifted_spectrum
+from .operators import _bound, check_delta, check_epsilon, shifted_spectrum
 
 __all__ = [
     "C_DEG",
@@ -130,21 +130,12 @@ def _certify(grid, vals, band, degree: int, epsilon: float, delta: float) -> tup
     max |vals| <= 1 and max |vals - sign| <= delta over the mask ``band``, each within
     ``_BOUND_SLACK``, and the ``C_DEG`` bound on ``degree`` (enforced at delta <= 1/2)."""
     max_abs = float(np.max(np.abs(vals)))
-    if max_abs > 1.0 + _BOUND_SLACK:
-        raise CertificationError(f"modulus bound failed: max |P| = {max_abs:.12f}")
-    errors = np.abs(vals[band] - np.sign(grid[band]))
-    band_error = float(np.max(errors))
-    if band_error > delta + _BOUND_SLACK:
-        raise CertificationError(
-            f"sign-band bound failed: error {band_error:.3e} > delta={delta} "
-            f"at x={grid[band][np.argmax(errors)]:.6f}"
-        )
-    bound = C_DEG * (1.0 / epsilon) * np.log(1.0 / delta)
-    if delta <= 0.5 and degree > bound:
-        raise CertificationError(
-            f"degree {degree} exceeds C_deg*(1/eps)*ln(1/delta) = {bound:.1f} "
-            f"at epsilon={epsilon}"
-        )
+    _bound("max |P| on the sign grid", max_abs, 1.0 + _BOUND_SLACK, CertificationError)
+    band_error = float(np.max(np.abs(vals[band] - np.sign(grid[band]))))
+    _bound("sign-band error", band_error, delta + _BOUND_SLACK, CertificationError)
+    if delta <= 0.5:
+        bound = C_DEG * (1.0 / epsilon) * np.log(1.0 / delta)
+        _bound(f"sign degree at epsilon={epsilon}", degree, bound, CertificationError)
     return max_abs, band_error
 
 
@@ -289,8 +280,7 @@ def fourier_sign(epsilon: float, delta: float) -> FourierPolynomial:
     S = to_fourier(build_sign_poly(eps_eff, delta))
     grid = np.linspace(-np.pi, np.pi, SIGN_GRID_POINTS)
     vals = eval_fourier_grid(S, SIGN_GRID_POINTS)
-    if np.max(np.abs(vals.imag)) > 1e-12:
-        raise CertificationError("Fourier sign transform is not real on the circle")
+    _bound("max |Im S| on the circle", np.max(np.abs(vals.imag)), 1e-12, CertificationError)
     band = (np.abs(grid) >= epsilon / 2.0) & (np.abs(grid) <= np.pi - epsilon / 2.0)
     bounds = _certify(grid, vals.real, band, S.degree, epsilon, delta)
     return FourierPolynomial(S.coeffs, S.k, S.m, epsilon, delta, *bounds)
@@ -321,6 +311,5 @@ def spectral_values(
     """
     x = dec.eigenvalues - shift
     vals = np.exp(1j * np.outer(x, np.arange(-S.k, S.m + 1))) @ S.coeffs
-    if np.max(np.abs(vals.imag)) > 1e-10:
-        raise CertificationError("spectral transform produced non-real eigenvalues")
+    _bound("max |Im S| at the spectrum", np.max(np.abs(vals.imag)), 1e-10, CertificationError)
     return vals.real

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import dyncool
-from dyncool import cooling
+from dyncool import cli, cooling
 from dyncool.cli import (
     generate_hamiltonian,
     generate_perturbation,
@@ -280,6 +280,16 @@ class TestRunCommand:
         assert main(["run", "--config", write_config(tmp_path, **{key: source})]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_gqsp_check_dim_has_the_dimension_budget(self, monkeypatch, capsys):
+        # refused before the check unitary's check_dim^2 complex doubles are drawn
+        def forbidden(*args):
+            raise AssertionError("the check unitary must not be drawn")
+
+        monkeypatch.setattr(cli, "_random_unitary", forbidden)
+        dim = str(TOL.max_total_dim + 1)
+        assert main(["gqsp", "--epsilon", "0.5", "--delta", "0.25", "--check-dim", dim]) == 1
+        assert capsys.readouterr().err == "error: check dimension 4097 exceeds budget 4096\n"
+
     def test_non_numeric_value_exits_nonzero(self, tmp_path, capsys):
         cfg = write_config(tmp_path, epsilon="abc")
         assert main(["run", "--config", cfg]) == 1
@@ -431,6 +441,13 @@ class TestGqspCommand:
         assert main(argv) == 1
         assert "check-dim" in capsys.readouterr().err
 
+    def test_block_residual_past_its_bound_exits_nonzero(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_block_residual", lambda *args: 2e-7)
+        assert main(["gqsp", "--epsilon", "0.5", "--delta", "0.25"]) == 1
+        captured = capsys.readouterr()
+        assert "block_residual=2.000e-07" in captured.out
+        assert captured.err == "certification failed: block residual = 2e-07 is not <= 1e-07\n"
+
 
 class TestCertifyCommand:
     def test_default_subset_passes(self, tmp_path, capsys):
@@ -456,6 +473,14 @@ class TestCertifyCommand:
         doc = read_json(str(out))
         assert doc["passed"] is True
         assert all(c["passed"] for c in doc["checks"])
+
+    def test_block_residual_past_its_bound_fails_its_check(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_block_residual", lambda *args: 2e-7)
+        assert main(["certify", "--epsilon", "0.5", "--delta", "0.25"]) == 1
+        assert (
+            "[FAIL] gqsp round trip epsilon=0.5 delta=0.25: block residual = 2e-07 is not <= 1e-07"
+            in capsys.readouterr().out
+        )
 
     def test_failed_check_exits_nonzero(self, capsys):
         rc = main(["certify", "--epsilon", "0.9", "--delta", "0.25"])

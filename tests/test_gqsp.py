@@ -212,6 +212,16 @@ class TestAssemble:
             gram = res.unitary.conj().T @ res.unitary
             assert np.linalg.norm(gram - np.eye(6)) <= 1e-9
 
+    @pytest.mark.parametrize(
+        "theta, phi, lam",
+        [([np.nan, 0.0], [0.0, 0.0], 0.0), ([0.0, 0.0], [0.0, np.inf], 0.0),
+         ([0.0, 0.0], [0.0, 0.0], -np.inf)],
+        ids=["theta", "phi", "lam"],
+    )
+    def test_non_finite_angles_rejected(self, theta, phi, lam):
+        with pytest.raises(ValidationError, match="^angles theta, phi and lam must be finite$"):
+            AngleSequence(theta, phi, lam, k=0, m=1)
+
     def test_non_square_unitary_rejected(self):
         angles = AngleSequence(np.zeros(2), np.zeros(2), 0.0, k=0, m=1)
         with pytest.raises(ValidationError, match=r"U must be a square matrix, got shape \(2, 3\)"):

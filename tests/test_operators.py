@@ -1,7 +1,12 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from dyncool import (
+    CertificationError,
+    FourierPolynomial,
     HermitianOperator,
     Projector,
     RangeError,
@@ -18,7 +23,9 @@ from dyncool import (
     shift_evolution_factored,
     shift_operator,
     spectral_norm,
+    spectral_values,
 )
+from dyncool.operators import _bound, check_norm
 from conftest import random_hermitian, random_projector, random_state
 
 
@@ -91,9 +98,10 @@ class TestValidation:
 
 
     def test_subnormalized_bound_is_unchanged(self):
-        # max |eigenvalue| replaced the SVD; the 1 + norm_slack bound and its
-        # message are the same
-        with pytest.raises(ValidationError, match=r"^h has spectral norm 1\.000001000000 > 1$"):
+        # max |eigenvalue| replaced the SVD; the 1 + norm_slack bound is the same,
+        # and the message prints both numbers exactly
+        match = r"^spectral norm of h = 1\.000001 is not <= 1\.0000000001$"
+        with pytest.raises(ValidationError, match=match):
             check_subnormalized(HermitianOperator(np.diag([0.5, -(1.0 + 1e-6)])), "h")
         assert check_subnormalized(HermitianOperator(np.diag([0.5, -(1.0 + 1e-11)]))) == 1.0 + 1e-11
 
@@ -206,3 +214,79 @@ class TestShiftOperator:
                 direct = evolve(shift_operator(H, n), -1.0).entries
                 factored = shift_evolution_factored(H, n).entries
                 assert np.max(np.abs(direct - factored)) <= 1e-10
+
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "dyncool"
+# the documented bound constants besides the ``TOL`` fields
+BOUND_CONSTANTS = {"_BOUND_SLACK", "_OUTER_TAIL", "_BLOCK_TOL"}
+
+
+def names_a_bound(test: ast.expr) -> bool:
+    """Whether a comparison in ``test`` reads a ``TOL.`` field or a bound constant."""
+    return any(
+        isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id == "TOL"
+        or isinstance(n, ast.Name) and n.id in BOUND_CONSTANTS
+        for compare in ast.walk(test) if isinstance(compare, ast.Compare)
+        for n in ast.walk(compare)
+    )
+
+
+class TestBound:
+    def test_returns_the_value_and_prints_both_numbers_exactly(self):
+        assert _bound("x", 1.0 + 1e-10, 1.0 + 1e-10) == 1.0 + 1e-10
+        with pytest.raises(ValidationError, match=r"^x = 1\.000001 is not <= 1\.0000000001$"):
+            _bound("x", 1.0 + 1e-6, 1.0 + 1e-10)
+        with pytest.raises(CertificationError, match=r"^x = inf is not <= 1\.79"):
+            _bound("x", np.inf, np.finfo(float).max, CertificationError)
+
+    @pytest.mark.parametrize(
+        "check, error",
+        [
+            (lambda: _bound("x", float("nan"), 1.0), ValidationError),
+            (lambda: check_norm(float("nan"), "x"), ValidationError),
+            (
+                lambda: spectral_values(
+                    FourierPolynomial([np.nan], 0, 0), eig(HermitianOperator([[0.1]])), 0.0
+                ),
+                CertificationError,
+            ),
+        ],
+        ids=["bound", "check_norm", "spectral_values"],
+    )
+    def test_nan_fails(self, check, error):
+        with pytest.raises(error, match=" = nan is not <= "):
+            check()
+
+    @pytest.mark.parametrize(
+        "build, name, kind",
+        [
+            (HermitianOperator, "HermitianOperator", "Hermitian"),
+            (Projector, "Projector", "Hermitian"),
+            (UnitaryOperator, "UnitaryOperator", "unitary"),
+            (lambda m: SpectralDecomposition(np.zeros(2), m), "eigenvectors", "unitary"),
+        ],
+        ids=["hermitian", "projector", "unitary", "decomposition"],
+    )
+    def test_one_measurement_per_property(self, build, name, kind):
+        match = f"^deviation of {name} from {kind} = 1\\.0 is not <= "
+        with pytest.raises(ValidationError, match=match):
+            build(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_every_bound_goes_through_the_one_check(self):
+        trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+        assigned = {
+            target.id
+            for tree in trees.values()
+            for node in tree.body if isinstance(node, ast.Assign)
+            for target in node.targets if isinstance(target, ast.Name)
+        }
+        assert BOUND_CONSTANTS <= assigned
+        offenders = [
+            f"{name}:{node.lineno}"
+            for name, tree in trees.items()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.If)
+            and any(isinstance(stmt, ast.Raise) for stmt in node.body)
+            and names_a_bound(node.test)
+        ]
+        assert offenders == []

@@ -204,6 +204,13 @@ class TestMalformedDocuments:
         with pytest.raises(ValidationError, match=f"^{what} must hold only finite numbers$"):
             reader({**good, key: elements.tolist()})
 
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_a_non_finite_lambda_is_refused(self, value):
+        reader, good = READERS["angles"]
+        doc = json.loads(json.dumps({**good, "lambda": value}))  # Infinity, NaN
+        with pytest.raises(ValidationError, match="^angles theta, phi and lam must be finite$"):
+            reader(doc)
+
 
 class TestFileWrites:
     def test_atomic_write_and_read(self, tmp_path):

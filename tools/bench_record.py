@@ -1,6 +1,7 @@
 """Record benchmark runs of this checkout, and of a baseline checkout, in a file.
 
-    python3 tools/bench_record.py --out BENCH_6.json --baseline ../parent --pairs 10
+    python3 tools/bench_record.py --out BENCH_16.json --baseline ../parent --pairs 10 \
+        --previous BENCH_15.json
 
 For every workload that BENCHMARK.json declares, run the unchanged
 ``python3 bench/run.py --workload W --seed S --trace 0`` once per side and
@@ -9,7 +10,10 @@ checkout of the repository ("baseline", usually the parent commit). Pairs
 alternate which side runs first. The output file holds every run's result
 line, environment line and readable summary lines with its checkout's git
 commit, and per workload and end-to-end metric each side's median and
-quartiles and the number of pairs the change won. Standard library only.
+quartiles and the number of pairs the change won. One more pair at
+``--held-out-seed`` (default 97) is recorded the same way under
+``held_out``, and ``--previous`` names the record this one follows
+(``previous_record``). Standard library only.
 """
 
 from __future__ import annotations
@@ -94,6 +98,28 @@ def summarize(runs: list, declared: list) -> dict:
     return out
 
 
+def record(sides: list, workloads: list, declared: list, pairs: int, seed: int) -> dict:
+    """Run ``pairs`` alternating pairs of every workload at ``seed``; the record of them."""
+    runs = []
+    for workload in workloads:
+        for pair in range(pairs):
+            for side, checkout in sides if pair % 2 else sides[::-1]:
+                run = bench_run(checkout, workload, seed)
+                runs.append({"workload": workload, "pair": pair, "side": side, **run})
+                result = run["result"]
+                shown = {k: round(m["value"], 6) for k, m in result["metrics"].items()} \
+                    if result else f"exit {run['returncode']}"
+                print(f"{workload} seed {seed} pair {pair} {side}: {shown}", flush=True)
+    return {
+        "format_version": 1,
+        "seed": seed,
+        "pairs": pairs,
+        "commits": {side: git(checkout, "rev-parse", "HEAD") for side, checkout in sides},
+        "summary": summarize(runs, declared),
+        "runs": runs,
+    }
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="file to write, e.g. BENCH_6.json")
@@ -101,36 +127,27 @@ def main() -> int:
                         help="another checkout to run in alternation with this one")
     parser.add_argument("--pairs", type=int, default=1)
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--held-out-seed", type=int, default=97,
+                        help="seed of the one held-out pair recorded under held_out")
+    parser.add_argument("--previous", default=None,
+                        help="the record this one follows, e.g. BENCH_15.json")
     args = parser.parse_args()
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    if args.previous is not None and not Path(args.previous).is_file():
+        parser.error(f"--previous {args.previous} is not a file")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in spec["workloads"]]
     sides = [("change", ROOT)]
     if args.baseline is not None:
         sides.append(("baseline", args.baseline.resolve()))
 
-    runs = []
-    for workload in workloads:
-        for pair in range(args.pairs):
-            for side, checkout in sides if pair % 2 else sides[::-1]:
-                record = bench_run(checkout, workload, args.seed)
-                runs.append({"workload": workload, "pair": pair, "side": side, **record})
-                result = record["result"]
-                shown = {k: round(m["value"], 6) for k, m in result["metrics"].items()} \
-                    if result else f"exit {record['returncode']}"
-                print(f"{workload} pair {pair} {side}: {shown}", flush=True)
-
-    doc = {
-        "format_version": 1,
-        "seed": args.seed,
-        "pairs": args.pairs,
-        "commits": {side: git(checkout, "rev-parse", "HEAD") for side, checkout in sides},
-        "summary": summarize(runs, spec["end_to_end"]),
-        "runs": runs,
-    }
+    doc = record(sides, workloads, spec["end_to_end"], args.pairs, args.seed)
+    doc["held_out"] = record(sides, workloads, spec["end_to_end"], 1, args.held_out_seed)
+    doc["previous_record"] = args.previous
     Path(args.out).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     print(f"wrote {args.out}")
+    runs = doc["runs"] + doc["held_out"]["runs"]
     return 0 if all(r["result"] is not None for r in runs) else 1
 
 

@@ -220,6 +220,12 @@ def _outer_complement(a: np.ndarray) -> np.ndarray:
     )
 
 
+def _margin_limit(margin: float) -> float:
+    """Largest grid max |P| that `complete` accepts: 1 - margin, with 1e-9
+    slack so inputs rescaled exactly onto the margin do not fail by rounding."""
+    return 1.0 - margin + 1e-9
+
+
 def complete(P: FourierPolynomial, margin: float = 1e-4) -> CompletionPair:
     """Find Q with |P|^2 + |Q|^2 = 1 on the unit circle.
 
@@ -231,9 +237,7 @@ def complete(P: FourierPolynomial, margin: float = 1e-4) -> CompletionPair:
     """
     check_margin(margin)
     P = _trim_support(P)
-    # 1e-9 slack keeps inputs rescaled exactly onto the margin from failing
-    # the check by rounding noise
-    _bound(f"max |P| with margin {margin!r}", _grid_max(P), 1.0 - margin + 1e-9, MarginError)
+    _bound(f"max |P| with margin {margin!r}", _grid_max(P), _margin_limit(margin), MarginError)
     Q = FourierPolynomial(_outer_complement(P.coeffs), k=P.k, m=P.m)
     return CompletionPair(P, Q)
 
@@ -359,7 +363,7 @@ def synthesize_angles(
     """
     max_abs = _grid_max(P)
     scale = 1.0
-    if max_abs > 1.0 - margin + 1e-9:
+    if max_abs > _margin_limit(margin):
         scale = (1.0 - margin) / max_abs
         P = FourierPolynomial(P.coeffs * scale, P.k, P.m, P.epsilon, P.delta)
     pair = complete(P, margin=margin)

@@ -482,6 +482,21 @@ class TestCertifyCommand:
             in capsys.readouterr().out
         )
 
+    def test_two_sector_bound_past_delta_fails_its_check(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "leakage", lambda *args: 0.3)
+        monkeypatch.setattr(cli, "effective_error", lambda *args: float("nan"))
+        assert main(["certify", "--epsilon", "0.5", "--delta", "0.25"]) == 1
+        out = capsys.readouterr().out
+        assert (
+            "[FAIL] two-sector leakage dim=4 delta=0.25: "
+            "two-sector leakage = 0.3 is not <= 0.25\n" in out
+        )
+        assert (
+            "[FAIL] two-sector effective evolution dim=8 delta=0.04: "
+            "two-sector effective evolution = nan is not <= 0.04\n" in out
+        )
+        assert "certification: 2/10 passed" in out
+
     def test_failed_check_exits_nonzero(self, capsys):
         rc = main(["certify", "--epsilon", "0.9", "--delta", "0.25"])
         captured = capsys.readouterr().out

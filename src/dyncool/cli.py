@@ -277,6 +277,7 @@ def cmd_gqsp(args) -> int:
         f"block_residual={residual:.3e} (dim {args.check_dim}) "
         f"queries: U={angles.m} U_dag={angles.k}"
     )
+    _bound("block residual", residual, _BLOCK_TOL, CertificationError)
     if args.out is not None:
         write_json(
             args.out,
@@ -291,7 +292,6 @@ def cmd_gqsp(args) -> int:
             },
         )
         print(f"wrote {args.out}")
-    _bound("block residual", residual, _BLOCK_TOL, CertificationError)
     return 0
 
 

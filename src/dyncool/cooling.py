@@ -29,10 +29,12 @@ Hermiticity, the eig reconstruction of K and the unitarity of the result.
 ascend, so every energy bin is a contiguous slice of them. What a
 trajectory needs beyond that depends only on (H, A, config) and comes from
 a module-level memo of contexts keyed by content (the bytes of H and A as
-complex128 with their shapes, and the frozen config): eig(H), V^dag A V,
-the bin slices, the query costs and one real observation matrix, whose
-product with the squared real and imaginary parts of the amplitudes gives
-every bin weight, the energy, the ground overlap and every bin's leakage.
+complex128 with their shapes, and the frozen config). A lookup compares its
+key with the held ones, newest first, and hashes it only to insert it. A
+context holds eig(H), V^dag A V, the bin slices, the query costs and one
+real observation matrix, whose product with the squared real and imaginary
+parts of the amplitudes gives every bin weight, the energy, the ground
+overlap and every bin's leakage.
 Input, the config's sign synthesis included, is checked only when a context
 is built, so invalid input never enters the memo and raises on every call.
 Each context also keeps, per bin b, the columns of the kick exp(-iT K_b)
@@ -212,7 +214,10 @@ def _register_blocks(joint, n: int, dim: int) -> np.ndarray:
 
 
 def random_initial_state(rng: np.random.Generator, dim: int) -> np.ndarray:
-    vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    """A Haar-random unit vector from one block of 2 * ``dim`` normal draws,
+    the real parts first."""
+    z = rng.normal(size=2 * dim)
+    vec = z[:dim] + 1j * z[dim:]
     return vec / np.linalg.norm(vec)
 
 
@@ -442,10 +447,11 @@ class _Memo:
         h, a = matrix_entries(H), matrix_entries(A)
         key = (h.shape, h.tobytes(), a.shape, a.tobytes(), config)
         with self.lock:
-            ctx = self.contexts.get(key)
-            if ctx is not None:
-                self.contexts.move_to_end(key)
-                return ctx
+            # newest first, by equality: a hit compares the bytes and never hashes them
+            for held, ctx in reversed(self.contexts.items()):
+                if held == key:
+                    self.contexts.move_to_end(held)
+                    return ctx
             ctx = self.contexts[key] = _Context(h, a, config)
             if len(self.contexts) > self.max_contexts:
                 self.contexts.popitem(last=False)
@@ -473,6 +479,10 @@ def run(
     H and A are validated and diagonalized once per content, and each bin's
     kick is built once while its context stays in the module's memo (see
     the module docstring).
+
+    A trajectory draws from ``rng`` 2 * dim normals for its initial state
+    (none when ``initial_state`` is given), then steps + 1 uniforms in one
+    block, one per measurement, even when ``stopping`` ends it early.
     """
     return _trajectory(_MEMO.context(H, A, config), rng, initial_state, stopping)
 
@@ -487,6 +497,7 @@ def _trajectory(ctx: _Context, rng, initial_state=None, stopping=None) -> Trajec
         if initial_state is None
         else _state_vec(initial_state, ctx.dim)
     )
+    draws = rng.random(ctx.config.steps + 1).tolist()
     amps = ctx.vecs_h @ state
     seen = ctx.observe(amps)
     cdf = _cdf(seen[:n])
@@ -494,7 +505,7 @@ def _trajectory(ctx: _Context, rng, initial_state=None, stopping=None) -> Trajec
 
     measured, rows = [], []
     for step in range(ctx.config.steps):
-        idx = bisect_right(cdf, rng.random())
+        idx = bisect_right(cdf, draws[step])
         label, estimate = labels[idx], estimates[idx]
         measured.append(label)
         if stopping is not None and stopping.satisfied(estimate):
@@ -515,7 +526,7 @@ def _trajectory(ctx: _Context, rng, initial_state=None, stopping=None) -> Trajec
         rows.append([step, label, estimate, seen[n], seen[n + 1], seen[n + 2 + idx],
                      per_eiH * (step + 1), per_UA * (step + 1)])
 
-    idx = bisect_right(cdf, rng.random())
+    idx = bisect_right(cdf, draws[len(measured)])
     final_bin, final_estimate = labels[idx], estimates[idx]
     final = ctx.observe(bins.collapse(amps, idx, seen[idx]))
     # each step's leak event compares its bin with the next measurement's

@@ -319,12 +319,12 @@ def trajectory_csv_text(trajectories, config: CoolingConfig) -> str:
     ]
     tokens = _Tokens()
     for trial, traj in enumerate(trajectories):
-        success = int(traj.success)
-        for step, _, estimate, energy, overlap, leakage, eiH, UA, _ in traj.steps:
-            lines.append(
-                f"{trial},{step},{tokens[estimate]},{tokens[energy]},"
-                f"{tokens[overlap]},{tokens[leakage]},{eiH},{UA},{success}"
-            )
+        end = f",{int(traj.success)}"
+        lines += [
+            f"{trial},{step},{tokens[estimate]},{tokens[energy]},"
+            f"{tokens[overlap]},{tokens[leakage]},{eiH},{UA}{end}"
+            for step, _, estimate, energy, overlap, leakage, eiH, UA, _ in traj.steps
+        ]
     return "\n".join(lines) + "\n"
 
 

@@ -448,6 +448,14 @@ class TestGqspCommand:
         assert "block_residual=2.000e-07" in captured.out
         assert captured.err == "certification failed: block residual = 2e-07 is not <= 1e-07\n"
 
+    def test_failed_certificate_writes_no_angle_file(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(cli, "_block_residual", lambda *args: 2e-7)
+        out = tmp_path / "angles.json"
+        assert main(["gqsp", "--epsilon", "0.5", "--delta", "0.25", "--out", str(out)]) == 1
+        assert "wrote" not in capsys.readouterr().out
+        assert not out.exists()
+        assert not list(tmp_path.iterdir())
+
 
 class TestCertifyCommand:
     def test_default_subset_passes(self, tmp_path, capsys):

@@ -6,6 +6,7 @@ coherent branches.
 """
 
 import gc
+import itertools
 import sys
 import weakref
 from concurrent.futures import ThreadPoolExecutor
@@ -399,10 +400,13 @@ class TestRunInvariants:
 
 def keyword_records(ctx, rng, stopping=None) -> list:
     """The step records of one ``_trajectory`` call, replayed on the same
-    context primitives and built by keyword, one field at a time. After a
-    bin of one eigenvalue the replay takes the context's fixed post-kick state."""
+    context primitives and built by keyword, one field at a time, drawing
+    from ``rng`` one scalar at a time. After a bin of one eigenvalue the
+    replay takes the context's fixed post-kick state."""
     n, bins = ctx.nbins, ctx.bins
-    amps = ctx.vecs_h @ random_initial_state(rng, ctx.dim)
+    parts = [np.array([rng.normal() for _ in range(ctx.dim)]) for _ in "ri"]
+    vec = parts[0] + 1j * parts[1]
+    amps = ctx.vecs_h @ (vec / np.linalg.norm(vec))
     seen = ctx.observe(amps)
     labels, kept = [], []
     for step in range(ctx.config.steps):
@@ -434,6 +438,32 @@ def keyword_records(ctx, rng, stopping=None) -> list:
         )
         for step, idx, obs in kept
     ]
+
+
+BIT_GENERATORS = (np.random.PCG64, np.random.MT19937, np.random.Philox)
+
+
+class TestDraws:
+    """A trajectory draws 2 * dim normals for its initial state (none when
+    one is given), then steps + 1 uniforms, however early it stops."""
+
+    @pytest.mark.parametrize("how", ["all_steps", "stops_at_step_0", "given_state"])
+    def test_rng_advances_by_the_stated_draws(self, how):
+        rng = np.random.default_rng(50)
+        H = random_hermitian(rng, 6, norm=1.0)
+        A = normalized_gue(rng, 6)
+        cfg = CoolingConfig(epsilon=0.25, steps=5)
+        # estimates are clamped to [-1, 1], so a target of 1 stops at step 0
+        stopping = StoppingRule(1.0) if how == "stops_at_step_0" else None
+        state = random_initial_state(rng, 6) if how == "given_state" else None
+        used, twin = np.random.default_rng(7), np.random.default_rng(7)
+        traj = run(H, A, cfg, used, initial_state=state, stopping=stopping)
+        assert len(traj.steps) == (0 if stopping else cfg.steps)
+        for _ in range(0 if how == "given_state" else 2 * 6):
+            twin.normal()
+        for _ in range(cfg.steps + 1):
+            twin.random()
+        assert used.random() == twin.random()
 
 
 class TestStepRecord:
@@ -471,7 +501,8 @@ class TestStepRecord:
     @pytest.mark.parametrize("target", [None, -0.4])
     @pytest.mark.parametrize("mode", MODES)
     def test_trajectory_records_equal_keyword_records(self, mode, target):
-        # at d=9 some bins hold one eigenvalue and some more, so both kick paths run
+        # at d=9 some bins hold one eigenvalue and some more, so both kick paths
+        # run; each bit generator fills a block with the draws its scalar calls make
         rng = np.random.default_rng(48)
         H = random_hermitian(rng, 9, norm=1.0)
         A = normalized_gue(rng, 9)
@@ -479,9 +510,10 @@ class TestStepRecord:
         stopping = None if target is None else StoppingRule(target)
         ctx = cooling._MEMO.context(H, A, cfg)
         lengths, rises = set(), set()
-        for trial in range(12):
-            traj = cooling._trajectory(ctx, np.random.default_rng((48, trial)), stopping=stopping)
-            expected = keyword_records(ctx, np.random.default_rng((48, trial)), stopping)
+        for bit_generator, trial in itertools.product(BIT_GENERATORS, range(12)):
+            twins = [np.random.Generator(bit_generator((48, trial))) for _ in range(2)]
+            traj = cooling._trajectory(ctx, twins[0], stopping=stopping)
+            expected = keyword_records(ctx, twins[1], stopping)
             assert all(type(s) is StepResult for s in traj.steps)
             assert traj.steps == tuple(expected)
             assert traj.leak_events == sum(s.leak_event for s in expected)
@@ -770,6 +802,15 @@ class TestSharedContext:
         del held
         gc.collect()
         assert evicted() is None
+
+    def test_equal_content_in_a_new_array_hits_the_same_context(self, cold_memo):
+        H, A = self.instance(14)
+        cfg = CoolingConfig(epsilon=0.25, steps=3)
+        ctx = cold_memo.context(H, A, cfg)
+        other = cold_memo.context(*self.instance(15), cfg)  # the newest, scanned first
+        assert cold_memo.context(H.copy(), np.array(A), cfg) is ctx
+        assert cold_memo.context(HermitianOperator(H), A, cfg) is ctx
+        assert list(cold_memo.contexts.values()) == [other, ctx]  # a hit is the newest
 
     def test_in_place_change_is_not_served_a_stale_context(self, cold_memo):
         H, A = self.instance(5)

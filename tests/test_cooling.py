@@ -404,8 +404,8 @@ def keyword_records(ctx, rng, stopping=None) -> list:
     from ``rng`` one scalar at a time. After a bin of one eigenvalue the
     replay takes the context's fixed post-kick state."""
     n, bins = ctx.nbins, ctx.bins
-    parts = [np.array([rng.normal() for _ in range(ctx.dim)]) for _ in "ri"]
-    vec = parts[0] + 1j * parts[1]
+    real, imag = [np.array([rng.normal() for _ in range(ctx.dim)]) for _ in range(2)]
+    vec = real + 1j * imag
     amps = ctx.vecs_h @ (vec / np.linalg.norm(vec))
     seen = ctx.observe(amps)
     labels, kept = [], []

@@ -32,7 +32,7 @@ from .operators import (
     hermitian_norm,
     spectral_norm,
 )
-from .signfun import fourier_sign
+from .signfun import eval_fourier, fourier_sign
 from .serialization import (
     angles_document,
     canonical_hash,
@@ -59,7 +59,7 @@ _PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 _PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 # the spectral-norm distance allowed between a multiplied-out circuit block and
-# its Laurent sum, in `dyncool gqsp` and in `dyncool certify`
+# P(U), in `dyncool gqsp` and in `dyncool certify`
 _BLOCK_TOL = 1e-7
 
 
@@ -85,6 +85,23 @@ def _integer(doc: dict, key: str, default=None) -> int:
     raise ValidationError(f"config key {key!r} must be an integer, got {value!r}")
 
 
+def _seeded_rng(seed: int) -> np.random.Generator:
+    """``default_rng(seed)`` for the seed of a command, from its config or its
+    ``--seed``: a non-negative integer."""
+    if seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed}")
+    return np.random.default_rng(seed)
+
+
+def _matrix_file(source: dict) -> np.ndarray:
+    """The matrix document at a file source's ``path``, which must be a string
+    that names a file (an integer would open a file descriptor)."""
+    path = _require(source, "path")
+    if not isinstance(path, str) or "\0" in path:
+        raise ValidationError(f"config key 'path' must be a file name, got {path!r}")
+    return matrix_from_document(read_json(path))
+
+
 def _site_product(ops: dict, sites: int) -> np.ndarray:
     out = np.eye(1)
     for i in range(sites):
@@ -99,10 +116,11 @@ def _tfim_matrix(sites: int, coupling: float, field: float) -> np.ndarray:
     check_dim(1, "hamiltonian", sites)
     dim = 2**sites
     H = np.zeros((dim, dim))
-    for i in range(sites - 1):
-        H -= coupling * _site_product({i: _PAULI_Z, i + 1: _PAULI_Z}, sites)
-    for i in range(sites):
-        H -= field * _site_product({i: _PAULI_X}, sites)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused by the caller
+        for i in range(sites - 1):
+            H -= coupling * _site_product({i: _PAULI_Z, i + 1: _PAULI_Z}, sites)
+        for i in range(sites):
+            H -= field * _site_product({i: _PAULI_X}, sites)
     return H
 
 
@@ -127,9 +145,12 @@ def generate_hamiltonian(source: dict, rng: np.random.Generator) -> np.ndarray:
             _number(source, "coupling", 1.0),
             _number(source, "field", 1.0),
         )
-        return H / max(1.0, hermitian_norm(H))
+        # entries past float64 would stop eigvalsh, and a norm past it rescale H to zero
+        norm = hermitian_norm(H) if np.isfinite(H).all() else np.inf
+        _bound("spectral norm of the chain", norm, np.finfo(float).max)
+        return H / max(1.0, norm)
     if kind == "file":
-        mat = matrix_from_document(read_json(_require(source, "path")))
+        mat = _matrix_file(source)
         check_subnormalized(HermitianOperator(mat), "hamiltonian file")
         return mat
     raise ValidationError(f"unknown hamiltonian type {kind!r}")
@@ -141,7 +162,7 @@ def generate_perturbation(source: dict, dim: int, rng: np.random.Generator) -> n
     if kind == "gue":
         mat = sample_gue(rng, dim)
     elif kind == "file":
-        mat = matrix_from_document(read_json(_require(source, "path")))
+        mat = _matrix_file(source)
         if mat.shape != (dim, dim):
             raise ValidationError(
                 f"perturbation shape {mat.shape} does not match dimension {dim}"
@@ -185,7 +206,7 @@ def cmd_run(args) -> int:
     seed = args.seed if args.seed is not None else _integer(doc, "seed", 0)
     trials = args.trials if args.trials is not None else _integer(doc, "trials", 1)
 
-    setup_rng = np.random.default_rng(seed)
+    setup_rng = _seeded_rng(seed)
     H = generate_hamiltonian(_require(doc, "hamiltonian"), setup_rng)
     A = generate_perturbation(
         doc.get("perturbation", {"type": "zero"}), H.shape[0], setup_rng
@@ -223,21 +244,19 @@ def _random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def _laurent_sum(P, U: np.ndarray) -> np.ndarray:
-    dim = U.shape[0]
-    acc = np.zeros((dim, dim), dtype=complex)
-    Ud = U.conj().T
-    for idx, a in enumerate(P.coeffs):
-        n = idx - P.k
-        power = np.linalg.matrix_power(U if n >= 0 else Ud, abs(n))
-        acc += a * power
-    return acc
+def _polynomial_at(P, U: np.ndarray) -> np.ndarray:
+    """P(U) = W diag(P(w)) W^-1 from the eigendecomposition U W = W diag(w),
+    with P evaluated by Horner at each eigenphase (``eval_fourier``), which
+    shares no code with the circuit walk it checks."""
+    w, W = np.linalg.eig(U)
+    # X W = W diag(p), solved for X without forming W^-1
+    return np.linalg.solve(W.T, (W * eval_fourier(P, np.angle(w))).T).T
 
 
 def _block_residual(angles, scale: float, P, U: np.ndarray) -> float:
-    """Spectral norm of the circuit's block at U minus ``scale`` times P's Laurent sum."""
+    """Spectral norm of the circuit's block at U minus ``scale`` times P(U)."""
     block = assemble_and_extract(angles, U).block
-    return spectral_norm(block - scale * _laurent_sum(P, U))
+    return spectral_norm(block - scale * _polynomial_at(P, U))
 
 
 def cmd_signpoly(args) -> int:
@@ -256,6 +275,7 @@ def cmd_gqsp(args) -> int:
     if args.check_dim < 1:
         raise ValidationError(f"--check-dim must be at least 1, got {args.check_dim}")
     check_dim(args.check_dim, "check")
+    rng = _seeded_rng(args.seed)
     if args.poly is not None:
         doc = read_json(args.poly)
         # accept a bare polynomial document or one nested in a certification
@@ -268,7 +288,6 @@ def cmd_gqsp(args) -> int:
         raise ValidationError("gqsp needs either --poly or both --epsilon and --delta")
 
     angles, pair, scale = synthesize_angles(P, margin=args.margin)
-    rng = np.random.default_rng(args.seed)
     residual = _block_residual(angles, scale, P, _random_unitary(rng, args.check_dim))
     print(
         f"gqsp: k={angles.k} m={angles.m} scale={scale:.12f} "
@@ -297,7 +316,7 @@ def cmd_gqsp(args) -> int:
 
 def _certify_checks(epsilons, deltas, seed):
     """Yield (name, passed, detail) for every certification target."""
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     polys = []
     for eps in epsilons:
         for delta in deltas:
@@ -410,10 +429,7 @@ def main(argv=None) -> int:
     except CertificationError as exc:
         print(f"certification failed: {exc}", file=sys.stderr)
         return 1
-    except DyncoolError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, json.JSONDecodeError) as exc:
+    except (DyncoolError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

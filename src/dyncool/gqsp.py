@@ -131,23 +131,10 @@ class AssembledBlock:
     cu_dag_applications: int
 
 
-# The polynomial last evaluated on the completion grid and |P| there. One
-# synthesis checks the same P up to three times (the rescale test, the
-# margin and the identity certificate); keyed by the object, whose
-# coefficients are read-only, they share one FFT.
-_last_grid = (None, None)
-
-
 def _abs_on_grid(P: FourierPolynomial) -> np.ndarray:
-    """|P| on the completion grid, read-only; non-finite where P overflows."""
-    global _last_grid
-    last, values = _last_grid
-    if last is not P:
-        with np.errstate(over="ignore", invalid="ignore"):
-            values = np.abs(eval_fourier_grid(P, COMPLETION_GRID_POINTS))
-        values.setflags(write=False)
-        _last_grid = (P, values)
-    return values
+    """|P| on the completion grid; non-finite where P overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.abs(eval_fourier_grid(P, COMPLETION_GRID_POINTS))
 
 
 def _grid_max(P: FourierPolynomial) -> float:

@@ -18,7 +18,7 @@ from hashlib import sha256
 
 import numpy as np
 
-from .cooling import CoolingConfig, StepResult, Trajectory
+from .cooling import CoolingConfig, Trajectory
 from .errors import ValidationError
 from .gqsp import AngleSequence
 from .operators import _is_integer, _is_number, _number, check_dim, square_entries
@@ -246,20 +246,6 @@ def config_document(config: CoolingConfig) -> dict:
     }
 
 
-def _step_document(step: StepResult) -> dict:
-    return {
-        "step": int(step.step),
-        "bin_index": int(step.bin_index),
-        "energy_estimate": float(step.energy_estimate),
-        "true_energy": float(step.true_energy),
-        "ground_overlap": float(step.ground_overlap),
-        "leakage_weight": float(step.leakage_weight),
-        "queries_eiH": int(step.queries_eiH),
-        "queries_UA": int(step.queries_UA),
-        "leak_event": bool(step.leak_event),
-    }
-
-
 def trajectory_document(traj: Trajectory) -> dict:
     return {
         "initial_energy": float(traj.initial_energy),
@@ -270,7 +256,7 @@ def trajectory_document(traj: Trajectory) -> dict:
         "final_ground_overlap": float(traj.final_ground_overlap),
         "leak_events": int(traj.leak_events),
         "success": bool(traj.success),
-        "steps": [_step_document(s) for s in traj.steps],
+        "steps": [s._asdict() for s in traj.steps],
     }
 
 

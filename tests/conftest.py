@@ -3,9 +3,21 @@
 import numpy as np
 
 from dyncool import HermitianOperator, Projector, StateVector
-# one copy of each: the CLI's, which `gqsp` and `certify` use for their checks
-from dyncool.cli import _laurent_sum as laurent_sum  # noqa: F401
+# the CLI's, which `gqsp` and `certify` use for their checks
 from dyncool.cli import _random_unitary as random_unitary
+
+
+def laurent_sum(P, U: np.ndarray) -> np.ndarray:
+    """P(U) as the sum of its coefficients times powers of U and U^dag, the
+    tests' reference, independent of the CLI's eigen route and the circuit walk."""
+    dim = U.shape[0]
+    acc = np.zeros((dim, dim), dtype=complex)
+    Ud = U.conj().T
+    for idx, a in enumerate(P.coeffs):
+        n = idx - P.k
+        power = np.linalg.matrix_power(U if n >= 0 else Ud, abs(n))
+        acc += a * power
+    return acc
 
 
 def random_hermitian(rng, dim, norm=None):

@@ -1,13 +1,18 @@
 """End-to-end checks of the command-line interface."""
 
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import dyncool
 from dyncool import cli, cooling
@@ -20,6 +25,7 @@ from dyncool.cli import (
 from dyncool.cooling import CoolingConfig
 from dyncool.errors import ResourceError, ValidationError
 from dyncool.operators import TOL
+from dyncool.signfun import FourierPolynomial, fourier_sign
 from dyncool.serialization import (
     CSV_COLUMNS,
     angles_from_document,
@@ -29,7 +35,7 @@ from dyncool.serialization import (
     write_json,
 )
 
-from conftest import random_hermitian
+from conftest import laurent_sum, random_hermitian, random_unitary
 
 
 def write_config(tmp_path, **overrides):
@@ -358,6 +364,162 @@ class TestRunCommand:
         cfg = write_config(tmp_path, hamiltonian={"type": "file", "path": str(hpath)})
         assert main(["run", "--config", cfg]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path", [None, 2.5, [1], 0, True, "h\0.json"],
+                             ids=["null", "float", "list", "fd-0", "true", "nul"])
+    @pytest.mark.parametrize("key", ["hamiltonian", "perturbation"])
+    def test_a_file_path_must_be_a_file_name(self, tmp_path, capsys, monkeypatch, key, path):
+        # refused before it is opened: an integer would name a file descriptor
+        cfg = write_config(tmp_path, **{key: {"type": "file", "path": path}})
+        read = cli.read_json
+
+        def config_only(name):
+            assert name == cfg, f"only the config may be opened, not {name!r}"
+            return read(name)
+
+        monkeypatch.setattr(cli, "read_json", config_only)
+        assert main(["run", "--config", cfg]) == 1
+        assert capsys.readouterr().err == (
+            f"error: config key 'path' must be a file name, got {path!r}\n"
+        )
+
+    def test_overflowing_chain_exits_nonzero(self, tmp_path, capsys):
+        chain = {"type": "tfim", "sites": 3, "coupling": 1e308, "field": 1e308}
+        assert main(["run", "--config", write_config(tmp_path, hamiltonian=chain)]) == 1
+        assert capsys.readouterr().err == (
+            "error: spectral norm of the chain = inf is not <= 1.7976931348623157e+308\n"
+        )
+
+    def test_chain_whose_norm_overflows_is_refused(self):
+        # finite entries, but a norm past float64 would rescale the chain to zero
+        chain = {"type": "tfim", "sites": 2, "coupling": 1e308, "field": 1e308}
+        with pytest.raises(ValidationError, match="spectral norm of the chain = inf"):
+            generate_hamiltonian(chain, None)
+
+
+@pytest.mark.parametrize(
+    "argv, seed",
+    [
+        (["run", "--config", None], -1),
+        (["run", "--config", None, "--seed", "-3"], -3),
+        (["gqsp", "--epsilon", "0.5", "--delta", "0.25", "--seed", "-1"], -1),
+        (["certify", "--epsilon", "0.5", "--delta", "0.25", "--seed", "-2"], -2),
+    ],
+    ids=["run-config", "run-option", "gqsp", "certify"],
+)
+def test_negative_seed_exits_nonzero(tmp_path, capsys, argv, seed):
+    argv = [write_config(tmp_path, seed=-1) if a is None else a for a in argv]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: seed must be a non-negative integer, got {seed}\n"
+    assert "gqsp:" not in captured.out and "[ok]" not in captured.out
+
+
+class TestAnyConfigValue:
+    """``dyncool run`` exits 0, or 1 with one ``error:`` line, whatever JSON value
+    one key of a good config holds, at top level or in a source block."""
+
+    GOOD = {
+        "hamiltonian": {"type": "random", "dim": 4},
+        "perturbation": {"type": "gue"},
+        "epsilon": 0.25,
+        "steps": 3,
+        "delta": 0.2,
+        "mode": "gqsp_circuit",
+        "margin": 1e-6,
+        "target_estimate": -0.9,
+        "trials": 2,
+        "seed": 11,
+    }
+    # each source block that replaces the good one, by the key it sits under
+    SOURCES = [
+        ("hamiltonian", {"type": "random", "dim": 4}),
+        ("hamiltonian", {"type": "tfim", "sites": 3, "coupling": 1.0, "field": 0.7}),
+        ("hamiltonian", {"type": "file", "path": "h.json"}),
+        ("perturbation", {"type": "gue"}),
+        ("perturbation", {"type": "file", "path": "a.json"}),
+        ("perturbation", {"type": "zero"}),
+    ]
+    CASES = [(None, None, key) for key in GOOD] + [
+        (block, source, key) for block, source in SOURCES for key in source
+    ]
+
+    # nothing bounds these two counts, so no value of theirs is large
+    UNBOUNDED = ("steps", "trials")
+    OVERFLOW = {"type": "tfim", "sites": 3, "coupling": 1e308, "field": 1e308}
+
+    @classmethod
+    def large(cls, key):
+        """1e308, for a key where a value that large is refused rather than run."""
+        return [] if key in cls.UNBOUNDED else [1e308]
+
+    @classmethod
+    def values(cls, key):
+        """Counts from -2 to 64 (to 6 for ``sites``, 2^sites states), as ints and as
+        floats, a few other floats, bools, strings, null and small arrays and objects:
+        no draw allocates much or runs long."""
+        counts = st.integers(-2, 6 if key == "sites" else 64)
+        floats = st.sampled_from([0.5, 0.3, -0.25, 2.9, *cls.large(key)])
+        scalars = (counts | counts.map(float) | floats | st.booleans() | st.text(max_size=4)
+                   | st.none())
+        return (scalars | st.lists(scalars, max_size=3)
+                | st.dictionaries(st.text(max_size=3), scalars, max_size=2))
+
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("configs")
+        write_json(str(path / "h.json"), matrix_document(np.diag([0.5, -0.5, 0.25, -0.75])))
+        write_json(str(path / "a.json"), matrix_document(np.ones((4, 4)) / 4))
+        return path
+
+    @pytest.mark.parametrize(
+        "block, source, key", CASES,
+        ids=[f"{block}-{source['type']}-{key}" if block else key for block, source, key in CASES],
+    )
+    @settings(max_examples=5, deadline=None)
+    @given(data=st.data())
+    @example(data=None)
+    def test_exits_0_or_1_with_one_error_line(self, workdir, block, source, key, data):
+        doc = json.loads(json.dumps(self.GOOD))
+        target = doc
+        if block is not None:
+            target = doc[block] = dict(source)
+            if "path" in target:
+                target["path"] = str(workdir / target["path"])
+        # non-string paths, a negative seed and overflowing chains
+        examples = [None, 2.5, [1], -1, self.OVERFLOW, *self.large(key)]
+        values = examples if data is None else [data.draw(self.values(key))]
+        for value in values:
+            target[key] = value
+            (workdir / "config.json").write_text(json.dumps(doc))
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(["run", "--config", str(workdir / "config.json"),
+                             "--out", str(workdir / "out.csv")])
+            assert code == 0 or code == 1 and re.fullmatch(r"error: [^\n]*\n", err.getvalue()), (
+                value, err.getvalue())
+
+
+class TestBlockReference:
+    """``cli._polynomial_at``, the eigen route that ``gqsp`` and ``certify`` check
+    the circuit against, agrees with the tests' matrix-power ``laurent_sum``."""
+
+    def test_random_polynomials(self):
+        rng = np.random.default_rng(61)
+        for trial in range(40):
+            k, m = (int(x) for x in rng.integers(0, 9, 2))
+            coeffs = rng.normal(size=k + m + 1) + 1j * rng.normal(size=k + m + 1)
+            P = FourierPolynomial(coeffs / np.sum(np.abs(coeffs)), k, m)
+            U = random_unitary(rng, int(rng.integers(1, 9)))
+            err = np.max(np.abs(cli._polynomial_at(P, U) - laurent_sum(P, U)))
+            assert err <= 1e-12, (trial, k, m, err)
+
+    @pytest.mark.parametrize("epsilon, delta, degree", [(0.2, 1 / 16, 57), (0.1, 1 / 32, 139)])
+    def test_sign_sequences(self, epsilon, delta, degree):
+        S = fourier_sign(epsilon, delta)
+        assert S.degree == degree
+        U = random_unitary(np.random.default_rng(67), 16)
+        assert np.max(np.abs(cli._polynomial_at(S, U) - laurent_sum(S, U))) <= 1e-12
 
 
 class TestSignpolyCommand:

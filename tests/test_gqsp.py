@@ -145,21 +145,6 @@ class TestComplete:
                 with pytest.raises(NumericError, match="completion grid"):
                     synthesize(P)
 
-    def test_one_grid_evaluation_per_polynomial(self, monkeypatch):
-        calls = []
-        grid = gqsp.eval_fourier_grid
-        monkeypatch.setattr(gqsp, "_last_grid", (None, None))
-        monkeypatch.setattr(
-            gqsp, "eval_fourier_grid", lambda P, points: calls.append(P) or grid(P, points)
-        )
-        S = fourier_sign(0.3, 0.1)
-        _, pair, scale = synthesize_angles(S, margin=1e-6)
-        assert scale == 1.0 and [id(P) for P in calls] == [id(S), id(pair.Q)]
-        calls.clear()
-        # rescaling makes a new polynomial, evaluated once more
-        _, pair, scale = synthesize_angles(S, margin=1e-4)
-        assert scale < 1.0 and [id(P) for P in calls] == [id(S), id(pair.P), id(pair.Q)]
-
     def test_mismatched_pair_rejected(self):
         P = FourierPolynomial([0.9], 0, 0)
         Q = FourierPolynomial([0.9], 0, 0)  # 0.81 + 0.81 != 1

@@ -1,24 +1,33 @@
-"""Record what preparing and running ``cooling.run`` costs at d = 256 and d = 1024.
+"""Record what ``cooling.run`` and the block-encoding certificate cost at growing dimension.
 
-    python3 tools/scaling_record.py --out SCALING_17.json --baseline ../parent
+    python3 tools/scaling_record.py --out SCALING_18.json --baseline ../parent
 
-Per dimension d: H from ``cli.generate_hamiltonian`` (type random) and A from
-``cli.generate_perturbation`` (type gue), both from ``default_rng(0)``, and
-the config epsilon = 0.2, 16 steps. The record holds the cold context build
-(``cooling._MEMO.context`` on an empty memo, with the sign polynomial
-already synthesized), the build of every bin's step
+Runs, per dimension d = 256 and 1024: H from ``cli.generate_hamiltonian``
+(type random) and A from ``cli.generate_perturbation`` (type gue), both from
+``default_rng(0)``, and the config epsilon = 0.2, 16 steps. The record holds
+the cold context build (``cooling._MEMO.context`` on an empty memo, with the
+sign polynomial already synthesized), the build of every bin's step
 (``_Context.step``, in bin order), the warm memo hit (median and best of
 ``REPEATS`` lookups of the same H and A once every bin is built), the median
 warm ``run`` call over ``REPEATS`` trajectories, and the peak RSS of the
-process after that dimension. The environment block holds numpy, BLAS,
-nproc and the thread setting.
+process after that dimension.
 
-Each side runs in a fresh process that imports ``src`` and ``bench`` of its
+Circuits, for the sign sequences of (epsilon, delta) = (0.1, 1/32) and
+(0.05, 1/256), degrees 139 and 431, at d = 16, 64 and 256, against
+``cli._random_unitary`` from ``default_rng(0)``: the time of
+``gqsp.assemble_and_extract``, the time of the whole certificate
+``cli._block_residual`` (assembly plus its reference P(U)), their
+difference, the residual's value, and the isometry residual
+||G^dag G - I|| (Frobenius) of the full 2d x 2d product. Times are the best
+of 3 at d <= 64 and one run at d = 256.
+
+The environment block holds numpy, BLAS, nproc and the thread setting. Each
+side runs in a fresh process that imports ``src`` and ``bench`` of its
 checkout and changes nothing in them, with BLAS on one thread, as in the
 benchmark. The change is this script's checkout; ``--baseline`` names
 another checkout (usually the parent commit), recorded first in the same
-session. A side at d = 1024 takes about half a minute on a 2-CPU host.
-Standard library plus each checkout's ``dyncool``.
+session. A side takes one to two minutes on a 2-CPU host. Standard library
+plus each checkout's ``dyncool``.
 """
 
 from __future__ import annotations
@@ -37,6 +46,8 @@ ROOT = Path(__file__).resolve().parent.parent
 DIMS = (256, 1024)
 EPSILON, STEPS = 0.2, 16
 REPEATS = 20
+SEQUENCES = ((0.1, 1.0 / 32.0), (0.05, 1.0 / 256.0))
+CIRCUIT_DIMS = (16, 64, 256)
 
 
 def timed(fn) -> float:
@@ -45,8 +56,46 @@ def timed(fn) -> float:
     return time.perf_counter() - start
 
 
+def best(fn, dim: int):
+    """(best wall time, last result) of ``fn()``: best of 3 at d <= 64, one run above."""
+    times = []
+    for _ in range(3 if dim <= 64 else 1):
+        start = time.perf_counter()
+        result = fn()
+        times.append(time.perf_counter() - start)
+    return min(times), result
+
+
+def circuits() -> list:
+    """One entry per (sign sequence, dimension): assembly, certificate and residuals.
+    Called from ``side``, which sets the import path and the BLAS threads."""
+    import numpy as np
+    from dyncool import cli, gqsp
+    from dyncool.signfun import fourier_sign
+
+    rows = []
+    for epsilon, delta in SEQUENCES:
+        P = fourier_sign(epsilon, delta)
+        angles, _, scale = gqsp.synthesize_angles(P, margin=1e-6)
+        for dim in CIRCUIT_DIMS:
+            U = cli._random_unitary(np.random.default_rng(0), dim)
+            assemble_s, res = best(lambda: gqsp.assemble_and_extract(angles, U), dim)
+            certificate_s, residual = best(lambda: cli._block_residual(angles, scale, P, U), dim)
+            G = res.unitary
+            isometry = np.linalg.norm(G.conj().T @ G - np.eye(2 * dim))
+            rows.append({
+                "epsilon": epsilon, "delta": delta, "degree": angles.k, "dim": dim,
+                "assemble_s": round(assemble_s, 4), "certificate_s": round(certificate_s, 4),
+                "reference_s": round(certificate_s - assemble_s, 4),
+                "block_residual": float(f"{residual:.3g}"),
+                "isometry_residual": float(f"{isometry:.3g}"),
+            })
+    return rows
+
+
 def side(checkout: Path) -> dict:
-    """The environment and one entry per dimension, measured in this process."""
+    """The environment, one entry per run dimension and the circuit entries,
+    measured in this process."""
     sys.path[:0] = [str(checkout / "src"), str(checkout / "bench")]
     from run import BLAS_THREADS, THREAD_VARS, environment
 
@@ -87,7 +136,7 @@ def side(checkout: Path) -> dict:
     return {"environment": {key: env[key] for key in
                             ("numpy", "blas", "blas_threads", "thread_env", "nproc", "cpu",
                              "git_commit")},
-            "runs": runs}
+            "runs": runs, "circuits": circuits()}
 
 
 def record(checkout: Path) -> dict:

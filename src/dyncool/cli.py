@@ -24,9 +24,11 @@ from .errors import (
 )
 from .gqsp import assemble_and_extract, synthesize_angles
 from .operators import (
+    MIN_MARGIN,
     HermitianOperator,
     Projector,
     _bound,
+    check_count,
     check_dim,
     check_subnormalized,
     hermitian_norm,
@@ -34,11 +36,11 @@ from .operators import (
 )
 from .signfun import eval_fourier, fourier_sign
 from .serialization import (
-    angles_document,
-    canonical_hash,
     certification_document,
+    certification_report,
+    config_hash,
+    gqsp_angles_document,
     matrix_from_document,
-    polynomial_document,
     polynomial_from_document,
     read_json,
     run_record,
@@ -177,9 +179,11 @@ def generate_perturbation(source: dict, dim: int, rng: np.random.Generator) -> n
 
 def run_experiment(H, A, config: CoolingConfig, seed: int, trials: int, stopping=None):
     """Run ``trials`` independent trajectories on per-trial substreams, the
-    trials of ``cooling.run`` on one prepared context looked up once."""
+    trials of ``cooling.run`` on one prepared context looked up once; trials
+    may not exceed ``MAX_COUNT``."""
     if trials < 1:
         raise ValidationError(f"need at least one trial, got {trials}")
+    check_count(trials, "trials")
     ctx = cooling._MEMO.context(H, A, config)
     return [
         cooling._trajectory(ctx, np.random.default_rng((seed, t)), stopping=stopping)
@@ -188,16 +192,18 @@ def run_experiment(H, A, config: CoolingConfig, seed: int, trials: int, stopping
 
 
 def _parse_run_config(doc: dict):
-    config = CoolingConfig(
-        epsilon=_number(doc, "epsilon"),
-        steps=_integer(doc, "steps"),
-        delta=None if doc.get("delta") is None else _number(doc, "delta"),
-        mode=doc.get("mode", "exact_spectral"),
-        margin=_number(doc, "margin", 1e-6),
-    )
-    target = None if doc.get("target_estimate") is None else _number(doc, "target_estimate")
-    stopping = None if target is None else StoppingRule(target)
-    return config, stopping
+    """The run's ``CoolingConfig``, given only the keys ``doc`` holds, and its
+    ``StoppingRule``, if any; a null ``delta`` or ``target_estimate`` is absent."""
+    given = {"epsilon": _number(doc, "epsilon"), "steps": _integer(doc, "steps")}
+    if doc.get("delta") is not None:
+        given["delta"] = _number(doc, "delta")
+    if "mode" in doc:
+        given["mode"] = doc["mode"]
+    if "margin" in doc:
+        given["margin"] = _number(doc, "margin")
+    config = CoolingConfig(**given)
+    target = doc.get("target_estimate")
+    return config, None if target is None else StoppingRule(_number(doc, "target_estimate"))
 
 
 def cmd_run(args) -> int:
@@ -232,7 +238,8 @@ def cmd_run(args) -> int:
     print(
         f"run: trials={trials} steps={config.steps} mode={config.mode} "
         f"success={success:.4f} final_overlap={overlap:.4f} "
-        f"final_estimate={estimate:.4f} config_hash={canonical_hash(source)[:12]}",
+        f"final_estimate={estimate:.4f} "
+        f"config_hash={config_hash(config, seed, trials, source)[:12]}",
         file=sys.stderr if args.out is None else sys.stdout,
     )
     return 0
@@ -298,18 +305,7 @@ def cmd_gqsp(args) -> int:
     )
     _bound("block residual", residual, _BLOCK_TOL, CertificationError)
     if args.out is not None:
-        write_json(
-            args.out,
-            {
-                "format_version": 1,
-                "kind": "gqsp_angles",
-                "margin": float(args.margin),
-                "scale": float(scale),
-                "peel_residual": float(angles.peel_residual),
-                "polynomial": polynomial_document(P),
-                "angles": angles_document(angles),
-            },
-        )
+        write_json(args.out, gqsp_angles_document(P, angles, args.margin, scale))
         print(f"wrote {args.out}")
     return 0
 
@@ -334,7 +330,7 @@ def _certify_checks(epsilons, deltas, seed):
     for S in polys:
         name = f"gqsp round trip epsilon={S.epsilon} delta={S.delta}"
         try:
-            angles, pair, scale = synthesize_angles(S, margin=1e-6)
+            angles, pair, scale = synthesize_angles(S, margin=MIN_MARGIN)
             residual = _block_residual(angles, scale, S, _random_unitary(rng, 4))
             _bound("block residual", residual, _BLOCK_TOL, CertificationError)
             yield name, True, f"block_residual={residual:.3e}"
@@ -362,23 +358,13 @@ def cmd_certify(args) -> int:
     checks = []
     for name, passed, detail in _certify_checks(args.epsilon, args.delta, args.seed):
         print(f"[{'ok' if passed else 'FAIL'}] {name}: {detail}")
-        checks.append({"name": name, "passed": passed, "detail": detail})
-    n_pass = sum(c["passed"] for c in checks)
-    all_pass = n_pass == len(checks)
+        checks.append((name, passed, detail))
+    n_pass = sum(passed for _, passed, _ in checks)
     print(f"certification: {n_pass}/{len(checks)} passed")
     if args.out is not None:
-        write_json(
-            args.out,
-            {
-                "format_version": 1,
-                "kind": "certification_report",
-                "seed": int(args.seed),
-                "passed": all_pass,
-                "checks": checks,
-            },
-        )
+        write_json(args.out, certification_report(args.seed, checks))
         print(f"wrote {args.out}")
-    return 0 if all_pass else 1
+    return 0 if n_pass == len(checks) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -407,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poly", default=None, help="polynomial document (JSON)")
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--margin", type=float, default=1e-6)
+    p.add_argument("--margin", type=float, default=MIN_MARGIN)
     p.add_argument("--check-dim", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="write the angle document here")

@@ -67,11 +67,13 @@ from .dyson import default_time
 from .errors import ValidationError
 from .gqsp import eval_angles, synthesize_angles
 from .operators import (
+    MIN_MARGIN,
     HermitianOperator,
     SpectralDecomposition,
     StateVector,
     _is_integer,
     _number,
+    check_count,
     check_delta,
     check_epsilon,
     check_margin,
@@ -125,14 +127,14 @@ class CoolingConfig:
     """Parameters of one cooling experiment.
 
     delta defaults to 1/steps so the per-step leakage budget sums to a
-    constant over the whole run.
+    constant over the whole run; steps may not exceed ``MAX_COUNT``.
     """
 
     epsilon: float
     steps: int
     delta: float | None = None
     mode: str = "exact_spectral"
-    margin: float = 1e-6
+    margin: float = MIN_MARGIN
 
     def __post_init__(self):
         check_epsilon(_number(self.epsilon, "epsilon"))
@@ -140,6 +142,7 @@ class CoolingConfig:
             raise ValidationError(f"steps must be an integer, got {self.steps!r}")
         if self.steps < 1:
             raise ValidationError(f"need at least one step, got {self.steps}")
+        check_count(self.steps, "steps")
         if self.delta is None:
             object.__setattr__(self, "delta", 1.0 / self.steps)
         check_delta(_number(self.delta, "delta"))
@@ -176,8 +179,9 @@ class StepResult(NamedTuple):
     leak_event: bool
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(NamedTuple):
+    """One ``run``'s record, its steps' records first; a tuple, as ``StepResult`` is."""
+
     steps: tuple
     initial_energy: float
     initial_ground_overlap: float
@@ -535,17 +539,8 @@ def _trajectory(ctx: _Context, rng, initial_state=None, stopping=None) -> Trajec
         leak = following >= row[1] + 2
         row.append(leak)
         leaks += leak
-    return Trajectory(
-        steps=tuple(map(StepResult._make, rows)),
-        initial_energy=initial_energy,
-        initial_ground_overlap=initial_overlap,
-        final_bin=final_bin,
-        final_energy_estimate=final_estimate,
-        final_true_energy=final[n],
-        final_ground_overlap=final[n + 1],
-        leak_events=leaks,
-        success=leaks == 0,
-    )
+    return Trajectory(tuple(map(StepResult._make, rows)), initial_energy, initial_overlap,
+                      final_bin, final_estimate, final[n], final[n + 1], leaks, leaks == 0)
 
 
 def prepare_joint(dec: SpectralDecomposition, state, n: int) -> np.ndarray:

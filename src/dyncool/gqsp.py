@@ -216,7 +216,7 @@ def _margin_limit(margin: float) -> float:
 def complete(P: FourierPolynomial, margin: float = 1e-4) -> CompletionPair:
     """Find Q with |P|^2 + |Q|^2 = 1 on the unit circle.
 
-    Requires grid max |P| <= 1 - margin (margin >= 1e-6), so 1 - |P|^2 stays
+    Requires grid max |P| <= 1 - margin (margin >= ``MIN_MARGIN``), so 1 - |P|^2 stays
     strictly positive and its logarithm smooth. Q is the conjugate-reversed
     outer function of 1 - |P|^2 (`_outer_complement`): the complement with
     every root inside the disk and a real positive leading coefficient,

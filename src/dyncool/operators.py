@@ -9,9 +9,9 @@ The input rules the other modules share live here, each written once: the
 one tolerance set ``TOL``, the one bound check ``_bound`` that every
 certificate's measured value goes through (a NaN fails it), numbers that are
 never bools or strings, the epsilon, delta and completion-margin ranges, the
-register checks, the spectral-norm bound, the Hermiticity and unitarity
-measurements, the shifted-spectrum band of a sign transform and the matrix
-coercion, which refuses an empty matrix.
+step and trial budget, the register checks, the spectral-norm bound, the
+Hermiticity and unitarity measurements, the shifted-spectrum band of a sign
+transform and the matrix coercion, which refuses an empty matrix.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ from .errors import RangeError, ResourceError, ValidationError
 __all__ = [
     "Tolerances",
     "TOL",
+    "MIN_MARGIN",
+    "MAX_COUNT",
     "HermitianOperator",
     "UnitaryOperator",
     "Projector",
@@ -44,6 +46,7 @@ __all__ = [
     "check_delta",
     "check_margin",
     "check_dim",
+    "check_count",
     "check_register",
     "shifted_spectrum",
     "matrix_entries",
@@ -66,6 +69,9 @@ class Tolerances:
 
 
 TOL = Tolerances()
+
+MIN_MARGIN = 1e-6  # the least completion margin any synthesis may ask for
+MAX_COUNT = 100_000  # the most steps a trajectory, or trials a run, may ask for
 
 
 def _bound(name: str, value, limit, error=ValidationError):
@@ -109,9 +115,10 @@ def check_delta(delta: float) -> None:
 
 
 def check_margin(margin: float) -> None:
-    """Reject a completion margin that is not a finite number >= 1e-6."""
-    if not 1e-6 <= margin < np.inf:
-        raise ValidationError(f"margin must be a finite number >= 1e-6, got {margin}")
+    """Reject a completion margin that is not a finite number >= ``MIN_MARGIN``."""
+    if not MIN_MARGIN <= margin < np.inf:
+        floor = np.format_float_scientific(MIN_MARGIN, trim="-", exp_digits=1)
+        raise ValidationError(f"margin must be a finite number >= {floor}, got {margin}")
 
 
 def check_dim(dim: int, label: str, n: int = 0) -> None:
@@ -122,6 +129,12 @@ def check_dim(dim: int, label: str, n: int = 0) -> None:
         raise ResourceError(f"{label} dimension {dim} * 2^{n} exceeds budget {budget}")
     if dim << n > budget:
         raise ResourceError(f"{label} dimension {dim << n} exceeds budget {budget}")
+
+
+def check_count(count: int, name: str) -> None:
+    """Reject a count of ``name`` past ``MAX_COUNT``."""
+    if count > MAX_COUNT:
+        raise ResourceError(f"{name} {count} exceeds budget {MAX_COUNT}")
 
 
 def check_register(dim: int, n: int, label: str) -> None:
@@ -180,56 +193,48 @@ def _unitary(arr: np.ndarray, name: str) -> None:
 
 
 @dataclass(frozen=True)
-class HermitianOperator:
+class _Matrix:
+    """A validated square matrix: ``_check`` runs on its entries, coerced by ``_as_matrix``."""
+
+    entries: np.ndarray
+
+    def __post_init__(self):
+        arr = _as_matrix(self.entries, type(self).__name__)
+        self._check(arr)
+        object.__setattr__(self, "entries", arr)
+
+    @property
+    def dim(self) -> int:
+        return self.entries.shape[0]
+
+
+@dataclass(frozen=True)
+class HermitianOperator(_Matrix):
     """A validated Hermitian matrix."""
 
-    entries: np.ndarray
-
-    def __post_init__(self):
-        arr = _as_matrix(self.entries, "HermitianOperator")
+    def _check(self, arr):
         _hermitian(arr, "HermitianOperator")
-        object.__setattr__(self, "entries", arr)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
 
 
 @dataclass(frozen=True)
-class UnitaryOperator:
+class UnitaryOperator(_Matrix):
     """A validated unitary matrix."""
 
-    entries: np.ndarray
-
-    def __post_init__(self):
-        arr = _as_matrix(self.entries, "UnitaryOperator")
+    def _check(self, arr):
         _unitary(arr, "UnitaryOperator")
-        object.__setattr__(self, "entries", arr)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
 
 
 @dataclass(frozen=True)
-class Projector:
+class Projector(_Matrix):
     """A validated orthogonal projector (Hermitian, idempotent, 0/1 spectrum)."""
 
-    entries: np.ndarray
-
-    def __post_init__(self):
-        arr = _as_matrix(self.entries, "Projector")
+    def _check(self, arr):
         _hermitian(arr, "Projector")
         _bound("deviation of Projector from idempotent", np.max(np.abs(arr @ arr - arr)),
                TOL.idempotence)
         vals = np.linalg.eigvalsh(arr)
         dev = np.max(np.minimum(np.abs(vals), np.abs(vals - 1.0)))
         _bound("deviation of Projector spectrum from {0, 1}", dev, TOL.projector_spectrum)
-        object.__setattr__(self, "entries", arr)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
 
     @property
     def rank(self) -> int:

@@ -29,6 +29,7 @@ __all__ = [
     "CSV_COLUMNS",
     "to_json",
     "canonical_hash",
+    "config_hash",
     "write_text_atomic",
     "write_json",
     "read_json",
@@ -42,6 +43,8 @@ __all__ = [
     "trajectory_document",
     "run_record",
     "certification_document",
+    "gqsp_angles_document",
+    "certification_report",
     "trajectory_csv_text",
     "write_trajectory_csv",
 ]
@@ -141,10 +144,7 @@ def read_json(path: str):
 
 
 def _complex_pairs(values) -> list:
-    out = []
-    for z in np.asarray(values, dtype=complex).ravel():
-        out.append([float(z.real), float(z.imag)])
-    return out
+    return np.asarray(values, dtype=complex).ravel().view(np.float64).reshape(-1, 2).tolist()
 
 
 def _numbers(values, what: str) -> np.ndarray:
@@ -247,53 +247,62 @@ def config_document(config: CoolingConfig) -> dict:
 
 
 def trajectory_document(traj: Trajectory) -> dict:
-    return {
-        "initial_energy": float(traj.initial_energy),
-        "initial_ground_overlap": float(traj.initial_ground_overlap),
-        "final_bin": int(traj.final_bin),
-        "final_energy_estimate": float(traj.final_energy_estimate),
-        "final_true_energy": float(traj.final_true_energy),
-        "final_ground_overlap": float(traj.final_ground_overlap),
-        "leak_events": int(traj.leak_events),
-        "success": bool(traj.success),
-        "steps": [s._asdict() for s in traj.steps],
-    }
+    """The trajectory's fields in its order, with ``steps`` moved last."""
+    doc = traj._asdict()
+    doc["steps"] = [s._asdict() for s in doc.pop("steps")]
+    return doc
+
+
+def config_hash(config: CoolingConfig, seed: int, trials: int, source=None) -> str:
+    """``canonical_hash`` of a run's config, seed, trial count and source document."""
+    hashed = {"config": config_document(config), "seed": int(seed), "trials": int(trials)}
+    if source is not None:
+        hashed["source"] = source
+    return canonical_hash(hashed)
+
+
+def _document(kind: str, **fields) -> dict:
+    """A document of ``kind``, stamped with ``FORMAT_VERSION``, then ``fields`` in order."""
+    return {"format_version": FORMAT_VERSION, "kind": kind, **fields}
 
 
 def run_record(config: CoolingConfig, seed: int, H, A, trajectories, source=None) -> dict:
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "kind": "run_record",
-        "seed": int(seed),
-        "trials": len(trajectories),
-        "config": config_document(config),
-        "hamiltonian": matrix_document(H),
-        "perturbation": matrix_document(A),
-        "trajectories": [trajectory_document(t) for t in trajectories],
-    }
-    hashed = {"config": doc["config"], "seed": doc["seed"], "trials": doc["trials"]}
+    doc = _document(
+        "run_record", seed=int(seed), trials=len(trajectories), config=config_document(config),
+        hamiltonian=matrix_document(H), perturbation=matrix_document(A),
+        trajectories=[trajectory_document(t) for t in trajectories],
+    )
     if source is not None:
         doc["source"] = source
-        hashed["source"] = source
-    doc["config_hash"] = canonical_hash(hashed)
+    doc["config_hash"] = config_hash(config, seed, len(trajectories), source)
     return doc
 
 
 def certification_document(S: FourierPolynomial) -> dict:
     """Provenance of a certified sign polynomial (bounds it was checked to)."""
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "kind": "certification",
-        "epsilon": S.epsilon,
-        "delta": S.delta,
-        "degree": int(S.degree),
-        "polynomial": polynomial_document(S),
-    }
+    doc = _document("certification", epsilon=S.epsilon, delta=S.delta, degree=int(S.degree),
+                    polynomial=polynomial_document(S))
     if S.max_abs is not None:
         doc["max_abs"] = float(S.max_abs)
     if S.band_error is not None:
         doc["band_error"] = float(S.band_error)
     return doc
+
+
+def gqsp_angles_document(P: FourierPolynomial, angles: AngleSequence, margin: float,
+                         scale: float) -> dict:
+    """Angles synthesized for ``scale`` times P at completion margin ``margin``."""
+    return _document("gqsp_angles", margin=float(margin), scale=float(scale),
+                     peel_residual=float(angles.peel_residual),
+                     polynomial=polynomial_document(P), angles=angles_document(angles))
+
+
+def certification_report(seed: int, checks) -> dict:
+    """The ``(name, passed, detail)`` checks of one certification run."""
+    checks = [{"name": name, "passed": passed, "detail": detail}
+              for name, passed, detail in checks]
+    return _document("certification_report", seed=int(seed),
+                     passed=all(c["passed"] for c in checks), checks=checks)
 
 
 def trajectory_csv_text(trajectories, config: CoolingConfig) -> str:

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dyncool
-from dyncool import cli, cooling
+from dyncool import cli, cooling, serialization
 from dyncool.cli import (
     generate_hamiltonian,
     generate_perturbation,
@@ -24,7 +24,7 @@ from dyncool.cli import (
 )
 from dyncool.cooling import CoolingConfig
 from dyncool.errors import ResourceError, ValidationError
-from dyncool.operators import TOL
+from dyncool.operators import MAX_COUNT, TOL
 from dyncool.signfun import FourierPolynomial, fourier_sign
 from dyncool.serialization import (
     CSV_COLUMNS,
@@ -244,6 +244,42 @@ class TestRunCommand:
         # target above the whole spectrum: satisfied at the first estimate
         assert len(out.read_text().splitlines()) == 2
 
+    @pytest.mark.parametrize("fmt", ["csv", "structured"])
+    def test_summary_prints_the_recorded_config_hash(self, tmp_path, capsys, fmt):
+        cfg = write_config(tmp_path, target_estimate=None, delta=None)
+        record = tmp_path / "record.json"
+        main(["run", "--config", cfg, "--format", "structured", "--out", str(record)])
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["run", "--config", cfg, "--format", fmt, "--out", str(out)]) == 0
+        printed = re.search(r" config_hash=([0-9a-f]+)\n", capsys.readouterr().out)
+        assert printed.group(1) == read_json(str(record))["config_hash"][:12]
+
+    @pytest.mark.parametrize("key", ["steps", "trials"])
+    @pytest.mark.parametrize("value", [MAX_COUNT + 1, 1e308])
+    def test_counts_past_the_budget_exit_before_any_trial(
+        self, tmp_path, capsys, monkeypatch, key, value
+    ):
+        monkeypatch.setattr(cooling, "_trajectory", None)  # a trial would raise TypeError
+        cfg = write_config(tmp_path, **{key: value})
+        assert main(["run", "--config", cfg]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {key} {int(value)} exceeds budget {MAX_COUNT}\n"
+        )
+
+    def test_trials_option_past_the_budget_exits_nonzero(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cooling, "_MEMO", None)  # a context lookup would raise
+        cfg = write_config(tmp_path)
+        assert main(["run", "--config", cfg, "--trials", str(MAX_COUNT + 1)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: trials {MAX_COUNT + 1} exceeds budget {MAX_COUNT}\n"
+        )
+
+    def test_counts_at_the_budget_are_accepted(self):
+        assert CoolingConfig(epsilon=0.25, steps=MAX_COUNT).steps == MAX_COUNT
+        with pytest.raises(ResourceError, match=f"^steps {MAX_COUNT + 1} exceeds budget"):
+            CoolingConfig(epsilon=0.25, steps=MAX_COUNT + 1)
+
     def test_missing_key_exits_nonzero(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"epsilon": 0.25}))
@@ -444,22 +480,16 @@ class TestAnyConfigValue:
         (block, source, key) for block, source in SOURCES for key in source
     ]
 
-    # nothing bounds these two counts, so no value of theirs is large
-    UNBOUNDED = ("steps", "trials")
     OVERFLOW = {"type": "tfim", "sites": 3, "coupling": 1e308, "field": 1e308}
-
-    @classmethod
-    def large(cls, key):
-        """1e308, for a key where a value that large is refused rather than run."""
-        return [] if key in cls.UNBOUNDED else [1e308]
 
     @classmethod
     def values(cls, key):
         """Counts from -2 to 64 (to 6 for ``sites``, 2^sites states), as ints and as
-        floats, a few other floats, bools, strings, null and small arrays and objects:
-        no draw allocates much or runs long."""
+        floats, a few other floats, 1e308 (refused by every key, ``steps`` and
+        ``trials`` past their budget), bools, strings, null and small arrays and
+        objects: no draw allocates much or runs long."""
         counts = st.integers(-2, 6 if key == "sites" else 64)
-        floats = st.sampled_from([0.5, 0.3, -0.25, 2.9, *cls.large(key)])
+        floats = st.sampled_from([0.5, 0.3, -0.25, 2.9, 1e308])
         scalars = (counts | counts.map(float) | floats | st.booleans() | st.text(max_size=4)
                    | st.none())
         return (scalars | st.lists(scalars, max_size=3)
@@ -486,8 +516,8 @@ class TestAnyConfigValue:
             target = doc[block] = dict(source)
             if "path" in target:
                 target["path"] = str(workdir / target["path"])
-        # non-string paths, a negative seed and overflowing chains
-        examples = [None, 2.5, [1], -1, self.OVERFLOW, *self.large(key)]
+        # non-string paths, a negative seed, overflowing chains and counts past the budget
+        examples = [None, 2.5, [1], -1, self.OVERFLOW, 1e308]
         values = examples if data is None else [data.draw(self.values(key))]
         for value in values:
             target[key] = value
@@ -520,6 +550,27 @@ class TestBlockReference:
         assert S.degree == degree
         U = random_unitary(np.random.default_rng(67), 16)
         assert np.max(np.abs(cli._polynomial_at(S, U) - laurent_sum(S, U))) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "argv, kind",
+    [
+        (["run", "--config", None, "--format", "structured"], "run_record"),
+        (["signpoly", "--epsilon", "0.5", "--delta", "0.25"], "certification"),
+        (["gqsp", "--epsilon", "0.5", "--delta", "0.25"], "gqsp_angles"),
+        (["certify", "--epsilon", "0.5", "--delta", "0.25"], "certification_report"),
+    ],
+    ids=["run", "signpoly", "gqsp", "certify"],
+)
+def test_every_written_document_carries_the_format_version_and_its_kind(
+    tmp_path, capsys, argv, kind
+):
+    argv = [write_config(tmp_path) if a is None else a for a in argv]
+    out = tmp_path / "out.json"
+    assert main([*argv, "--out", str(out)]) == 0
+    doc = read_json(str(out))
+    assert doc["format_version"] == serialization.FORMAT_VERSION
+    assert doc["kind"] == kind
 
 
 class TestSignpolyCommand:

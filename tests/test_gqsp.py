@@ -9,8 +9,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dyncool import gqsp
+from dyncool import cli, gqsp
 from dyncool.errors import (
     DyncoolError,
     MarginError,
@@ -29,11 +31,13 @@ from dyncool.gqsp import (
     rotation_matrix,
     synthesize_angles,
 )
+from dyncool.operators import MIN_MARGIN, SpectralDecomposition
 from dyncool.signfun import (
     FourierPolynomial,
     build_sign_poly,
     eval_fourier,
     fourier_sign,
+    spectral_values,
     to_fourier,
 )
 
@@ -336,3 +340,26 @@ class TestEvalAngles:
         assert angles.k == angles.m == 139
         block, eigen = self.dense_and_eigen(angles, np.random.default_rng(47), 6)
         assert np.max(np.abs(block - eigen)) <= 1e-12
+
+
+class TestRoundTripProperty:
+    """For drawn sign parameters, margins and eigenphases, the synthesized circuit
+    (``complete``, then ``compute_angles``, inside ``synthesize_angles``) evaluated
+    by ``eval_angles`` is ``scale`` times the sign's ``spectral_values``, within
+    the block residual that ``dyncool gqsp`` and ``dyncool certify`` certify."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        epsilon=st.floats(0.15, 0.7),
+        delta=st.floats(0.02, 0.3),
+        margin=st.sampled_from([MIN_MARGIN, 1e-4, 1e-2]),
+        phases=st.lists(st.floats(-np.pi, np.pi), min_size=1, max_size=16),
+    )
+    def test_eval_angles_is_the_scaled_sign(self, epsilon, delta, margin, phases):
+        S = fourier_sign(epsilon, delta)
+        angles, pair, scale = synthesize_angles(S, margin=margin)
+        assert 0.0 < scale <= 1.0 and pair.identity_residual <= 1e-8
+        x = np.sort(np.array(phases))
+        expected = scale * spectral_values(S, SpectralDecomposition(x, np.eye(x.size)), 0.0)
+        got = eval_angles(angles, np.exp(1j * x))
+        assert np.max(np.abs(got - expected)) <= cli._BLOCK_TOL

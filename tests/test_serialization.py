@@ -19,6 +19,7 @@ from dyncool.serialization import (
     angles_document,
     angles_from_document,
     canonical_hash,
+    config_hash,
     matrix_document,
     matrix_from_document,
     polynomial_document,
@@ -27,6 +28,7 @@ from dyncool.serialization import (
     run_record,
     to_json,
     trajectory_csv_text,
+    trajectory_document,
     write_json,
     write_text_atomic,
     write_trajectory_csv,
@@ -308,6 +310,17 @@ class TestTrajectoryFormats:
         plain = run_record(config, 9, H, A, trajectories)
         tagged = run_record(config, 9, H, A, trajectories, source={"note": 1})
         assert plain["config_hash"] != tagged["config_hash"]
+        assert plain["config_hash"] == config_hash(config, 9, 2)
+        assert tagged["config_hash"] == config_hash(config, 9, 2, {"note": 1})
+
+    def test_trajectory_document_is_the_record_with_steps_last(self, small_run):
+        traj = small_run[3][0]
+        doc = trajectory_document(traj)
+        assert list(doc) == [*Trajectory._fields[1:], "steps"]
+        assert [doc[f] for f in Trajectory._fields[1:]] == list(traj[1:])
+        assert doc["steps"] == [dict(zip(StepResult._fields, s)) for s in traj.steps]
+        # a trajectory's own fields are plain Python scalars, so the JSON is unchanged
+        assert all(type(v) in (int, float, bool) for v in traj[1:])
 
 
 def per_value_csv(trajectories, config) -> str:

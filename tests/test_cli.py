@@ -485,9 +485,9 @@ class TestAnyConfigValue:
     @classmethod
     def values(cls, key):
         """Counts from -2 to 64 (to 6 for ``sites``, 2^sites states), as ints and as
-        floats, a few other floats, 1e308 (refused by every key, ``steps`` and
-        ``trials`` past their budget), bools, strings, null and small arrays and
-        objects: no draw allocates much or runs long."""
+        floats, a few other floats, 1e308 (which ``steps`` and ``trials`` refuse as
+        past their budget), bools, strings, null and small arrays and objects: no
+        draw allocates much or runs long."""
         counts = st.integers(-2, 6 if key == "sites" else 64)
         floats = st.sampled_from([0.5, 0.3, -0.25, 2.9, 1e308])
         scalars = (counts | counts.map(float) | floats | st.booleans() | st.text(max_size=4)

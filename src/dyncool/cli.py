@@ -9,7 +9,6 @@ with the same config and seed is byte-identical.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
@@ -415,7 +414,7 @@ def main(argv=None) -> int:
     except CertificationError as exc:
         print(f"certification failed: {exc}", file=sys.stderr)
         return 1
-    except (DyncoolError, OSError, json.JSONDecodeError) as exc:
+    except (DyncoolError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

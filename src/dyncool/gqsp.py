@@ -6,14 +6,15 @@ construction: FFTs of log(1 - |P|^2) on an N-point circle grid, N doubled
 until the coefficients past Q's degree are negligible), in O(N log N).
 `compute_angles` peels the pair into a rotation sequence: one base
 rotation, then m steps interleaving controlled-U and k steps interleaving
-controlled-U^dag. One walk (`_walk`) multiplies the sequence out on a pair
-of rows, with two carriers. `assemble_and_extract` carries the two block
-rows of the circuit against a concrete U (one n x n product per controlled
-step) and reports the top-left block plus structural query counts, which
-is the reconstruction contract the tests certify. When U is known through
-its eigenphases, `eval_angles` carries the first column of the 2x2 product
-per eigenphase, in O(deg * d). Checks on the uniform circle grid evaluate
-P with one inverse FFT (`eval_fourier_grid`).
+controlled-U^dag. One walk (`_walk`) multiplies the sequence out on the
+circuit's first column, a pair of rows (top, bottom), with two carriers.
+`assemble_and_extract` carries the first block column, two n x n blocks,
+against a concrete U (one n x n product per controlled step) and reports
+its top block plus structural query counts, which is the reconstruction
+contract the tests certify. When U is known through its eigenphases,
+`eval_angles` carries the first column of the 2x2 product per eigenphase,
+in O(deg * d). Checks on the uniform circle grid evaluate P with one
+inverse FFT (`eval_fourier_grid`).
 
 Peeling invariant: the partial product's first block column is a pair of
 Laurent polynomials with |.|^2 summing to 1 on the circle; each inverse step
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MarginError, NumericError, SynthesisError, ValidationError
-from .operators import _bound, check_margin, square_entries
+from .operators import _bound, _is_integer, check_margin, square_entries
 from .signfun import FourierPolynomial, eval_fourier_grid
 
 __all__ = [
@@ -87,6 +88,10 @@ class AngleSequence:
     def __post_init__(self):
         theta = np.array(self.theta, dtype=np.float64)
         phi = np.array(self.phi, dtype=np.float64)
+        if not (_is_integer(self.k) and _is_integer(self.m) and min(self.k, self.m) >= 0):
+            raise ValidationError(
+                f"k and m must be non-negative integers, got k={self.k!r}, m={self.m!r}"
+            )
         n = self.k + self.m + 1
         if theta.shape != (n,) or phi.shape != (n,):
             raise ValidationError(
@@ -123,10 +128,9 @@ class CompletionPair:
 
 @dataclass(frozen=True)
 class AssembledBlock:
-    """Result of multiplying out an angle sequence against a concrete U."""
+    """The top-left block of an angle sequence's circuit against a concrete U."""
 
     block: np.ndarray
-    unitary: np.ndarray
     cu_applications: int
     cu_dag_applications: int
 
@@ -305,10 +309,11 @@ def _walk(angles: AngleSequence, col: np.ndarray, multiply, u, u_dag) -> np.ndar
 def assemble_and_extract(angles: AngleSequence, U) -> AssembledBlock:
     """Multiply out the rotation sequence against a concrete unitary.
 
-    The product G is walked from the identity as its two block rows, each
-    n x 2n block flattened into one row: controlled-U multiplies the top
-    block by U and controlled-U^dag the bottom block by U^dag, one n x n
-    product each. Counts are structural: the sizes m and k of the two
+    The circuit's first block column is walked from (I_n, 0), each n x n
+    block flattened into one row: controlled-U multiplies the top block by
+    U and controlled-U^dag the bottom block by U^dag, one n x n product
+    each. The top block is the encoded block; the rest of the circuit is
+    never formed. Counts are structural: the sizes m and k of the two
     controlled groups.
     """
     mat = square_entries(U, "U")
@@ -319,9 +324,9 @@ def assemble_and_extract(angles: AngleSequence, U) -> AssembledBlock:
         # numpy buffers the input that overlaps ``out``
         np.matmul(factor, row.reshape(n, -1), out=row.reshape(n, -1))
 
-    rows = np.eye(2 * n, dtype=complex).reshape(2, -1)
-    G = _walk(angles, rows, times, mat, mat.conj().T).reshape(2 * n, 2 * n)
-    return AssembledBlock(G[:n, :n], G, cu_applications=angles.m, cu_dag_applications=angles.k)
+    col = np.eye(2 * n, n, dtype=complex).reshape(2, -1)
+    top = _walk(angles, col, times, mat, mat.conj().T)[0].reshape(n, n)
+    return AssembledBlock(top, cu_applications=angles.m, cu_dag_applications=angles.k)
 
 
 def eval_angles(angles: AngleSequence, z) -> np.ndarray:

@@ -139,8 +139,14 @@ def write_json(path: str, doc):
 
 
 def read_json(path: str):
-    with open(path) as handle:
-        return json.load(handle)
+    """The JSON document in file ``path``. Text that is not UTF-8 JSON, an
+    integer too long to convert and nesting too deep to parse raise one
+    ``ValidationError`` naming the file."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            return json.load(handle)
+        except (ValueError, RecursionError) as exc:
+            raise ValidationError(f"{path} is not a readable JSON document: {exc}") from None
 
 
 def _complex_pairs(values) -> list:

@@ -451,6 +451,26 @@ def test_negative_seed_exits_nonzero(tmp_path, capsys, argv, seed):
     assert "gqsp:" not in captured.out and "[ok]" not in captured.out
 
 
+@pytest.mark.parametrize(
+    "content",
+    [b"1" + b"0" * 5000, b"[" * 200_000 + b"]" * 200_000, b'{"epsilon": "\xe9"}'],
+    ids=["long-integer", "deep-array", "not-utf8"],
+)
+@pytest.mark.parametrize("site", ["run-config", "file-hamiltonian", "gqsp-poly"])
+def test_unreadable_json_file_exits_with_one_error_line(tmp_path, capsys, site, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    argv = {
+        "run-config": ["run", "--config", str(bad)],
+        "file-hamiltonian": ["run", "--config", write_config(
+            tmp_path, hamiltonian={"type": "file", "path": str(bad)})],
+        "gqsp-poly": ["gqsp", "--poly", str(bad)],
+    }[site]
+    assert main(argv) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: {bad} is not a readable JSON document: ")
+
+
 class TestAnyConfigValue:
     """``dyncool run`` exits 0, or 1 with one ``error:`` line, whatever JSON value
     one key of a good config holds, at top level or in a source block."""

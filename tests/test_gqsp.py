@@ -53,6 +53,29 @@ def random_scaled_poly(rng, k, m, peak=0.9):
     return FourierPolynomial(coeffs * (peak / top), k, m)
 
 
+def random_angles(rng, k, m):
+    """An arbitrary (k, m) rotation sequence: theta, phi, then lam drawn from ``rng``."""
+    return AngleSequence(
+        rng.uniform(0, np.pi / 2, k + m + 1),
+        rng.uniform(-np.pi, np.pi, k + m + 1),
+        float(rng.uniform(-np.pi, np.pi)),
+        k=int(k),
+        m=int(m),
+    )
+
+
+def full_product(angles, U):
+    """The whole 2n x 2n circuit through the production walk, carried from
+    the identity as its two block rows (each n x 2n block flattened into one row)."""
+    n = U.shape[0]
+
+    def times(row, factor):
+        np.matmul(factor, row.reshape(n, -1), out=row.reshape(n, -1))
+
+    rows = np.eye(2 * n, dtype=complex).reshape(2, -1)
+    return gqsp._walk(angles, rows, times, U, U.conj().T).reshape(2 * n, 2 * n)
+
+
 class TestRotationMatrix:
     def test_zero_angles_is_diag_plus_minus(self):
         assert np.allclose(rotation_matrix(0.0, 0.0, 0.0), np.diag([1.0, -1.0]))
@@ -189,16 +212,9 @@ class TestAssemble:
         rng = np.random.default_rng(23)
         for _ in range(10):
             k, m = rng.integers(0, 4), rng.integers(0, 4)
-            angles = AngleSequence(
-                rng.uniform(0, np.pi / 2, k + m + 1),
-                rng.uniform(-np.pi, np.pi, k + m + 1),
-                float(rng.uniform(-np.pi, np.pi)),
-                k=int(k),
-                m=int(m),
-            )
-            U = random_unitary(rng, 3)
-            res = assemble_and_extract(angles, U)
-            gram = res.unitary.conj().T @ res.unitary
+            angles = random_angles(rng, k, m)
+            G = full_product(angles, random_unitary(rng, 3))
+            gram = G.conj().T @ G
             assert np.linalg.norm(gram - np.eye(6)) <= 1e-9
 
     @pytest.mark.parametrize(
@@ -210,6 +226,31 @@ class TestAssemble:
     def test_non_finite_angles_rejected(self, theta, phi, lam):
         with pytest.raises(ValidationError, match="^angles theta, phi and lam must be finite$"):
             AngleSequence(theta, phi, lam, k=0, m=1)
+
+    @pytest.mark.parametrize("k, m", [(-1, 2), (0, True), (0.5, 1)],
+                             ids=["negative", "bool", "fractional"])
+    def test_window_must_be_non_negative_integers(self, k, m):
+        with pytest.raises(ValidationError, match="^k and m must be non-negative integers"):
+            AngleSequence(np.zeros(2), np.zeros(2), 0.0, k=k, m=m)
+
+    def test_counters_are_the_walks_products(self, monkeypatch):
+        walk, factors = gqsp._walk, []
+
+        def counting_walk(angles, col, multiply, u, u_dag):
+            def spy(row, factor):
+                factors.append("U" if factor is u else "U_dag" if factor is u_dag else factor)
+                multiply(row, factor)
+
+            return walk(angles, col, spy, u, u_dag)
+
+        monkeypatch.setattr(gqsp, "_walk", counting_walk)
+        rng = np.random.default_rng(61)
+        for k, m in [(0, 0), (0, 3), (2, 0), (3, 5)]:
+            factors.clear()
+            res = assemble_and_extract(random_angles(rng, k, m), random_unitary(rng, 3))
+            assert len(factors) == k + m
+            assert (factors.count("U"), factors.count("U_dag")) == (m, k)
+            assert (res.cu_applications, res.cu_dag_applications) == (m, k)
 
     def test_non_square_unitary_rejected(self):
         angles = AngleSequence(np.zeros(2), np.zeros(2), 0.0, k=0, m=1)
@@ -229,7 +270,7 @@ class TestAssemble:
             Um = np.linalg.matrix_power(U, m)
             Udk = np.linalg.matrix_power(U.conj().T, k)
             assert np.linalg.norm(res.block - Um) <= 1e-12
-            corner = res.unitary[4:, 4:]
+            corner = full_product(angles, U)[4:, 4:]
             assert np.linalg.norm(corner - (-1.0) ** (k + m + 1) * Udk) <= 1e-12
 
     def test_reconstruction_random_pairs(self):
@@ -284,30 +325,51 @@ def dense_product(angles, U):
     return G
 
 
+class TestFirstColumn:
+    """The production block against the top-left block of the full product."""
+
+    def test_random_angles(self):
+        rng = np.random.default_rng(67)
+        for _ in range(12):
+            k, m = (int(x) for x in rng.integers(0, 9, 2))
+            angles = random_angles(rng, k, m)
+            for dim in range(1, 9):
+                U = random_unitary(rng, dim)
+                block = assemble_and_extract(angles, U).block
+                full = full_product(angles, U)[:dim, :dim]
+                assert np.max(np.abs(block - full)) <= 1e-12, (k, m, dim)
+
+    def test_sign_sequence(self):
+        angles, _, _ = synthesize_angles(fourier_sign(0.1, 1.0 / 32.0), margin=1e-6)
+        rng = np.random.default_rng(71)
+        for dim in (1, 4, 16, 64):
+            U = random_unitary(rng, dim)
+            block = assemble_and_extract(angles, U).block
+            assert np.max(np.abs(block - full_product(angles, U)[:dim, :dim])) <= 1e-12, dim
+
+
 class TestDenseProduct:
-    """The walk of two block rows against an independent dense multiply-out."""
+    """The walk, as the full product and as the production block, against an
+    independent dense multiply-out."""
 
     def test_random_angles(self):
         rng = np.random.default_rng(53)
         for k, m in [(0, 0), (0, 6), (6, 0), (6, 6), *rng.integers(0, 7, (4, 2))]:
-            angles = AngleSequence(
-                rng.uniform(0, np.pi / 2, k + m + 1),
-                rng.uniform(-np.pi, np.pi, k + m + 1),
-                float(rng.uniform(-np.pi, np.pi)),
-                k=int(k),
-                m=int(m),
-            )
+            angles = random_angles(rng, k, m)
             for dim in range(1, 7):
                 U = random_unitary(rng, dim)
-                walked = assemble_and_extract(angles, U).unitary
-                assert np.max(np.abs(walked - dense_product(angles, U))) <= 1e-12, (k, m, dim)
+                dense = dense_product(angles, U)
+                assert np.max(np.abs(full_product(angles, U) - dense)) <= 1e-12, (k, m, dim)
+                block = assemble_and_extract(angles, U).block
+                assert np.max(np.abs(block - dense[:dim, :dim])) <= 1e-12, (k, m, dim)
 
     def test_sign_sequence(self):
         angles, _, _ = synthesize_angles(fourier_sign(0.1, 1.0 / 32.0), margin=1e-6)
         assert angles.k == angles.m == 139
         U = random_unitary(np.random.default_rng(59), 6)
-        walked = assemble_and_extract(angles, U).unitary
-        assert np.max(np.abs(walked - dense_product(angles, U))) <= 1e-12
+        dense = dense_product(angles, U)
+        assert np.max(np.abs(full_product(angles, U) - dense)) <= 1e-12
+        assert np.max(np.abs(assemble_and_extract(angles, U).block - dense[:6, :6])) <= 1e-12
 
 
 class TestEvalAngles:
@@ -324,13 +386,7 @@ class TestEvalAngles:
     def test_matches_assembled_block_for_random_angles(self):
         rng = np.random.default_rng(43)
         for k, m in [(0, 0), (0, 5), (4, 0), tuple(rng.integers(1, 8, 2))]:
-            angles = AngleSequence(
-                rng.uniform(0, np.pi / 2, k + m + 1),
-                rng.uniform(-np.pi, np.pi, k + m + 1),
-                float(rng.uniform(-np.pi, np.pi)),
-                k=int(k),
-                m=int(m),
-            )
+            angles = random_angles(rng, k, m)
             for dim in (1, 5):
                 block, eigen = self.dense_and_eigen(angles, rng, dim)
                 assert np.max(np.abs(block - eigen)) <= 1e-12, (k, m, dim)

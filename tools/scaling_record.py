@@ -1,6 +1,6 @@
 """Record what ``cooling.run`` and the block-encoding certificate cost at growing dimension.
 
-    python3 tools/scaling_record.py --out SCALING_18.json --baseline ../parent
+    python3 tools/scaling_record.py --out SCALING_20.json --baseline ../parent
 
 Runs, per dimension d = 256 and 1024: H from ``cli.generate_hamiltonian``
 (type random) and A from ``cli.generate_perturbation`` (type gue), both from
@@ -12,14 +12,20 @@ sign polynomial already synthesized), the build of every bin's step
 warm ``run`` call over ``REPEATS`` trajectories, and the peak RSS of the
 process after that dimension.
 
+Cold runs, at d = 1024 with the same H and A, for (epsilon, steps) = (0.2, 16)
+and (0.05, 64): one ``cooling.run`` on an empty memo (sign polynomial already
+synthesized), its wall time, and how many of the context's bins, and of the
+eigenbasis columns they span, that trajectory built.
+
 Circuits, for the sign sequences of (epsilon, delta) = (0.1, 1/32) and
 (0.05, 1/256), degrees 139 and 431, at d = 16, 64 and 256, against
 ``cli._random_unitary`` from ``default_rng(0)``: the time of
 ``gqsp.assemble_and_extract``, the time of the whole certificate
 ``cli._block_residual`` (assembly plus its reference P(U)), their
 difference, the residual's value, and the isometry residual
-||G^dag G - I|| (Frobenius) of the full 2d x 2d product. Times are the best
-of 3 at d <= 64 and one run at d = 256.
+||C^dag C - I_d|| (Frobenius) of the circuit's first block column C (2d x d),
+walked by this script through ``gqsp._walk``. Times are the best of 3 at
+d <= 64 and one run at d = 256.
 
 The environment block holds numpy, BLAS, nproc and the thread setting. Each
 side runs in a fresh process that imports ``src`` and ``bench`` of its
@@ -48,6 +54,8 @@ EPSILON, STEPS = 0.2, 16
 REPEATS = 20
 SEQUENCES = ((0.1, 1.0 / 32.0), (0.05, 1.0 / 256.0))
 CIRCUIT_DIMS = (16, 64, 256)
+COLD_DIM = 1024
+COLD_CONFIGS = ((0.2, 16), (0.05, 64))
 
 
 def timed(fn) -> float:
@@ -66,6 +74,21 @@ def best(fn, dim: int):
     return min(times), result
 
 
+def column_isometry(walk, angles, U) -> float:
+    """||C^dag C - I|| (Frobenius) of the first block column C of the circuit,
+    walked from (I, 0) by ``walk`` (``gqsp._walk``), one n x n product per step."""
+    import numpy as np
+
+    n = U.shape[0]
+
+    def times(row, factor):
+        np.matmul(factor, row.reshape(n, n), out=row.reshape(n, n))
+
+    col = np.eye(2 * n, n, dtype=complex).reshape(2, -1)
+    C = walk(angles, col, times, U, U.conj().T).reshape(2 * n, n)
+    return float(np.linalg.norm(C.conj().T @ C - np.eye(n)))
+
+
 def circuits() -> list:
     """One entry per (sign sequence, dimension): assembly, certificate and residuals.
     Called from ``side``, which sets the import path and the BLAS threads."""
@@ -79,17 +102,42 @@ def circuits() -> list:
         angles, _, scale = gqsp.synthesize_angles(P, margin=1e-6)
         for dim in CIRCUIT_DIMS:
             U = cli._random_unitary(np.random.default_rng(0), dim)
-            assemble_s, res = best(lambda: gqsp.assemble_and_extract(angles, U), dim)
+            assemble_s, _ = best(lambda: gqsp.assemble_and_extract(angles, U), dim)
             certificate_s, residual = best(lambda: cli._block_residual(angles, scale, P, U), dim)
-            G = res.unitary
-            isometry = np.linalg.norm(G.conj().T @ G - np.eye(2 * dim))
+            isometry = column_isometry(gqsp._walk, angles, U)
             rows.append({
                 "epsilon": epsilon, "delta": delta, "degree": angles.k, "dim": dim,
                 "assemble_s": round(assemble_s, 4), "certificate_s": round(certificate_s, 4),
                 "reference_s": round(certificate_s - assemble_s, 4),
                 "block_residual": float(f"{residual:.3g}"),
-                "isometry_residual": float(f"{isometry:.3g}"),
+                "column_isometry_residual": float(f"{isometry:.3g}"),
             })
+    return rows
+
+
+def cold_runs() -> list:
+    """One entry per (epsilon, steps) in ``COLD_CONFIGS``: what one cold
+    ``cooling.run`` at d = ``COLD_DIM`` builds. Called from ``side``."""
+    import numpy as np
+    from dyncool import cli, cooling
+
+    rng = np.random.default_rng(0)
+    H = cli.generate_hamiltonian({"type": "random", "dim": COLD_DIM}, rng)
+    A = cli.generate_perturbation({"type": "gue"}, COLD_DIM, rng)
+    rows = []
+    for epsilon, steps in COLD_CONFIGS:
+        config = cooling.CoolingConfig(epsilon=epsilon, steps=steps)
+        cooling._sign_cached(config.epsilon, config.delta)
+        cooling._MEMO.contexts.clear()
+        run_s = timed(lambda: cooling.run(H, A, config, np.random.default_rng((1, 0))))
+        ctx = cooling._MEMO.context(H, A, config)
+        built = [ctx.bins.slices[b] for b, kick in enumerate(ctx.kicks) if kick is not None]
+        rows.append({
+            "dim": COLD_DIM, "epsilon": epsilon, "steps": steps, "bins": ctx.nbins,
+            "bins_built": len(built), "columns_built": sum(stop - start for start, stop in built),
+            "run_s": round(run_s, 3),
+        })
+    cooling._MEMO.contexts.clear()
     return rows
 
 
@@ -136,7 +184,7 @@ def side(checkout: Path) -> dict:
     return {"environment": {key: env[key] for key in
                             ("numpy", "blas", "blas_threads", "thread_env", "nproc", "cpu",
                              "git_commit")},
-            "runs": runs, "circuits": circuits()}
+            "runs": runs, "cold_runs": cold_runs(), "circuits": circuits()}
 
 
 def record(checkout: Path) -> dict:

@@ -74,10 +74,11 @@ def best(fn, dim: int):
     return min(times), result
 
 
-def column_isometry(walk, angles, U) -> float:
+def column_isometry(angles, U) -> float:
     """||C^dag C - I|| (Frobenius) of the first block column C of the circuit,
-    walked from (I, 0) by ``walk`` (``gqsp._walk``), one n x n product per step."""
+    walked from (I, 0) by ``gqsp._walk``, one n x n product per step."""
     import numpy as np
+    from dyncool import gqsp
 
     n = U.shape[0]
 
@@ -85,7 +86,7 @@ def column_isometry(walk, angles, U) -> float:
         np.matmul(factor, row.reshape(n, n), out=row.reshape(n, n))
 
     col = np.eye(2 * n, n, dtype=complex).reshape(2, -1)
-    C = walk(angles, col, times, U, U.conj().T).reshape(2 * n, n)
+    C = gqsp._walk(angles, col, times, U, U.conj().T).reshape(2 * n, n)
     return float(np.linalg.norm(C.conj().T @ C - np.eye(n)))
 
 
@@ -104,7 +105,7 @@ def circuits() -> list:
             U = cli._random_unitary(np.random.default_rng(0), dim)
             assemble_s, _ = best(lambda: gqsp.assemble_and_extract(angles, U), dim)
             certificate_s, residual = best(lambda: cli._block_residual(angles, scale, P, U), dim)
-            isometry = column_isometry(gqsp._walk, angles, U)
+            isometry = column_isometry(angles, U)
             rows.append({
                 "epsilon": epsilon, "delta": delta, "degree": angles.k, "dim": dim,
                 "assemble_s": round(assemble_s, 4), "certificate_s": round(certificate_s, 4),

@@ -94,6 +94,7 @@ from .cooling import (
     random_initial_state,
     register_populations,
     run,
+    run_experiment,
 )
 
 __version__ = "0.1.0"

@@ -13,8 +13,8 @@ import sys
 
 import numpy as np
 
-from . import cooling, operators
-from .cooling import CoolingConfig, StoppingRule
+from . import operators
+from .cooling import CoolingConfig, StoppingRule, run_experiment
 from .dyson import effective_error, leakage, sample_gue
 from .errors import (
     CertificationError,
@@ -27,7 +27,6 @@ from .operators import (
     HermitianOperator,
     Projector,
     _bound,
-    check_count,
     check_dim,
     check_subnormalized,
     hermitian_norm,
@@ -53,7 +52,6 @@ __all__ = [
     "main",
     "generate_hamiltonian",
     "generate_perturbation",
-    "run_experiment",
 ]
 
 _PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -158,36 +156,27 @@ def generate_hamiltonian(source: dict, rng: np.random.Generator) -> np.ndarray:
 
 
 def generate_perturbation(source: dict, dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Build the coupling operator; norms above 1 are scaled back to 1."""
+    """Build the coupling operator; norms above 1 are scaled back to 1.
+
+    gue:   Gaussian Hermitian draw.
+    file:  matrix document from disk, rejected unless Hermitian and of the
+           Hamiltonian's dimension.
+    zero:  no coupling.
+    """
     kind = _require(source, "type")
     if kind == "gue":
         mat = sample_gue(rng, dim)
     elif kind == "file":
-        mat = _matrix_file(source)
+        mat = HermitianOperator(_matrix_file(source)).entries
         if mat.shape != (dim, dim):
             raise ValidationError(
                 f"perturbation shape {mat.shape} does not match dimension {dim}"
             )
-        mat = (mat + mat.conj().T) / 2.0
     elif kind == "zero":
         return np.zeros((dim, dim))
     else:
         raise ValidationError(f"unknown perturbation type {kind!r}")
     return mat / max(1.0, hermitian_norm(mat))
-
-
-def run_experiment(H, A, config: CoolingConfig, seed: int, trials: int, stopping=None):
-    """Run ``trials`` independent trajectories on per-trial substreams, the
-    trials of ``cooling.run`` on one prepared context looked up once; trials
-    may not exceed ``MAX_COUNT``."""
-    if trials < 1:
-        raise ValidationError(f"need at least one trial, got {trials}")
-    check_count(trials, "trials")
-    ctx = cooling._MEMO.context(H, A, config)
-    return [
-        cooling._trajectory(ctx, np.random.default_rng((seed, t)), stopping=stopping)
-        for t in range(trials)
-    ]
 
 
 def _parse_run_config(doc: dict):
@@ -265,6 +254,13 @@ def _block_residual(angles, scale: float, P, U: np.ndarray) -> float:
     return spectral_norm(block - scale * _polynomial_at(P, U))
 
 
+def _round_trip(P, margin: float, rng: np.random.Generator, dim: int):
+    """(angles, pair, scale, residual): P's angles synthesized at ``margin`` and
+    their ``_block_residual`` at a random unitary of dimension ``dim``."""
+    angles, pair, scale = synthesize_angles(P, margin=margin)
+    return angles, pair, scale, _block_residual(angles, scale, P, _random_unitary(rng, dim))
+
+
 def cmd_signpoly(args) -> int:
     S = fourier_sign(args.epsilon, args.delta)
     print(
@@ -293,8 +289,7 @@ def cmd_gqsp(args) -> int:
     else:
         raise ValidationError("gqsp needs either --poly or both --epsilon and --delta")
 
-    angles, pair, scale = synthesize_angles(P, margin=args.margin)
-    residual = _block_residual(angles, scale, P, _random_unitary(rng, args.check_dim))
+    angles, pair, scale, residual = _round_trip(P, args.margin, rng, args.check_dim)
     print(
         f"gqsp: k={angles.k} m={angles.m} scale={scale:.12f} "
         f"peel_residual={angles.peel_residual:.3e} "
@@ -329,8 +324,7 @@ def _certify_checks(epsilons, deltas, seed):
     for S in polys:
         name = f"gqsp round trip epsilon={S.epsilon} delta={S.delta}"
         try:
-            angles, pair, scale = synthesize_angles(S, margin=MIN_MARGIN)
-            residual = _block_residual(angles, scale, S, _random_unitary(rng, 4))
+            residual = _round_trip(S, MIN_MARGIN, rng, 4)[3]
             _bound("block residual", residual, _BLOCK_TOL, CertificationError)
             yield name, True, f"block_residual={residual:.3e}"
         except DyncoolError as exc:
@@ -342,11 +336,10 @@ def _certify_checks(epsilons, deltas, seed):
             P = Projector(basis @ basis.conj().T)
             A = sample_gue(rng, dim)
             A = A / max(1.0, hermitian_norm(A))
-            measured = (("leakage", leakage(A, P, delta)),
-                        ("effective evolution", effective_error(A, P, delta)))
-            for label, value in measured:
+            for label, measure in (("leakage", leakage), ("effective evolution", effective_error)):
                 name = f"two-sector {label} dim={dim} delta={delta}"
                 try:
+                    value = measure(A, P, delta)
                     _bound(f"two-sector {label}", value, delta, CertificationError)
                     yield name, True, f"{value:.3e} <= {delta}"
                 except DyncoolError as exc:

@@ -71,7 +71,6 @@ from .operators import (
     HermitianOperator,
     SpectralDecomposition,
     StateVector,
-    _is_integer,
     _number,
     check_count,
     check_delta,
@@ -98,6 +97,7 @@ __all__ = [
     "cooling_step",
     "query_costs",
     "run",
+    "run_experiment",
     "random_initial_state",
     "prepare_joint",
     "register_populations",
@@ -127,7 +127,7 @@ class CoolingConfig:
     """Parameters of one cooling experiment.
 
     delta defaults to 1/steps so the per-step leakage budget sums to a
-    constant over the whole run; steps may not exceed ``MAX_COUNT``.
+    constant over the whole run; steps is a count ``check_count`` accepts.
     """
 
     epsilon: float
@@ -138,10 +138,6 @@ class CoolingConfig:
 
     def __post_init__(self):
         check_epsilon(_number(self.epsilon, "epsilon"))
-        if not _is_integer(self.steps):
-            raise ValidationError(f"steps must be an integer, got {self.steps!r}")
-        if self.steps < 1:
-            raise ValidationError(f"need at least one step, got {self.steps}")
         check_count(self.steps, "steps")
         if self.delta is None:
             object.__setattr__(self, "delta", 1.0 / self.steps)
@@ -489,6 +485,18 @@ def run(
     block, one per measurement, even when ``stopping`` ends it early.
     """
     return _trajectory(_MEMO.context(H, A, config), rng, initial_state, stopping)
+
+
+def run_experiment(H, A, config: CoolingConfig, seed: int, trials: int, stopping=None):
+    """Run ``trials`` independent trajectories on per-trial substreams, the
+    trials of ``run`` on one prepared context looked up once; ``trials`` is a
+    count that ``check_count`` accepts."""
+    check_count(trials, "trials")
+    ctx = _MEMO.context(H, A, config)
+    return [
+        _trajectory(ctx, np.random.default_rng((seed, t)), stopping=stopping)
+        for t in range(trials)
+    ]
 
 
 def _trajectory(ctx: _Context, rng, initial_state=None, stopping=None) -> Trajectory:

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MarginError, NumericError, SynthesisError, ValidationError
-from .operators import _bound, _is_integer, check_margin, square_entries
+from .operators import MIN_MARGIN, _bound, check_margin, check_window, square_entries
 from .signfun import FourierPolynomial, eval_fourier_grid
 
 __all__ = [
@@ -88,10 +88,7 @@ class AngleSequence:
     def __post_init__(self):
         theta = np.array(self.theta, dtype=np.float64)
         phi = np.array(self.phi, dtype=np.float64)
-        if not (_is_integer(self.k) and _is_integer(self.m) and min(self.k, self.m) >= 0):
-            raise ValidationError(
-                f"k and m must be non-negative integers, got k={self.k!r}, m={self.m!r}"
-            )
+        check_window(self.k, self.m)
         n = self.k + self.m + 1
         if theta.shape != (n,) or phi.shape != (n,):
             raise ValidationError(
@@ -217,7 +214,7 @@ def _margin_limit(margin: float) -> float:
     return 1.0 - margin + 1e-9
 
 
-def complete(P: FourierPolynomial, margin: float = 1e-4) -> CompletionPair:
+def complete(P: FourierPolynomial, margin: float = MIN_MARGIN) -> CompletionPair:
     """Find Q with |P|^2 + |Q|^2 = 1 on the unit circle.
 
     Requires grid max |P| <= 1 - margin (margin >= ``MIN_MARGIN``), so 1 - |P|^2 stays
@@ -346,7 +343,7 @@ def eval_angles(angles: AngleSequence, z) -> np.ndarray:
 
 
 def synthesize_angles(
-    P: FourierPolynomial, margin: float = 1e-4
+    P: FourierPolynomial, margin: float = MIN_MARGIN
 ) -> tuple[AngleSequence, CompletionPair, float]:
     """Complete and peel, rescaling P into the margin when necessary.
 

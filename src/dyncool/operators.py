@@ -9,9 +9,10 @@ The input rules the other modules share live here, each written once: the
 one tolerance set ``TOL``, the one bound check ``_bound`` that every
 certificate's measured value goes through (a NaN fails it), numbers that are
 never bools or strings, the epsilon, delta and completion-margin ranges, the
-step and trial budget, the register checks, the spectral-norm bound, the
-Hermiticity and unitarity measurements, the shifted-spectrum band of a sign
-transform and the matrix coercion, which refuses an empty matrix.
+step and trial counts, the (k, m) window of a Laurent polynomial, the register
+checks, the spectral-norm bound, the Hermiticity and unitarity measurements,
+the shifted-spectrum band of a sign transform and the matrix coercion, which
+refuses an empty matrix.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ __all__ = [
     "check_margin",
     "check_dim",
     "check_count",
+    "check_window",
     "check_register",
     "shifted_spectrum",
     "matrix_entries",
@@ -132,9 +134,22 @@ def check_dim(dim: int, label: str, n: int = 0) -> None:
 
 
 def check_count(count: int, name: str) -> None:
-    """Reject a count of ``name`` past ``MAX_COUNT``."""
+    """Reject a count of ``name`` that is not an integer (a bool is not one),
+    is below 1 or is past ``MAX_COUNT``."""
+    if not _is_integer(count):
+        raise ValidationError(f"{name} must be an integer, got {count!r}")
+    if count < 1:
+        raise ValidationError(f"{name} must be at least 1, got {count}")
     if count > MAX_COUNT:
         raise ResourceError(f"{name} {count} exceeds budget {MAX_COUNT}")
+
+
+def check_window(k: int, m: int) -> None:
+    """Reject a Laurent window [-k, m] unless k and m are non-negative integers
+    (a bool is not one)."""
+    for key, value in (("k", k), ("m", m)):
+        if not _is_integer(value) or value < 0:
+            raise ValidationError(f"k and m must be non-negative integers, {key} got {value!r}")
 
 
 def check_register(dim: int, n: int, label: str) -> None:

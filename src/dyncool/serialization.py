@@ -21,7 +21,7 @@ import numpy as np
 from .cooling import CoolingConfig, Trajectory
 from .errors import ValidationError
 from .gqsp import AngleSequence
-from .operators import _is_integer, _is_number, _number, check_dim, square_entries
+from .operators import _is_integer, _is_number, _number, check_dim, check_window, square_entries
 from .signfun import FourierPolynomial
 
 __all__ = [
@@ -205,12 +205,7 @@ def _window(doc) -> tuple[int, int]:
     """(k, m) of a polynomial or angle document: non-negative integers."""
     if not isinstance(doc, dict):
         raise ValidationError(f"expected a JSON object, got {type(doc).__name__}")
-    for key in ("k", "m"):
-        value = doc.get(key)
-        if not _is_integer(value) or value < 0:
-            raise ValidationError(
-                f"document needs a non-negative integer {key!r}, got {value!r}"
-            )
+    check_window(doc.get("k"), doc.get("m"))
     return doc["k"], doc["m"]
 
 

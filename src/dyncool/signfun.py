@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import CertificationError, ValidationError
 from .operators import HermitianOperator, SpectralDecomposition, eig
-from .operators import _bound, check_delta, check_epsilon, shifted_spectrum
+from .operators import _bound, check_delta, check_epsilon, check_window, shifted_spectrum
 
 __all__ = [
     "C_DEG",
@@ -109,14 +109,13 @@ class FourierPolynomial:
     band_error: float | None = None
 
     def __post_init__(self):
+        check_window(self.k, self.m)
         coeffs = np.array(self.coeffs, dtype=np.complex128)
         if coeffs.ndim != 1 or coeffs.size != self.k + self.m + 1:
             raise ValidationError(
                 f"coefficient count {coeffs.size} does not match degrees "
                 f"k={self.k}, m={self.m}"
             )
-        if self.k < 0 or self.m < 0:
-            raise ValidationError("degrees must be non-negative")
         coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
 

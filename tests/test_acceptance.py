@@ -37,7 +37,7 @@ from dyncool import (
     synthesize_angles,
     transition_matrix,
 )
-from dyncool.cli import run_experiment
+from dyncool.cooling import run_experiment
 
 from conftest import laurent_sum, random_hermitian, random_projector, random_unitary
 

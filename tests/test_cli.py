@@ -16,14 +16,9 @@ from hypothesis import strategies as st
 
 import dyncool
 from dyncool import cli, cooling, serialization
-from dyncool.cli import (
-    generate_hamiltonian,
-    generate_perturbation,
-    main,
-    run_experiment,
-)
-from dyncool.cooling import CoolingConfig
-from dyncool.errors import ResourceError, ValidationError
+from dyncool.cli import generate_hamiltonian, generate_perturbation, main
+from dyncool.cooling import CoolingConfig, run_experiment
+from dyncool.errors import NumericError, ResourceError, ValidationError
 from dyncool.operators import MAX_COUNT, TOL
 from dyncool.signfun import FourierPolynomial, fourier_sign
 from dyncool.serialization import (
@@ -150,6 +145,18 @@ class TestGenerators:
         with pytest.raises(ValidationError):
             generate_perturbation({"type": "file", "path": str(path)}, 4, rng)
 
+    def test_file_perturbation_must_be_hermitian(self, tmp_path, capsys):
+        path = tmp_path / "a.json"
+        write_json(str(path), matrix_document(np.array([[0.0, 0.5], [0.0, 0.0]])))
+        source = {"type": "file", "path": str(path)}
+        with pytest.raises(ValidationError, match="from Hermitian"):
+            generate_perturbation(source, 2, np.random.default_rng(0))
+        cfg = write_config(tmp_path, hamiltonian={"type": "random", "dim": 2}, perturbation=source)
+        assert main(["run", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: deviation of HermitianOperator from Hermitian = 0.5 ")
+        assert err.count("\n") == 1
+
     def test_generators_normalize_without_an_svd(self, monkeypatch, tmp_path):
         def no_svd(*args, **kwargs):
             raise AssertionError("a generator ran an SVD")
@@ -177,6 +184,9 @@ class TestGenerators:
         monkeypatch.setattr(np.linalg, "norm", no_svd)
         H = generate_hamiltonian({"type": "file", "path": str(path)}, None)
         assert np.array_equal(H, [[0.5, 0.25j], [-0.25j, -0.75]])
+
+    def test_run_experiment_lives_in_cooling(self):
+        assert cli.run_experiment is dyncool.run_experiment is cooling.run_experiment
 
     def test_trial_substreams_are_stable(self):
         rng = np.random.default_rng(2)
@@ -737,6 +747,21 @@ class TestCertifyCommand:
             "two-sector effective evolution = nan is not <= 0.04\n" in out
         )
         assert "certification: 2/10 passed" in out
+
+    def test_raising_measurement_fails_only_its_own_check(self, monkeypatch, tmp_path, capsys):
+        def raising(*args):
+            raise NumericError("leakage diverged")
+
+        monkeypatch.setattr(cli, "leakage", raising)
+        out = tmp_path / "report.json"
+        argv = ["certify", "--epsilon", "0.5", "--delta", "0.25", "--out", str(out)]
+        assert main(argv) == 1
+        printed = capsys.readouterr().out
+        assert "[FAIL] two-sector leakage dim=4 delta=0.25: leakage diverged\n" in printed
+        assert "[ok] two-sector effective evolution dim=8 delta=0.04: " in printed
+        assert "certification: 6/10 passed" in printed
+        checks = read_json(str(out))["checks"]
+        assert [c["passed"] for c in checks] == [True, True] + [False, True] * 4
 
     def test_failed_check_exits_nonzero(self, capsys):
         rc = main(["certify", "--epsilon", "0.9", "--delta", "0.25"])

@@ -7,6 +7,7 @@ coherent branches.
 
 import gc
 import itertools
+import re
 import sys
 import weakref
 from concurrent.futures import ThreadPoolExecutor
@@ -18,7 +19,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyncool import cooling, gqsp, operators
-from dyncool.cli import run_experiment
 from dyncool.cooling import (
     MODES,
     CoolingConfig,
@@ -34,6 +34,7 @@ from dyncool.cooling import (
     random_initial_state,
     register_populations,
     run,
+    run_experiment,
 )
 from dyncool.dyson import default_time, sample_gue
 from dyncool.errors import MarginError, RangeError, ResourceError, ValidationError
@@ -102,6 +103,17 @@ class TestConfig:
     def test_numbers_are_never_bools_or_strings(self, overrides, message):
         with pytest.raises(ValidationError, match=f"^{message}$"):
             CoolingConfig(**{"epsilon": 0.2, "steps": 3, **overrides})
+
+    @pytest.mark.parametrize("trials", [2.5, True, np.float64(3.0), 0],
+                             ids=["float", "bool", "numpy-float", "zero"])
+    def test_trials_pass_the_count_rule_of_steps(self, trials):
+        H, A = np.diag([-0.5, 0.5]), np.zeros((2, 2))
+        cfg = CoolingConfig(epsilon=0.25, steps=2)
+        message = "at least 1, got 0" if trials == 0 else f"an integer, got {trials!r}"
+        with pytest.raises(ValidationError, match=f"^trials must be {re.escape(message)}$"):
+            run_experiment(H, A, cfg, seed=0, trials=trials)
+        with pytest.raises(ValidationError, match="^steps must be at least 1, got 0$"):
+            CoolingConfig(epsilon=0.25, steps=0)
 
     def test_stored_numbers_keep_their_types(self):
         cfg = CoolingConfig(epsilon=np.float64(0.25), steps=np.int64(4), margin=1)

@@ -311,6 +311,12 @@ class TestAssemble:
         res = assemble_and_extract(angles, U)
         assert np.linalg.norm(res.block - scale * laurent_sum(P, U)) <= 1e-7
 
+    def test_margin_defaults_to_its_floor(self):
+        P = FourierPolynomial([0.0, 1.0], 0, 1)  # |z| = 1 on the whole circle
+        angles, pair, scale = synthesize_angles(P)
+        assert scale == pytest.approx(1.0 - MIN_MARGIN, abs=1e-12)
+        assert complete(pair.P).identity_residual == pair.identity_residual
+
 
 def dense_product(angles, U):
     """The rotation sequence multiplied out as 2n x 2n matrices: each rotation

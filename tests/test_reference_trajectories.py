@@ -17,8 +17,8 @@ import os
 import numpy as np
 import pytest
 
-from dyncool.cli import generate_hamiltonian, generate_perturbation, run_experiment
-from dyncool.cooling import CoolingConfig
+from dyncool.cli import generate_hamiltonian, generate_perturbation
+from dyncool.cooling import CoolingConfig, run_experiment
 
 REFERENCE_DIR = os.path.join(os.path.dirname(__file__), "reference")
 

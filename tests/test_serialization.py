@@ -10,9 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dyncool import CoolingConfig, FourierPolynomial, AngleSequence, run
-from dyncool.cooling import StepResult, Trajectory
+from dyncool.cooling import StepResult, Trajectory, run_experiment
 from dyncool.errors import DyncoolError, ValidationError
-from dyncool.cli import run_experiment
 from dyncool.serialization import (
     CSV_COLUMNS,
     _fmt_float,

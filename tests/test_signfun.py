@@ -116,6 +116,13 @@ def _random_laurent(k, m, seed=7):
     return FourierPolynomial(rng.normal(size=n) + 1j * rng.normal(size=n), k=k, m=m)
 
 
+@pytest.mark.parametrize("k", [True, 1.0, "a", -1], ids=["bool", "float", "string", "negative"])
+def test_laurent_window_must_be_non_negative_integers(k):
+    message = f"^k and m must be non-negative integers, k got {k!r}$"
+    with pytest.raises(ValidationError, match=message):
+        FourierPolynomial([0.0, 1.0, 0.0], k=k, m=1)
+
+
 class TestEvalFourier:
     def test_against_direct_sum(self):
         rng = np.random.default_rng(5)

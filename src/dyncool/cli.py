@@ -84,14 +84,6 @@ def _integer(doc: dict, key: str, default=None) -> int:
     raise ValidationError(f"config key {key!r} must be an integer, got {value!r}")
 
 
-def _seeded_rng(seed: int) -> np.random.Generator:
-    """``default_rng(seed)`` for the seed of a command, from its config or its
-    ``--seed``: a non-negative integer."""
-    if seed < 0:
-        raise ValidationError(f"seed must be a non-negative integer, got {seed}")
-    return np.random.default_rng(seed)
-
-
 def _matrix_file(source: dict) -> np.ndarray:
     """The matrix document at a file source's ``path``, which must be a string
     that names a file (an integer would open a file descriptor)."""
@@ -200,7 +192,7 @@ def cmd_run(args) -> int:
     seed = args.seed if args.seed is not None else _integer(doc, "seed", 0)
     trials = args.trials if args.trials is not None else _integer(doc, "trials", 1)
 
-    setup_rng = _seeded_rng(seed)
+    setup_rng = np.random.default_rng(operators.check_seed(seed))
     H = generate_hamiltonian(_require(doc, "hamiltonian"), setup_rng)
     A = generate_perturbation(
         doc.get("perturbation", {"type": "zero"}), H.shape[0], setup_rng
@@ -277,7 +269,7 @@ def cmd_gqsp(args) -> int:
     if args.check_dim < 1:
         raise ValidationError(f"--check-dim must be at least 1, got {args.check_dim}")
     check_dim(args.check_dim, "check")
-    rng = _seeded_rng(args.seed)
+    rng = np.random.default_rng(operators.check_seed(args.seed))
     if args.poly is not None:
         doc = read_json(args.poly)
         # accept a bare polynomial document or one nested in a certification
@@ -306,7 +298,7 @@ def cmd_gqsp(args) -> int:
 
 def _certify_checks(epsilons, deltas, seed):
     """Yield (name, passed, detail) for every certification target."""
-    rng = _seeded_rng(seed)
+    rng = np.random.default_rng(operators.check_seed(seed))
     polys = []
     for eps in epsilons:
         for delta in deltas:

@@ -1,11 +1,11 @@
 """Iterated measure-and-kick ground state search.
 
-Each iteration estimates the energy to bin width epsilon (an idealized
+Each iteration measures the energy bin of width epsilon (an idealized
 projective phase-estimation model), builds the smoothed sign of H relative
-to the cutoff one bin above the estimate, and evolves under that sign
-operator plus a weak perturbation for a time that turns the perturbation
-into a half-strength kick inside the cold sector. Population can only cross
-the cutoff through the leakage channel, bounded per step by delta.
+to the cutoff one bin above the bin's integer label (``_Bins``), and evolves
+under that sign plus a weak perturbation for a time that turns it into a
+half-strength kick inside the cold sector. Population can only climb two
+labels or more through the leakage channel, bounded per step by delta.
 
 Three interchangeable constructions of the sign, each one real value per
 eigenvalue of H:
@@ -78,6 +78,7 @@ from .operators import (
     check_margin,
     check_norm,
     check_register,
+    check_seed,
     eig,
     evolve,
     hermitian_norm,
@@ -153,9 +154,13 @@ class CoolingConfig:
 
 @dataclass(frozen=True)
 class StoppingRule:
-    """Early exit: stop once the estimate reaches the target."""
+    """Early exit: stop once the estimate reaches the target, a finite number."""
 
     target_estimate: float
+
+    def __post_init__(self):
+        if not np.isfinite(_number(self.target_estimate, "target_estimate")):
+            raise ValidationError(f"target_estimate must be finite, got {self.target_estimate}")
 
     def satisfied(self, energy_estimate: float) -> bool:
         return energy_estimate <= self.target_estimate
@@ -241,7 +246,9 @@ class _Bins:
 
     Labels floor(lambda/epsilon + 1/2) never decrease along ascending
     eigenvalues, so each bin is a contiguous run of them. Per bin index: the
-    bin label, its clamped estimate and its ``(start, stop)`` slice.
+    label b, its ``(start, stop)`` slice, its estimate b epsilon clamped to
+    [-1, 1], its cutoff b epsilon + epsilon and ``leak_from``, the first
+    eigenvalue of label b + 2 or more, where the defended line starts.
     """
 
     def __init__(self, eigenvalues: np.ndarray, epsilon: float):
@@ -250,6 +257,8 @@ class _Bins:
         self.slices = list(zip(bounds[:-1], bounds[1:]))
         self.labels = labels[bounds[:-1]].tolist()
         self.estimates = [min(1.0, max(-1.0, b * epsilon)) for b in self.labels]
+        self.cutoffs = [b * epsilon + epsilon for b in self.labels]
+        self.leak_from = labels.searchsorted([b + 2 for b in self.labels]).tolist()
 
     def collapse(self, amps: np.ndarray, idx: int, weight: float) -> np.ndarray:
         """``amps`` projected onto bin ``idx``, whose weight is ``weight``,
@@ -266,12 +275,8 @@ def qpe_project(
     epsilon: float,
     rng: np.random.Generator,
 ) -> tuple[int, float, np.ndarray]:
-    """Sample an energy bin and collapse the state onto it.
-
-    Bins have width epsilon centered at integer multiples; the returned
-    estimate is the bin center clamped to [-1, 1] (the spectrum is
-    subnormalized, so clamping only trims centers that poke past the edge).
-    """
+    """Sample an energy bin and collapse the state onto it: the bin's label,
+    its ``_Bins`` estimate and the collapsed state."""
     bins = _Bins(dec.eigenvalues, epsilon)
     amps = dec.eigenvectors.conj().T @ _amplitudes(state, dec.dim)
     weights = np.abs(amps) ** 2
@@ -343,11 +348,10 @@ def query_costs(epsilon: float, delta: float, sign_degree: int) -> tuple[int, in
     energy estimate costs the register-times-precision product, and the
     perturbation line stays on for ceil(pi) units per repetition.
     """
-    check_delta(delta)
+    reps = round(default_time(delta) / np.pi)  # checks delta
     check_epsilon(epsilon)
     if sign_degree < 0:
         raise ValidationError(f"degree must be non-negative, got {sign_degree}")
-    reps = ceil(1.0 / (np.pi * np.sqrt(delta)))
     qpe = ceil(log2(1.0 / epsilon)) * max(1, ceil(log2(1.0 / delta))) * ceil(1.0 / epsilon)
     return sign_degree * reps + qpe, 4 * reps
 
@@ -377,17 +381,14 @@ class _Context:
         self.dim = H.dim
         self.vecs_h = self.dec.eigenvectors.conj().T
         self.bins = bins = _Bins(self.lam, config.epsilon)
-        # eigenvalues ascend, so the ground space and each leakage region (past
-        # a bin's cutoff plus half a bin) are a prefix and suffixes of them
+        # eigenvalues ascend, so the ground space and each bin's leakage region
+        # (from ``bins.leak_from``) are a prefix and suffixes of them
         ground = int(np.count_nonzero(self.lam <= self.lam[0] + 1e-12))
-        leak_from = self.lam.searchsorted(
-            np.array(bins.estimates) + 1.5 * config.epsilon, side="left"
-        ).tolist()
         n = self.nbins = len(bins.labels)
         rows = np.zeros((2 * n + 2, self.dim))
         for i, (start, stop) in enumerate(bins.slices):
             rows[i, start:stop] = 1.0
-            rows[n + 2 + i, leak_from[i] :] = 1.0
+            rows[n + 2 + i, bins.leak_from[i] :] = 1.0
         rows[n] = self.lam
         rows[n + 1, :ground] = 1.0
         self.obs = np.repeat(rows, 2, axis=1)  # columns (re, im) per amplitude
@@ -415,8 +416,7 @@ class _Context:
         that eigenvector up to a global phase, so the kick leaves column s
         of the unitary up to the same phase, which no weight sees.
         """
-        cutoff = self.bins.estimates[bin_idx] + self.config.epsilon
-        signs = _sign_values(self.dec, cutoff, self.config)
+        signs = _sign_values(self.dec, self.bins.cutoffs[bin_idx], self.config)
         start, stop = self.bins.slices[bin_idx]
         block = _kick(signs, self.a_rot, self.config.delta)[:, start:stop].copy()
         block.setflags(write=False)
@@ -472,8 +472,8 @@ def run(
     """Full trajectory: alternate bin measurements and sign-kick evolutions.
 
     A leak event at step s means the following measurement (the next step's,
-    or the terminal one) lands two or more bins above step s's estimate,
-    i.e. past the cutoff-plus-half-bin line the sign construction defends.
+    or the terminal one) lands two or more labels above step s's bin, past
+    the cutoff-plus-half-bin line that step s's ``leakage_weight`` also reads.
     The trajectory counts as a success when no step leaks.
 
     H and A are validated and diagonalized once per content, and each bin's
@@ -490,7 +490,8 @@ def run(
 def run_experiment(H, A, config: CoolingConfig, seed: int, trials: int, stopping=None):
     """Run ``trials`` independent trajectories on per-trial substreams, the
     trials of ``run`` on one prepared context looked up once; ``trials`` is a
-    count that ``check_count`` accepts."""
+    count that ``check_count`` accepts and ``seed`` one that ``check_seed`` does."""
+    check_seed(seed)
     check_count(trials, "trials")
     ctx = _MEMO.context(H, A, config)
     return [
@@ -519,7 +520,7 @@ def _trajectory(ctx: _Context, rng, initial_state=None, stopping=None) -> Trajec
     for step in range(ctx.config.steps):
         idx = bisect_right(cdf, draws[step])
         label, estimate = labels[idx], estimates[idx]
-        measured.append(label)
+        measured.append(idx)
         if stopping is not None and stopping.satisfied(estimate):
             amps = bins.collapse(amps, idx, seen[idx])
             seen = ctx.observe(amps)
@@ -541,10 +542,10 @@ def _trajectory(ctx: _Context, rng, initial_state=None, stopping=None) -> Trajec
     idx = bisect_right(cdf, draws[len(measured)])
     final_bin, final_estimate = labels[idx], estimates[idx]
     final = ctx.observe(bins.collapse(amps, idx, seen[idx]))
-    # each step's leak event compares its bin with the next measurement's
+    # a step leaks if the next measurement's bin starts at or past its ``leak_from``
     leaks = 0
-    for row, following in zip(rows, measured[1:] + [final_bin]):
-        leak = following >= row[1] + 2
+    for row, here, following in zip(rows, measured, measured[1:] + [idx]):
+        leak = slices[following][0] >= bins.leak_from[here]
         row.append(leak)
         leaks += leak
     return Trajectory(tuple(map(StepResult._make, rows)), initial_energy, initial_overlap,

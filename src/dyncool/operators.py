@@ -9,10 +9,10 @@ The input rules the other modules share live here, each written once: the
 one tolerance set ``TOL``, the one bound check ``_bound`` that every
 certificate's measured value goes through (a NaN fails it), numbers that are
 never bools or strings, the epsilon, delta and completion-margin ranges, the
-step and trial counts, the (k, m) window of a Laurent polynomial, the register
-checks, the spectral-norm bound, the Hermiticity and unitarity measurements,
-the shifted-spectrum band of a sign transform and the matrix coercion, which
-refuses an empty matrix.
+step and trial counts, the seed, the (k, m) window of a Laurent polynomial,
+the register checks, the spectral-norm bound, the Hermiticity and unitarity
+measurements, the shifted-spectrum band of a sign transform and the matrix
+coercion, which refuses an empty matrix.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ __all__ = [
     "check_margin",
     "check_dim",
     "check_count",
+    "check_seed",
     "check_window",
     "check_register",
     "shifted_spectrum",
@@ -105,9 +106,9 @@ def _is_integer(value) -> bool:
 
 
 def check_epsilon(epsilon: float) -> None:
-    """Reject a bin width epsilon outside (0, 0.7]."""
-    if not 0.0 < epsilon <= 0.7:
-        raise RangeError(f"epsilon must lie in (0, 0.7], got {epsilon}")
+    """Reject a bin width outside [2^-52, 0.7]; the floor keeps every bin label exact."""
+    if not 2.0**-52 <= epsilon <= 0.7:
+        raise RangeError(f"epsilon must lie in [2^-52, 0.7], got {epsilon}")
 
 
 def check_delta(delta: float) -> None:
@@ -142,6 +143,13 @@ def check_count(count: int, name: str) -> None:
         raise ValidationError(f"{name} must be at least 1, got {count}")
     if count > MAX_COUNT:
         raise ResourceError(f"{name} {count} exceeds budget {MAX_COUNT}")
+
+
+def check_seed(seed: int) -> int:
+    """``seed`` if it is a non-negative integer (a bool is not one)."""
+    if not _is_integer(seed) or seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
+    return seed
 
 
 def check_window(k: int, m: int) -> None:

@@ -277,6 +277,28 @@ class TestRunCommand:
             f"error: {key} {int(value)} exceeds budget {MAX_COUNT}\n"
         )
 
+    @pytest.mark.parametrize(
+        "overrides, error",
+        [
+            ({"target_estimate": float("nan")}, "target_estimate must be finite, got nan"),
+            ({"target_estimate": float("inf")}, "target_estimate must be finite, got inf"),
+            ({"epsilon": 1e-25, "mode": "exact_reflection"},
+             "epsilon must lie in [2^-52, 0.7], got 1e-25"),
+        ],
+        ids=["nan-target", "infinite-target", "epsilon-below-floor"],
+    )
+    def test_drifting_values_exit_before_any_trial(
+        self, tmp_path, capsys, monkeypatch, overrides, error
+    ):
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(cooling, "_trajectory", no_trial)
+        cfg = write_config(tmp_path, **overrides)
+        assert main(["run", "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {error}\n" and captured.out == ""
+
     def test_trials_option_past_the_budget_exits_nonzero(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cooling, "_MEMO", None)  # a context lookup would raise
         cfg = write_config(tmp_path)

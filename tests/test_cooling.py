@@ -11,14 +11,15 @@ import re
 import sys
 import weakref
 from concurrent.futures import ThreadPoolExecutor
-from math import sqrt
+from fractions import Fraction
+from math import ceil, floor, sqrt
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dyncool import cooling, gqsp, operators
+from dyncool import cli, cooling, gqsp, operators
 from dyncool.cooling import (
     MODES,
     CoolingConfig,
@@ -114,6 +115,35 @@ class TestConfig:
             run_experiment(H, A, cfg, seed=0, trials=trials)
         with pytest.raises(ValidationError, match="^steps must be at least 1, got 0$"):
             CoolingConfig(epsilon=0.25, steps=0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True], ids=["negative", "float", "bool"])
+    def test_experiment_seed_is_refused_before_any_trial(self, seed, monkeypatch):
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(cooling, "_trajectory", no_trial)
+        H, A = np.diag([-0.5, 0.5]), np.zeros((2, 2))
+        message = f"^seed must be a non-negative integer, got {re.escape(repr(seed))}$"
+        with pytest.raises(ValidationError, match=message):
+            run_experiment(H, A, CoolingConfig(epsilon=0.25, steps=2), seed=seed, trials=2)
+
+    @pytest.mark.parametrize("target", ["x", True, None, float("nan"), float("inf"), -np.inf])
+    def test_stopping_target_is_a_finite_number(self, target):
+        with pytest.raises(ValidationError, match="^target_estimate must be"):
+            StoppingRule(target)
+
+    def test_epsilon_floor_keeps_labels_exact(self):
+        with pytest.raises(RangeError, match=r"^epsilon must lie in \[2\^-52, 0.7\], got 1e-25$"):
+            CoolingConfig(epsilon=1e-25, steps=2, mode="exact_reflection")
+        with pytest.raises(RangeError):
+            CoolingConfig(epsilon=np.nextafter(2.0**-52, 0.0), steps=2, mode="exact_reflection")
+        # at the floor, the extreme labels are the exact integers floor(lam/eps + 1/2)
+        edge = 1.0 + operators.TOL.norm_slack
+        cfg = CoolingConfig(epsilon=2.0**-52, steps=2, mode="exact_reflection")
+        values = (-edge, 0.0, edge)
+        exact = [floor(Fraction(v) / Fraction(cfg.epsilon) + Fraction(1, 2)) for v in values]
+        bins = cooling._Bins(np.array(values), cfg.epsilon)
+        assert bins.labels == exact and max(map(abs, exact)) < 2**53
 
     def test_stored_numbers_keep_their_types(self):
         cfg = CoolingConfig(epsilon=np.float64(0.25), steps=np.int64(4), margin=1)
@@ -246,8 +276,9 @@ class TestBinSlices:
         assert abs(seen[n] - lam @ weights) <= 1e-14
         ground = np.count_nonzero(lam <= lam[0] + 1e-12)
         assert abs(seen[n + 1] - weights[:ground].sum()) <= 1e-14
-        for i, estimate in enumerate(ctx.bins.estimates):
-            leak_from = int(lam.searchsorted(estimate + 1.5 * epsilon, side="left"))
+        # each bin's leakage starts at the first eigenvalue two or more labels up
+        for i, label in enumerate(ctx.bins.labels):
+            leak_from = int(labels.searchsorted(label + 2))
             assert abs(seen[n + 2 + i] - weights[leak_from:].sum()) <= 1e-14
         # the Born rule of the measurement: the bin weights are a distribution, and
         # each outcome leaves the bin's part of the state, renormalized
@@ -258,6 +289,50 @@ class TestBinSlices:
                 assert abs(np.linalg.norm(collapsed) - 1.0) <= 1e-12
                 assert not collapsed[labels != label].any()
 
+    @settings(max_examples=100, deadline=None)
+    @given(binned_spectra(), st.integers(0, 2**32 - 1))
+    def test_leak_flags_and_leakage_rows_read_one_line(self, case, seed):
+        # clamped centers included: the cutoff, the leakage row and the leak flag
+        # all come from the integer label, never from the clamped estimate
+        epsilon, lam = case
+        rng = np.random.default_rng(seed)
+        cfg = CoolingConfig(epsilon=epsilon, steps=6, delta=0.9, mode="exact_reflection")
+        ctx = cooling._Context(np.diag(lam).astype(complex), normalized_gue(rng, lam.size), cfg)
+        bins, n = ctx.bins, ctx.nbins
+        labels = np.floor(ctx.lam / epsilon + 0.5).astype(int)
+        for i, label in enumerate(bins.labels):
+            assert bins.cutoffs[i] == label * epsilon + epsilon
+            assert bins.leak_from[i] == labels.searchsorted(label + 2)
+            assert np.array_equal(ctx.obs[n + 2 + i, ::2], (labels >= label + 2).astype(float))
+        index = {label: i for i, label in enumerate(bins.labels)}
+        traj = cooling._trajectory(ctx, rng)
+        following = [s.bin_index for s in traj.steps[1:]] + [traj.final_bin]
+        for step, label in zip(traj.steps, following):
+            start = bins.slices[index[label]][0]
+            assert ctx.obs[n + 2 + index[step.bin_index], 2 * start] == step.leak_event
+            assert step.leak_event == (label >= step.bin_index + 2)
+
+    def test_clamped_bin_takes_its_cutoff_and_line_from_its_label(self, monkeypatch):
+        # the d = 16 instance ``dyncool run`` builds from seed 9: at epsilon 0.15 the
+        # bottom bin's label -7 has center -1.05, which its estimate clamps to -1.0
+        rng = np.random.default_rng(9)
+        H = cli.generate_hamiltonian({"type": "random", "dim": 16}, rng)
+        A = cli.generate_perturbation({"type": "gue"}, 16, rng)
+        ctx = cooling._Context(H, A, CoolingConfig(epsilon=0.15, steps=16))
+        assert ctx.bins.labels[0] == -7 and ctx.bins.estimates[0] == -1.0
+        labels = np.floor(ctx.lam / 0.15 + 0.5).astype(int)
+        cutoffs = []
+        sign_values = cooling._sign_values
+        monkeypatch.setattr(cooling, "_sign_values", lambda dec, cutoff, config: (
+            cutoffs.append(cutoff) or sign_values(dec, cutoff, config)))
+        n = ctx.nbins
+        for i, label in enumerate(ctx.bins.labels):
+            line = (labels >= label + 2).astype(float)
+            assert np.array_equal(ctx.obs[n + 2 + i, ::2], line), (label, labels)
+            ctx.step(i)
+            assert cutoffs[-1] == label * 0.15 + 0.15
+        assert cutoffs[0] == -7 * 0.15 + 0.15 < ctx.bins.estimates[0] + 0.15
+
 
 class TestQueryCosts:
     def test_hand_checked_values(self):
@@ -266,6 +341,13 @@ class TestQueryCosts:
         assert query_costs(0.5, 0.01, 37) == (37 * 4 + 14, 16)
         # delta=1/16: 2 repetitions; 4*4*10 = 160
         assert query_costs(0.1, 1.0 / 16.0, 100) == (360, 8)
+
+    def test_repetitions_are_the_step_time_over_pi(self, monkeypatch):
+        # the same integers as ceil(1/(pi sqrt(delta))), read from the step time
+        for delta in (0.9, 0.25, 1 / 16, 0.01, 1e-5, 1e-20):
+            assert query_costs(0.5, delta, 1)[1] == 4 * ceil(1.0 / (np.pi * np.sqrt(delta)))
+        monkeypatch.setattr(cooling, "default_time", lambda delta: 7 * np.pi)
+        assert query_costs(0.5, 0.01, 37) == (37 * 7 + 14, 28)
 
     def test_validation(self):
         with pytest.raises(RangeError):
@@ -595,7 +677,7 @@ class TestFixedState:
                 assert not isinstance(fixed, cooling._Fixed)
                 continue
             # the whole kick, built again independently of the context's entry
-            cutoff = ctx.bins.estimates[idx] + ctx.config.epsilon
+            cutoff = ctx.bins.labels[idx] * ctx.config.epsilon + ctx.config.epsilon
             signs = cooling._sign_values(ctx.dec, cutoff, ctx.config)
             unitary = cooling._kick(signs, ctx.a_rot, ctx.config.delta)
             assert np.array_equal(fixed.amps, unitary[:, start])
@@ -652,11 +734,11 @@ class TestOneKick:
         vecs = ctx.dec.eigenvectors
         widths = [stop - start for start, stop in ctx.bins.slices]
         assert 1 in widths and max(widths) > 1
-        for idx, estimate in enumerate(ctx.bins.estimates):
+        for idx, label in enumerate(ctx.bins.labels):
             entry = ctx.step(idx)
             block = entry.amps[:, None] if isinstance(entry, cooling._Fixed) else entry
             start, stop = ctx.bins.slices[idx]
-            expected = self.reference(ctx.dec, A, estimate + cfg.epsilon, cfg)
+            expected = self.reference(ctx.dec, A, label * cfg.epsilon + cfg.epsilon, cfg)
             assert block.shape == (ctx.dim, stop - start) and not block.flags.writeable
             assert np.max(np.abs(block - (vecs.conj().T @ expected @ vecs)[:, start:stop])) <= 1e-12
 
@@ -665,8 +747,7 @@ class TestOneKick:
         H, A, cfg = self.instance(mode)
         dec = eig(H)
         state = random_initial_state(np.random.default_rng(5), 9)
-        for estimate in cooling._Bins(dec.eigenvalues, cfg.epsilon).estimates:
-            cutoff = estimate + cfg.epsilon
+        for cutoff in cooling._Bins(dec.eigenvalues, cfg.epsilon).cutoffs:
             expected = self.reference(dec, A, cutoff, cfg)
             unitary = cooling_step(dec, np.eye(9), A, cutoff, cfg)
             assert np.max(np.abs(unitary - expected)) <= 1e-12

@@ -63,7 +63,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dyson import default_time
+from .dyson import _repetitions, default_time
 from .errors import ValidationError
 from .gqsp import eval_angles, synthesize_angles
 from .operators import (
@@ -247,17 +247,18 @@ class _Bins:
     Labels floor(lambda/epsilon + 1/2) never decrease along ascending
     eigenvalues, so each bin is a contiguous run of them. Per bin index: the
     label b, its ``(start, stop)`` slice, its estimate b epsilon clamped to
-    [-1, 1], its cutoff b epsilon + epsilon and ``leak_from``, the first
-    eigenvalue of label b + 2 or more, where the defended line starts.
+    [-1, 1], its cutoff min(b epsilon, max(1, lambda_max)) + epsilon and ``leak_from``,
+    the first eigenvalue of label b + 2 or more, where the defended line starts.
     """
 
     def __init__(self, eigenvalues: np.ndarray, epsilon: float):
+        check_epsilon(epsilon)
         labels = np.floor(eigenvalues / epsilon + 0.5).astype(int)
         bounds = [0, *(np.flatnonzero(np.diff(labels)) + 1).tolist(), labels.size]
         self.slices = list(zip(bounds[:-1], bounds[1:]))
         self.labels = labels[bounds[:-1]].tolist()
         self.estimates = [min(1.0, max(-1.0, b * epsilon)) for b in self.labels]
-        self.cutoffs = [b * epsilon + epsilon for b in self.labels]
+        self.cutoffs = [min(b * epsilon, max(1.0, eigenvalues[-1])) + epsilon for b in self.labels]
         self.leak_from = labels.searchsorted([b + 2 for b in self.labels]).tolist()
 
     def collapse(self, amps: np.ndarray, idx: int, weight: float) -> np.ndarray:
@@ -348,7 +349,7 @@ def query_costs(epsilon: float, delta: float, sign_degree: int) -> tuple[int, in
     energy estimate costs the register-times-precision product, and the
     perturbation line stays on for ceil(pi) units per repetition.
     """
-    reps = round(default_time(delta) / np.pi)  # checks delta
+    reps = _repetitions(delta)
     check_epsilon(epsilon)
     if sign_degree < 0:
         raise ValidationError(f"degree must be non-negative, got {sign_degree}")
@@ -543,11 +544,9 @@ def _trajectory(ctx: _Context, rng, initial_state=None, stopping=None) -> Trajec
     final_bin, final_estimate = labels[idx], estimates[idx]
     final = ctx.observe(bins.collapse(amps, idx, seen[idx]))
     # a step leaks if the next measurement's bin starts at or past its ``leak_from``
-    leaks = 0
     for row, here, following in zip(rows, measured, measured[1:] + [idx]):
-        leak = slices[following][0] >= bins.leak_from[here]
-        row.append(leak)
-        leaks += leak
+        row.append(slices[following][0] >= bins.leak_from[here])
+    leaks = sum(row[-1] for row in rows)
     return Trajectory(tuple(map(StepResult._make, rows)), initial_energy, initial_overlap,
                       final_bin, final_estimate, final[n], final[n + 1], leaks, leaks == 0)
 

@@ -72,11 +72,15 @@ def _cumsimp(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.cumsum(parts, axis=0) * ((x[1] - x[0]) / 12.0)
 
 
-def default_time(delta: float) -> float:
-    """Step duration pi * ceil(1/(pi sqrt(delta))), the smallest multiple of
-    pi with coupling angle sqrt(delta) t / 2 >= 1/2."""
+def _repetitions(delta: float) -> int:
     check_delta(delta)
-    return np.pi * ceil(1.0 / (np.pi * np.sqrt(delta)))
+    return ceil(1.0 / (np.pi * np.sqrt(delta)))
+
+
+def default_time(delta: float) -> float:
+    """Step duration pi * ceil(1/(pi sqrt(delta))), the smallest multiple of pi
+    with coupling angle sqrt(delta) t / 2 >= 1/2; the count is ``_repetitions``."""
+    return np.pi * _repetitions(delta)
 
 
 def sector_hamiltonian(A, P, delta: float) -> HermitianOperator:
@@ -194,13 +198,14 @@ class PathWeight:
     bound: float
 
 
-def _check_expansion_args(order: int, n_steps: int):
+def _expansion_time(order: int, n_steps: int, delta: float, t: float | None) -> float:
     if not 0 <= order <= MAX_EXPANSION_ORDER:
         raise ValidationError(
             f"expansion order must lie in [0, {MAX_EXPANSION_ORDER}], got {order}"
         )
     if n_steps < 8:
         raise ValidationError(f"need at least 8 quadrature steps, got {n_steps}")
+    return default_time(delta) if t is None else t
 
 
 def dyson_term(
@@ -213,9 +218,7 @@ def dyson_term(
     resolution is insufficient and the result would be meaningless for
     bound checking, so this raises instead of returning.
     """
-    _check_expansion_args(order, n_steps)
-    if t is None:
-        t = default_time(delta)
+    t = _expansion_time(order, n_steps, delta, t)
     coarse = _expansion_stack(A, P, delta, order, t, n_steps)[order][-1]
     fine = _expansion_stack(A, P, delta, order, t, 2 * n_steps)[order][-1]
     estimate = float(np.linalg.norm(fine - coarse, 2))
@@ -229,9 +232,7 @@ def dyson_partial_sum(
     A, P, delta: float, max_order: int, t: float | None = None, n_steps: int = 512
 ) -> np.ndarray:
     """Sum of expansion terms through max_order (order 0 is the identity)."""
-    _check_expansion_args(max_order, n_steps)
-    if t is None:
-        t = default_time(delta)
+    t = _expansion_time(max_order, n_steps, delta, t)
     levels = _expansion_stack(A, P, delta, max_order, t, n_steps)
     return np.sum([lvl[-1] for lvl in levels], axis=0)
 

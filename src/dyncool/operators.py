@@ -106,9 +106,9 @@ def _is_integer(value) -> bool:
 
 
 def check_epsilon(epsilon: float) -> None:
-    """Reject a bin width outside [2^-52, 0.7]; the floor keeps every bin label exact."""
-    if not 2.0**-52 <= epsilon <= 0.7:
-        raise RangeError(f"epsilon must lie in [2^-52, 0.7], got {epsilon}")
+    """Reject a bin width outside [2^-51, 0.7]; the floor keeps lambda/epsilon + 1/2 exact."""
+    if not 2.0**-51 <= epsilon <= 0.7:
+        raise RangeError(f"epsilon must lie in [2^-51, 0.7], got {epsilon}")
 
 
 def check_delta(delta: float) -> None:

@@ -283,7 +283,7 @@ class TestRunCommand:
             ({"target_estimate": float("nan")}, "target_estimate must be finite, got nan"),
             ({"target_estimate": float("inf")}, "target_estimate must be finite, got inf"),
             ({"epsilon": 1e-25, "mode": "exact_reflection"},
-             "epsilon must lie in [2^-52, 0.7], got 1e-25"),
+             "epsilon must lie in [2^-51, 0.7], got 1e-25"),
         ],
         ids=["nan-target", "infinite-target", "epsilon-below-floor"],
     )

@@ -133,17 +133,20 @@ class TestConfig:
             StoppingRule(target)
 
     def test_epsilon_floor_keeps_labels_exact(self):
-        with pytest.raises(RangeError, match=r"^epsilon must lie in \[2\^-52, 0.7\], got 1e-25$"):
+        with pytest.raises(RangeError, match=r"^epsilon must lie in \[2\^-51, 0.7\], got 1e-25$"):
             CoolingConfig(epsilon=1e-25, steps=2, mode="exact_reflection")
-        with pytest.raises(RangeError):
-            CoolingConfig(epsilon=np.nextafter(2.0**-52, 0.0), steps=2, mode="exact_reflection")
-        # at the floor, the extreme labels are the exact integers floor(lam/eps + 1/2)
+        for below in (np.nextafter(2.0**-51, 0.0), 2.0**-52):
+            with pytest.raises(RangeError):
+                CoolingConfig(epsilon=below, steps=2, mode="exact_reflection")
+        # at the floor every label is the exact integer floor(lam/eps + 1/2): every
+        # |lam/eps| stays below 2^52, where adding 1/2 rounds nothing. Below it,
+        # 1 + 2^-52 over 2^-52 is the odd 2^52 + 1, and adding 1/2 ties to even
         edge = 1.0 + operators.TOL.norm_slack
-        cfg = CoolingConfig(epsilon=2.0**-52, steps=2, mode="exact_reflection")
-        values = (-edge, 0.0, edge)
+        cfg = CoolingConfig(epsilon=2.0**-51, steps=2, mode="exact_reflection")
+        values = sorted(v for u in (edge, 1.0 + 2.0**-52, 1.0 + 3 * 2.0**-52, 0.0) for v in (u, -u))
         exact = [floor(Fraction(v) / Fraction(cfg.epsilon) + Fraction(1, 2)) for v in values]
         bins = cooling._Bins(np.array(values), cfg.epsilon)
-        assert bins.labels == exact and max(map(abs, exact)) < 2**53
+        assert bins.labels == sorted(set(exact)) and max(map(abs, exact)) < 2**52
 
     def test_stored_numbers_keep_their_types(self):
         cfg = CoolingConfig(epsilon=np.float64(0.25), steps=np.int64(4), margin=1)
@@ -215,6 +218,13 @@ class TestQpeProject:
             got = labels[cooling._draw_index(probs, ours)]
             assert got == theirs.choice(labels, p=probs / probs.sum())
             assert ours.bit_generator.state == theirs.bit_generator.state
+
+    def test_epsilon_is_checked(self):
+        # the bins refuse a width whose labels would leave the exact integers
+        dec = eig(HermitianOperator(np.diag([-0.5, 0.5])))
+        state = np.array([1.0, 0.0], dtype=complex)
+        with pytest.raises(RangeError, match=r"^epsilon must lie in \[2\^-51, 0.7\], got 1e-25$"):
+            qpe_project(dec, state, 1e-25, np.random.default_rng(0))
 
     def test_estimate_clamped_to_unit_interval(self):
         rng = np.random.default_rng(11)
@@ -301,7 +311,12 @@ class TestBinSlices:
         bins, n = ctx.bins, ctx.nbins
         labels = np.floor(ctx.lam / epsilon + 0.5).astype(int)
         for i, label in enumerate(bins.labels):
-            assert bins.cutoffs[i] == label * epsilon + epsilon
+            # one bin above the label's center, which a cap keeps at max(1, top eigenvalue)
+            assert bins.cutoffs[i] == min(label * epsilon, max(1.0, ctx.lam[-1])) + epsilon
+            if label * epsilon <= 1.0:
+                assert bins.cutoffs[i] == label * epsilon + epsilon
+            assert bins.cutoffs[i] - epsilon / 2 >= ctx.lam[bins.slices[i][1] - 1] - 1e-12
+            operators.shifted_spectrum(ctx.lam, bins.cutoffs[i], epsilon)  # inside the band
             assert bins.leak_from[i] == labels.searchsorted(label + 2)
             assert np.array_equal(ctx.obs[n + 2 + i, ::2], (labels >= label + 2).astype(float))
         index = {label: i for i, label in enumerate(bins.labels)}
@@ -312,14 +327,27 @@ class TestBinSlices:
             assert ctx.obs[n + 2 + index[step.bin_index], 2 * start] == step.leak_event
             assert step.leak_event == (label >= step.bin_index + 2)
 
+    @pytest.mark.parametrize("mode", ["exact_spectral", "gqsp_circuit"])
+    def test_top_cutoff_stays_inside_the_sign_band(self, mode):
+        # at epsilon 0.65 the top label 2 has center 1.3; a cutoff one bin above it
+        # would put -1 at 2.95 below it, past the sign's band pi - 0.325
+        H, A = np.diag([-1.0, 1.0]), np.zeros((2, 2))
+        cfg = CoolingConfig(epsilon=0.65, steps=3, mode=mode)
+        traj = run(H, A, cfg, np.random.default_rng(0), initial_state=np.array([0.0, 1.0]))
+        assert [s.bin_index for s in traj.steps] == [2, 2, 2] and traj.final_bin == 2
+        assert abs(traj.final_true_energy - 1.0) <= 1e-12
+        assert cooling._MEMO.context(H, A, cfg).bins.cutoffs == pytest.approx([-0.65, 1.65])
+
     def test_clamped_bin_takes_its_cutoff_and_line_from_its_label(self, monkeypatch):
         # the d = 16 instance ``dyncool run`` builds from seed 9: at epsilon 0.15 the
-        # bottom bin's label -7 has center -1.05, which its estimate clamps to -1.0
+        # bottom bin's label -7 has center -1.05, which its estimate clamps to -1.0;
+        # the top bin's label 7 has center 1.05, which its cutoff caps at 1
         rng = np.random.default_rng(9)
         H = cli.generate_hamiltonian({"type": "random", "dim": 16}, rng)
         A = cli.generate_perturbation({"type": "gue"}, 16, rng)
         ctx = cooling._Context(H, A, CoolingConfig(epsilon=0.15, steps=16))
         assert ctx.bins.labels[0] == -7 and ctx.bins.estimates[0] == -1.0
+        assert ctx.bins.labels[-1] == 7 and ctx.lam[-1] < 1.0
         labels = np.floor(ctx.lam / 0.15 + 0.5).astype(int)
         cutoffs = []
         sign_values = cooling._sign_values
@@ -330,7 +358,7 @@ class TestBinSlices:
             line = (labels >= label + 2).astype(float)
             assert np.array_equal(ctx.obs[n + 2 + i, ::2], line), (label, labels)
             ctx.step(i)
-            assert cutoffs[-1] == label * 0.15 + 0.15
+            assert cutoffs[-1] == (label * 0.15 if label < 7 else 1.0) + 0.15
         assert cutoffs[0] == -7 * 0.15 + 0.15 < ctx.bins.estimates[0] + 0.15
 
 
@@ -342,11 +370,14 @@ class TestQueryCosts:
         # delta=1/16: 2 repetitions; 4*4*10 = 160
         assert query_costs(0.1, 1.0 / 16.0, 100) == (360, 8)
 
-    def test_repetitions_are_the_step_time_over_pi(self, monkeypatch):
-        # the same integers as ceil(1/(pi sqrt(delta))), read from the step time
-        for delta in (0.9, 0.25, 1 / 16, 0.01, 1e-5, 1e-20):
-            assert query_costs(0.5, delta, 1)[1] == 4 * ceil(1.0 / (np.pi * np.sqrt(delta)))
-        monkeypatch.setattr(cooling, "default_time", lambda delta: 7 * np.pi)
+    def test_repetitions_are_the_step_time_count(self, monkeypatch):
+        # the integers ceil(1/(pi sqrt(delta))), exact also far past 2^51, are
+        # the ones the step time is pi times
+        for delta in (0.9, 0.25, 1 / 16, 0.01, 1e-5, 1e-20, 1e-40, 1e-300):
+            reps = ceil(1.0 / (np.pi * np.sqrt(delta)))
+            assert query_costs(0.5, delta, 1)[1] == 4 * reps
+            assert default_time(delta) == np.pi * reps
+        monkeypatch.setattr(cooling, "_repetitions", lambda delta: 7)
         assert query_costs(0.5, 0.01, 37) == (37 * 7 + 14, 28)
 
     def test_validation(self):

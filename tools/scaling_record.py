@@ -28,16 +28,13 @@ first block column C (2d x d), walked by this script through ``gqsp._walk``.
 Circuit times are the best of 3 at every dimension.
 
 The environment block holds numpy, BLAS, nproc and the thread setting. Each
-recording of a side runs in a fresh process that imports ``src`` and
-``bench`` of its checkout and changes nothing in them, with BLAS on one
-thread, as in the benchmark. The change is this script's checkout;
-``--baseline`` names another checkout (usually the parent commit) and adds
-``memo_hit_speedup``, the ratio of the two sides' best memo hits per
-dimension. Each side is recorded twice, in the order baseline, change,
-change, baseline, so neither side always runs first, and keeps the smaller
-of its two values of every number (every time and the peak RSS; the counts
-and residuals agree). A recording takes two to three minutes on a 2-CPU
-host. Standard library plus each checkout's ``dyncool``.
+side runs in a fresh process that imports ``src`` and ``bench`` of its
+checkout and changes nothing in them, with BLAS on one thread, as in the
+benchmark. The change is this script's checkout; ``--baseline`` names
+another checkout (usually the parent commit), recorded first in the same
+session, and adds ``memo_hit_speedup``, the ratio of the two sides' best
+memo hits per dimension. A side takes two to three minutes on a 2-CPU host.
+Standard library plus each checkout's ``dyncool``.
 """
 
 from __future__ import annotations
@@ -200,35 +197,20 @@ def record(checkout: Path) -> dict:
     return json.loads(proc.stdout)
 
 
-def smaller(first, second):
-    """Two recordings of one side as one: every number the smaller of its two
-    values, lists and objects entry by entry, anything else the first's."""
-    if isinstance(first, dict):
-        return {key: smaller(value, second[key]) for key, value in first.items()}
-    if isinstance(first, list):
-        return [smaller(a, b) for a, b in zip(first, second)]
-    if isinstance(first, (int, float)) and not isinstance(first, bool):
-        return min(first, second)
-    return first
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=Path, help="write the record here, not to stdout")
-    parser.add_argument("--baseline", type=Path, help="another checkout to compare with")
+    parser.add_argument("--baseline", type=Path, help="another checkout, recorded first")
     parser.add_argument("--side", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.side is not None:
         print(json.dumps(side(args.side.resolve())))
         return 0
     doc = {"format_version": 1}
-    if args.baseline is None:
-        doc["change"] = smaller(record(ROOT), record(ROOT))
-    else:
-        baseline = args.baseline.resolve()
-        first, second, third = record(baseline), record(ROOT), record(ROOT)
-        doc["baseline"] = smaller(first, record(baseline))
-        doc["change"] = smaller(second, third)
+    if args.baseline is not None:
+        doc["baseline"] = record(args.baseline.resolve())
+    doc["change"] = record(ROOT)
+    if args.baseline is not None:
         doc["memo_hit_speedup"] = {
             str(old["dim"]): round(old["memo_hit_best_s"] / new["memo_hit_best_s"], 2)
             for old, new in zip(doc["baseline"]["runs"], doc["change"]["runs"])

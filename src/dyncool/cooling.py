@@ -1,11 +1,11 @@
 """Iterated measure-and-kick ground state search.
 
 Each iteration measures the energy bin of width epsilon (an idealized
-projective phase-estimation model), builds the smoothed sign of H relative
-to the cutoff one bin above the bin's integer label (``_Bins``), and evolves
-under that sign plus a weak perturbation for a time that turns it into a
-half-strength kick inside the cold sector. Population can only climb two
-labels or more through the leakage channel, bounded per step by delta.
+projective phase-estimation model), builds the smoothed sign of H at the
+cutoff one bin above the bin's integer label (the top one capped, ``_Bins``),
+and evolves under that sign plus a weak perturbation for a time that turns
+it into a half-strength kick inside the cold sector. Population can only
+climb two labels or more through the leakage channel, bounded per step by delta.
 
 Three interchangeable constructions of the sign, each one real value per
 eigenvalue of H:

@@ -33,7 +33,7 @@ checkout and changes nothing in them, with BLAS on one thread, as in the
 benchmark. The change is this script's checkout; ``--baseline`` names
 another checkout (usually the parent commit), recorded first in the same
 session, and adds ``memo_hit_speedup``, the ratio of the two sides' best
-memo hits per dimension. A side takes two to three minutes on a 2-CPU host.
+memo hits per dimension. A side takes one to two minutes on a 2-CPU host.
 Standard library plus each checkout's ``dyncool``.
 """
 

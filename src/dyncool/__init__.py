@@ -25,7 +25,6 @@ from .operators import (
     StateVector,
     Tolerances,
     UnitaryOperator,
-    check_subnormalized,
     eig,
     evolve,
     projector_below,

@@ -28,7 +28,7 @@ from .operators import (
     Projector,
     _bound,
     check_dim,
-    check_subnormalized,
+    check_norm,
     hermitian_norm,
     spectral_norm,
 )
@@ -142,7 +142,7 @@ def generate_hamiltonian(source: dict, rng: np.random.Generator) -> np.ndarray:
         return H / max(1.0, norm)
     if kind == "file":
         mat = _matrix_file(source)
-        check_subnormalized(HermitianOperator(mat), "hamiltonian file")
+        check_norm(hermitian_norm(HermitianOperator(mat).entries), "hamiltonian file")
         return mat
     raise ValidationError(f"unknown hamiltonian type {kind!r}")
 
@@ -266,8 +266,6 @@ def cmd_signpoly(args) -> int:
 
 
 def cmd_gqsp(args) -> int:
-    if args.check_dim < 1:
-        raise ValidationError(f"--check-dim must be at least 1, got {args.check_dim}")
     check_dim(args.check_dim, "check")
     rng = np.random.default_rng(operators.check_seed(args.seed))
     if args.poly is not None:
@@ -326,8 +324,7 @@ def _certify_checks(epsilons, deltas, seed):
         for delta in (0.25, 0.04):
             basis = _random_unitary(rng, dim)[:, : dim // 2]
             P = Projector(basis @ basis.conj().T)
-            A = sample_gue(rng, dim)
-            A = A / max(1.0, hermitian_norm(A))
+            A = generate_perturbation({"type": "gue"}, dim, rng)
             for label, measure in (("leakage", leakage), ("effective evolution", effective_error)):
                 name = f"two-sector {label} dim={dim} delta={delta}"
                 try:

@@ -2,9 +2,9 @@
 
 Each iteration measures the energy bin of width epsilon (an idealized
 projective phase-estimation model), builds the smoothed sign of H at the
-cutoff one bin above the bin's integer label (the top one capped, ``_Bins``),
-and evolves under that sign plus a weak perturbation for a time that turns
-it into a half-strength kick inside the cold sector. Population can only
+cutoff one bin above the bin's integer label (``_labels``; the top one capped,
+``_Bins``), and evolves under that sign plus a weak perturbation for a time that
+turns it into a half-strength kick inside the cold sector. Population can only
 climb two labels or more through the leakage channel, bounded per step by delta.
 
 Three interchangeable constructions of the sign, each one real value per
@@ -20,10 +20,10 @@ eigenvalue of H:
   error at all.
 
 Every kick is built one way, in H's eigenbasis V where the sign is
-diagonal: at cutoff c it is exp(-iT K) with K = diag(s) + (sqrt(delta)/2)
-V^dag A V, s the sign values at c and T the step time. Each build checks
-the shifted spectrum against the sign's band (polynomial modes), K's
-Hermiticity, the eig reconstruction of K and the unitarity of the result.
+diagonal: at cutoff c it is exp(-iT K) with K = diag(s) + kappa V^dag A V, s
+the sign values at c, kappa = sqrt(delta)/2 (``dyson._coupling``) and T the step
+time. Each build checks the shifted spectrum against the sign's band (polynomial
+modes), K's Hermiticity, the eig reconstruction of K and the result's unitarity.
 
 ``run`` carries the state as eigen-amplitudes V^dag psi; the eigenvalues
 ascend, so every energy bin is a contiguous slice of them. What a
@@ -63,7 +63,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dyson import _repetitions, default_time
+from .dyson import _coupling, _repetitions, default_time
 from .errors import ValidationError
 from .gqsp import eval_angles, synthesize_angles
 from .operators import (
@@ -71,6 +71,7 @@ from .operators import (
     HermitianOperator,
     SpectralDecomposition,
     StateVector,
+    _is_integer,
     _number,
     check_count,
     check_delta,
@@ -147,10 +148,6 @@ class CoolingConfig:
             raise ValidationError(f"mode must be one of {MODES}, got {self.mode!r}")
         check_margin(_number(self.margin, "margin"))
 
-    @property
-    def time(self) -> float:
-        return default_time(self.delta)
-
 
 @dataclass(frozen=True)
 class StoppingRule:
@@ -199,13 +196,11 @@ def _state_vec(state, dim: int) -> np.ndarray:
     return _amplitudes(vec, dim) / np.linalg.norm(vec)
 
 
-def _amplitudes(state, dim: int, name: str = "state", columns: bool = False) -> np.ndarray:
-    """``state`` as complex amplitudes, every entry finite: a vector of length
-    ``dim``, or with ``columns`` any array of leading dimension ``dim``."""
+def _amplitudes(state, dim: int, name: str = "state") -> np.ndarray:
+    """``state`` as a vector of ``dim`` complex amplitudes, every entry finite."""
     arr = np.asarray(state, dtype=complex)
-    if arr.shape[:1] != (dim,) or (arr.ndim != 1 and not columns):
-        want = f"leading dimension {dim}" if columns else f"shape ({dim},)"
-        raise ValidationError(f"{name} must have {want}, got shape {arr.shape}")
+    if arr.shape != (dim,):
+        raise ValidationError(f"{name} must have shape ({dim},), got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValidationError(f"{name} contains non-finite amplitudes")
     return arr
@@ -241,19 +236,25 @@ def _draw_index(probs, rng: np.random.Generator) -> int:
     return bisect_right(_cdf(probs), rng.random())
 
 
+def _labels(values: np.ndarray, width: float) -> np.ndarray:
+    """The integer label floor(v/width + 1/2) of each value: the nearest multiple
+    of ``width``, ties rounded up, the one rule for energy bins and registers."""
+    return np.floor(values / width + 0.5).astype(int)
+
+
 class _Bins:
     """Energy bins of width epsilon centered at integer multiples.
 
-    Labels floor(lambda/epsilon + 1/2) never decrease along ascending
-    eigenvalues, so each bin is a contiguous run of them. Per bin index: the
-    label b, its ``(start, stop)`` slice, its estimate b epsilon clamped to
-    [-1, 1], its cutoff min(b epsilon, max(1, lambda_max)) + epsilon and ``leak_from``,
-    the first eigenvalue of label b + 2 or more, where the defended line starts.
+    ``_labels`` never decrease along ascending eigenvalues, so each bin is a
+    contiguous run of them. Per bin index: the label b, its ``(start, stop)``
+    slice, its estimate b epsilon clamped to [-1, 1], its cutoff
+    min(b epsilon, max(1, lambda_max)) + epsilon and ``leak_from``, the first
+    eigenvalue of label b + 2 or more, where the defended line starts.
     """
 
     def __init__(self, eigenvalues: np.ndarray, epsilon: float):
         check_epsilon(epsilon)
-        labels = np.floor(eigenvalues / epsilon + 0.5).astype(int)
+        labels = _labels(eigenvalues, epsilon)
         bounds = [0, *(np.flatnonzero(np.diff(labels)) + 1).tolist(), labels.size]
         self.slices = list(zip(bounds[:-1], bounds[1:]))
         self.labels = labels[bounds[:-1]].tolist()
@@ -320,9 +321,9 @@ def _rotated_perturbation(A, dec: SpectralDecomposition) -> np.ndarray:
 
 def _kick(signs: np.ndarray, a_rot: np.ndarray, delta: float) -> np.ndarray:
     """The step operator in H's eigenbasis, exp(-iT K) with K = diag(signs) +
-    (sqrt(delta)/2) a_rot, a_rot = V^dag A V. K passes the Hermiticity check,
-    and ``evolve`` checks its eig reconstruction and the result's unitarity."""
-    gen = HermitianOperator(np.diag(signs) + 0.5 * np.sqrt(delta) * a_rot)
+    kappa a_rot, a_rot = V^dag A V. K passes the Hermiticity check, and
+    ``evolve`` checks its eig reconstruction and the result's unitarity."""
+    gen = HermitianOperator(np.diag(signs) + _coupling(delta) * a_rot)
     return evolve(gen, default_time(delta)).entries
 
 
@@ -333,8 +334,8 @@ def cooling_step(
     cutoff: float,
     config: CoolingConfig,
 ) -> np.ndarray:
-    """Evolve under H_sign + (sqrt(delta)/2) A for the step time."""
-    state = _amplitudes(state, dec.dim, columns=True)
+    """Evolve one state vector under H_sign + kappa A for the step time."""
+    state = _amplitudes(state, dec.dim)
     signs = _sign_values(dec, cutoff, config)
     kick = _kick(signs, _rotated_perturbation(A, dec), config.delta)
     vecs = dec.eigenvectors
@@ -351,8 +352,8 @@ def query_costs(epsilon: float, delta: float, sign_degree: int) -> tuple[int, in
     """
     reps = _repetitions(delta)
     check_epsilon(epsilon)
-    if sign_degree < 0:
-        raise ValidationError(f"degree must be non-negative, got {sign_degree}")
+    if not _is_integer(sign_degree) or sign_degree < 0:
+        raise ValidationError(f"degree must be a non-negative integer, got {sign_degree!r}")
     qpe = ceil(log2(1.0 / epsilon)) * max(1, ceil(log2(1.0 / delta))) * ceil(1.0 / epsilon)
     return sign_degree * reps + qpe, 4 * reps
 
@@ -555,15 +556,15 @@ def prepare_joint(dec: SpectralDecomposition, state, n: int) -> np.ndarray:
     """Entangle an n-bit energy register with the state's spectral bins.
 
     Register value j holds the part of the state whose eigenphase rounds to
-    j * 2pi/2^n; negative energies wrap to the register's upper half, which
-    the periodic polynomial evaluation treats correctly without unwrapping.
+    j * 2pi/2^n (``_labels``); negative energies wrap to the register's upper
+    half, which the periodic polynomial evaluation treats without unwrapping.
     """
     dim = dec.dim
     check_register(dim, n, "joint state")
     reg = 2**n
     vec = _state_vec(state, dim)
     amps = dec.eigenvectors.conj().T @ vec
-    bins = np.round(dec.eigenvalues / (2.0 * np.pi / reg)).astype(int) % reg
+    bins = _labels(dec.eigenvalues, 2.0 * np.pi / reg) % reg
     joint = np.zeros(reg * dim, dtype=complex)
     for j in np.unique(bins):
         sel = bins == j
@@ -574,6 +575,7 @@ def prepare_joint(dec: SpectralDecomposition, state, n: int) -> np.ndarray:
 
 def register_populations(joint: np.ndarray, n: int) -> np.ndarray:
     """Probability of each register value."""
+    check_register(1, n, "joint state")  # before 2**n is formed
     # the system dimension is what the joint's size leaves per register value
     blocks = _register_blocks(joint, n, max(1, np.size(joint) // 2**n))
     return np.sum(np.abs(blocks) ** 2, axis=1)
@@ -596,11 +598,11 @@ def coherent_step(
     """
     check_delta(delta)
     a_rot = _rotated_perturbation(A, dec)
-    reg = 2**n
-    width = 2.0 * np.pi / reg
     vecs = dec.eigenvectors
     # row j of ``blocks`` holds V^dag times register block j
     blocks = _register_blocks(joint, n, dec.dim) @ vecs.conj()
+    reg = 2**n
+    width = 2.0 * np.pi / reg
     for j in range(reg):
         if np.linalg.norm(blocks[j]) == 0.0:
             continue

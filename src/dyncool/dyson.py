@@ -1,13 +1,13 @@
 """Weak-coupling verification of the two-sector evolution model.
 
-One cooling step evolves under H = R + (sqrt(delta)/2) A, where R acts as -1
-on the kept sector (range of the projector) and +1 on its complement. The
-claims this module makes checkable:
+One cooling step evolves under H = R + kappa A, where R acts as -1 on the
+kept sector (range of the projector) and +1 on its complement. The kick
+strength kappa = sqrt(delta)/2 (``_coupling``), the step's repetition count and
+its time have their one home here. The claims this module makes checkable:
 
 - `leakage`: weight driven across sectors stays below delta at the step time.
 - `effective_error`: inside the kept sector the step is the compressed
-  rotation exp(-i (sqrt(delta) t / 2) P A P) up to a global phase, with
-  O(delta) error.
+  rotation exp(-i kappa t P A P) up to a global phase, with O(delta) error.
 - `dyson_term` / `per_term_leakage`: individual orders of the time-ordered
   interaction-picture expansion, computed by cumulative Simpson quadrature
   with a step-halving error estimate, checked against factorial bounds.
@@ -72,24 +72,29 @@ def _cumsimp(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.cumsum(parts, axis=0) * ((x[1] - x[0]) / 12.0)
 
 
+def _coupling(delta: float) -> float:
+    """The kick strength kappa = sqrt(delta)/2 that scales A in every step."""
+    return 0.5 * np.sqrt(delta)
+
+
 def _repetitions(delta: float) -> int:
     check_delta(delta)
-    return ceil(1.0 / (np.pi * np.sqrt(delta)))
+    return ceil(1.0 / (2.0 * np.pi * _coupling(delta)))
 
 
 def default_time(delta: float) -> float:
-    """Step duration pi * ceil(1/(pi sqrt(delta))), the smallest multiple of pi
-    with coupling angle sqrt(delta) t / 2 >= 1/2; the count is ``_repetitions``."""
+    """Step duration pi * ceil(1/(2 pi kappa)), the smallest multiple of pi
+    with coupling angle kappa t >= 1/2; the count is ``_repetitions``."""
     return np.pi * _repetitions(delta)
 
 
 def sector_hamiltonian(A, P, delta: float) -> HermitianOperator:
-    """R + (sqrt(delta)/2) A with R = I - 2P."""
+    """R + kappa A with R = I - 2P."""
     check_delta(delta)
     a = square_entries(A, "perturbation")
     p = square_entries(P, "projector")
     r = np.eye(p.shape[0]) - 2.0 * p
-    return HermitianOperator(r + 0.5 * np.sqrt(delta) * a)
+    return HermitianOperator(r + _coupling(delta) * a)
 
 
 def leakage(A, P, delta: float, t: float | None = None) -> float:
@@ -104,18 +109,18 @@ def leakage(A, P, delta: float, t: float | None = None) -> float:
 
 def effective_error(A, P, delta: float, t: float | None = None) -> float:
     """Squared distance between the phase-corrected kept-sector block and the
-    compressed rotation exp(-i (sqrt(delta) t / 2) P A P).
+    compressed rotation exp(-i kappa t P A P).
 
-    Defaults to t = 1/sqrt(delta), where the rotation angle is exactly 1/2.
+    Defaults to t = 1/(2 kappa), where the rotation angle is exactly 1/2.
     """
     check_delta(delta)
     if t is None:
-        t = 1.0 / np.sqrt(delta)
+        t = 1.0 / (2.0 * _coupling(delta))
     a = square_entries(A, "perturbation")
     p = square_entries(P, "projector")
     U = evolve(sector_hamiltonian(A, P, delta), t).entries
     compressed = HermitianOperator(0.5 * (p @ a @ p + (p @ a @ p).conj().T))
-    target = evolve(compressed, 0.5 * np.sqrt(delta) * t).entries
+    target = evolve(compressed, _coupling(delta) * t).entries
     diff = np.exp(-1j * t) * (p @ U @ p) - target @ p
     return spectral_norm(diff) ** 2
 
@@ -150,16 +155,16 @@ def _expansion_stack(A, P, delta: float, order: int, t: float, n_steps: int):
     frames = _interaction_frames(A, P, s)
     dim = frames.shape[1]
     levels = [np.broadcast_to(np.eye(dim, dtype=complex), frames.shape).copy()]
-    coupling = -0.5j * np.sqrt(delta)
+    factor = -1j * _coupling(delta)
     for _ in range(order):
         integrand = frames @ levels[-1]
-        levels.append(coupling * _cumsimp(integrand, s))
+        levels.append(factor * _cumsimp(integrand, s))
     return levels
 
 
 def dyson_term_bound(order: int, t: float, delta: float) -> float:
-    """Factorial bound (t sqrt(delta) / 2)^k / k! on the order-k term."""
-    return (t * np.sqrt(delta) / 2.0) ** order / factorial(order)
+    """Factorial bound (kappa t)^k / k! on the order-k term."""
+    return (t * _coupling(delta)) ** order / factorial(order)
 
 
 def leakage_term_bound(order: int, t: float, delta: float) -> float:

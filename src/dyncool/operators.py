@@ -42,7 +42,6 @@ __all__ = [
     "shift_operator",
     "shift_evolution_factored",
     "check_norm",
-    "check_subnormalized",
     "check_epsilon",
     "check_delta",
     "check_margin",
@@ -125,8 +124,11 @@ def check_margin(margin: float) -> None:
 
 
 def check_dim(dim: int, label: str, n: int = 0) -> None:
-    """Reject a ``label`` operator of dimension ``dim * 2**n`` past ``TOL.max_total_dim``;
-    an n past the budget's bit length is refused before 2**n is formed."""
+    """Reject a ``label`` dimension ``dim`` below 1, or ``dim * 2**n`` past
+    ``TOL.max_total_dim``; an n past the budget's bit length is refused before
+    2**n is formed."""
+    if dim < 1:
+        raise ValidationError(f"{label} dimension must be at least 1, got {dim}")
     budget = TOL.max_total_dim
     if n > budget.bit_length():
         raise ResourceError(f"{label} dimension {dim} * 2^{n} exceeds budget {budget}")
@@ -161,7 +163,10 @@ def check_window(k: int, m: int) -> None:
 
 
 def check_register(dim: int, n: int, label: str) -> None:
-    """Reject an n-bit register with n < 1, or one whose ``dim * 2**n`` ``check_dim`` refuses."""
+    """Reject an n-bit register unless n is an integer >= 1 (a bool is not one) and
+    ``check_dim`` accepts its ``dim * 2**n``."""
+    if not _is_integer(n):
+        raise ValidationError(f"register size must be an integer, got {n!r}")
     if n < 1:
         raise RangeError(f"register size must be >= 1, got {n}")
     check_dim(dim, label, n)
@@ -367,11 +372,6 @@ def hermitian_norm(mat: np.ndarray) -> float:
 def check_norm(norm: float, name: str) -> float:
     """Require a measured spectral norm <= 1 (+ ``TOL.norm_slack``); returns it."""
     return _bound(f"spectral norm of {name}", norm, 1.0 + TOL.norm_slack)
-
-
-def check_subnormalized(H: HermitianOperator, name: str = "operator") -> float:
-    """Require spectral norm <= 1 (+ slack); returns the measured norm."""
-    return check_norm(hermitian_norm(H.entries), name)
 
 
 def shift_operator(H: HermitianOperator, n: int) -> HermitianOperator:

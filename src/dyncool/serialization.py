@@ -46,7 +46,6 @@ __all__ = [
     "gqsp_angles_document",
     "certification_report",
     "trajectory_csv_text",
-    "write_trajectory_csv",
 ]
 
 FORMAT_VERSION = 1
@@ -322,7 +321,3 @@ def trajectory_csv_text(trajectories, config: CoolingConfig) -> str:
             for step, _, estimate, energy, overlap, leakage, eiH, UA, _ in traj.steps
         ]
     return "\n".join(lines) + "\n"
-
-
-def write_trajectory_csv(path: str, trajectories, config: CoolingConfig):
-    write_text_atomic(path, trajectory_csv_text(trajectories, config))

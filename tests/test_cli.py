@@ -704,7 +704,7 @@ class TestGqspCommand:
     def test_check_dim_below_one_exits_nonzero(self, capsys, dim):
         argv = ["gqsp", "--epsilon", "0.5", "--delta", "0.25", "--check-dim", dim]
         assert main(argv) == 1
-        assert "check-dim" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: check dimension must be at least 1, got {dim}\n"
 
     def test_block_residual_past_its_bound_exits_nonzero(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "_block_residual", lambda *args: 2e-7)

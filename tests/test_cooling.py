@@ -73,7 +73,6 @@ class TestConfig:
     def test_delta_defaults_to_inverse_steps(self):
         cfg = CoolingConfig(epsilon=0.25, steps=8)
         assert cfg.delta == pytest.approx(0.125)
-        assert cfg.time == pytest.approx(default_time(0.125))
 
     def test_validation(self):
         with pytest.raises(RangeError):
@@ -387,6 +386,13 @@ class TestQueryCosts:
             query_costs(0.8, 0.1, 10)
         with pytest.raises(ValidationError):
             query_costs(0.1, 0.1, -1)
+
+    @pytest.mark.parametrize("degree", [2.5, 2.0, True, "a", None])
+    def test_degree_must_be_an_integer(self, degree):
+        message = re.escape(f"degree must be a non-negative integer, got {degree!r}")
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            query_costs(0.1, 0.1, degree)
+        assert query_costs(0.1, 0.1, np.int64(2)) == query_costs(0.1, 0.1, 2)
 
 
 class TestBuildHsign:
@@ -780,7 +786,7 @@ class TestOneKick:
         state = random_initial_state(np.random.default_rng(5), 9)
         for cutoff in cooling._Bins(dec.eigenvalues, cfg.epsilon).cutoffs:
             expected = self.reference(dec, A, cutoff, cfg)
-            unitary = cooling_step(dec, np.eye(9), A, cutoff, cfg)
+            unitary = np.column_stack([cooling_step(dec, e, A, cutoff, cfg) for e in np.eye(9)])
             assert np.max(np.abs(unitary - expected)) <= 1e-12
             after = cooling_step(dec, state, A, cutoff, cfg)
             assert np.max(np.abs(after - expected @ state)) <= 1e-12
@@ -1160,11 +1166,25 @@ class TestCoherentRoute:
         assert abs(np.linalg.norm(joint) - 1.0) <= 1e-12
         width = 2.0 * np.pi / 2**n
         amps = dec.eigenvectors.conj().T @ psi
-        bins = np.round(dec.eigenvalues / width).astype(int) % 2**n
+        bins = cooling._labels(dec.eigenvalues, width) % 2**n
         pops = register_populations(joint, n)
         for j in range(2**n):
             expected = np.sum(np.abs(amps[bins == j]) ** 2)
             assert abs(pops[j] - expected) <= 1e-12
+
+    def test_register_ties_round_up_as_the_bins_do(self):
+        # w/2 sits exactly between registers 0 and 1; ``_labels``, which ``_Bins``
+        # also uses, rounds it up to 1, where round-half-to-even gave 0
+        n = 4
+        w = 2.0 * np.pi / 2**n
+        dec = eig(HermitianOperator(np.diag([w / 2, -w / 2, 0.2, -0.3])))
+        tie = int(np.flatnonzero(dec.eigenvalues == w / 2)[0])
+        assert cooling._labels(dec.eigenvalues, w)[tie] == 1
+        bins = cooling._Bins(dec.eigenvalues, w)
+        assert [b for b, (start, stop) in zip(bins.labels, bins.slices) if start <= tie < stop] == [1]
+        blocks = prepare_joint(dec, dec.eigenvectors[:, tie], n).reshape(2**n, 4)
+        assert np.linalg.norm(blocks[1]) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(blocks[0]) == 0.0
 
     def test_step_preserves_register_populations(self):
         rng, H, dec, psi, n = self.setup_state()
@@ -1235,12 +1255,12 @@ class TestMalformedStates:
         with pytest.raises(ValidationError):
             qpe_project(dec, self.BAD_STATES[bad], cfg.epsilon, np.random.default_rng(0))
 
-    def test_only_cooling_step_takes_columns(self):
+    def test_state_steps_refuse_a_column_block(self):
         dec, A, _, _, _ = self.instance()
         cfg = CoolingConfig(epsilon=0.25, steps=2)
         for cols in (np.eye(8) / sqrt(8), np.ones((8, 1)) / sqrt(8)):
-            kicked = cooling_step(dec, cols, A, 0.0, cfg)
-            assert kicked.shape == cols.shape
+            with pytest.raises(ValidationError, match=r"state must have shape \(8,\), got"):
+                cooling_step(dec, cols, A, 0.0, cfg)
             with pytest.raises(ValidationError, match=r"state must have shape \(8,\), got"):
                 qpe_project(dec, cols, cfg.epsilon, np.random.default_rng(0))
 
@@ -1271,3 +1291,15 @@ class TestMalformedStates:
                 coherent_step(joint, dec, A, n, S, 0.1)
             with pytest.raises(RangeError):
                 register_populations(joint, n)
+
+    @pytest.mark.parametrize("n", [2.5, 4.0, True, "4"])
+    def test_register_size_must_be_an_integer(self, n):
+        # refused before ``dim << n`` or 2**n is formed; a bool is not an integer here
+        dec, A, psi, joint, S = self.instance()
+        for call in (
+            lambda: prepare_joint(dec, psi, n),
+            lambda: coherent_step(joint, dec, A, n, S, 0.1),
+            lambda: register_populations(joint, n),
+        ):
+            with pytest.raises(ValidationError, match="^register size must be an integer, got "):
+                call()

@@ -5,6 +5,8 @@ explicit first-order integral for cross-sector terms, and exact nested
 integrals for path weights.
 """
 
+import ast
+
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_simpson
@@ -31,6 +33,7 @@ from dyncool.errors import RangeError, ResolutionError, ValidationError
 from dyncool.operators import HermitianOperator, evolve, spectral_norm
 
 from conftest import random_hermitian, random_projector
+from test_operators import SRC
 
 
 def normalized_gue(rng, dim):
@@ -259,3 +262,25 @@ class TestRandomMatrixModel:
     def test_index_guard(self):
         with pytest.raises(RangeError):
             cooling_probability(np.arange(3.0), np.eye(3), 5)
+
+
+class TestOneStrength:
+    def test_the_kick_strength_has_one_home(self):
+        """Every sqrt of a delta in ``src/`` is the one in ``dyson._coupling``."""
+        sites = []
+        for path in sorted(SRC.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            # the innermost function around each node, as ast.walk visits outer ones first
+            owner = {
+                child: fn.name
+                for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                for child in ast.walk(fn)
+            }
+            sites += [
+                f"{path.name}:{owner.get(node, '<module>')}"
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Call)
+                and ast.unparse(node.func).split(".")[-1] == "sqrt"
+                and any(ast.unparse(arg).split(".")[-1] == "delta" for arg in node.args)
+            ]
+        assert sites == ["dyson.py:_coupling"]

@@ -1,4 +1,7 @@
 import ast
+import importlib.util
+import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +18,6 @@ from dyncool import (
     StateVector,
     UnitaryOperator,
     ValidationError,
-    check_subnormalized,
     eig,
     evolve,
     projector_below,
@@ -25,7 +27,7 @@ from dyncool import (
     spectral_norm,
     spectral_values,
 )
-from dyncool.operators import _bound, check_norm
+from dyncool.operators import _bound, check_norm, hermitian_norm
 from conftest import random_hermitian, random_projector, random_state
 
 
@@ -92,9 +94,9 @@ class TestValidation:
             H.entries[0, 0] = 5.0
 
     def test_subnormalized_check(self):
-        check_subnormalized(HermitianOperator(np.diag([1.0, -0.5])))
+        check_norm(hermitian_norm(np.diag([1.0, -0.5])), "operator")
         with pytest.raises(ValidationError):
-            check_subnormalized(HermitianOperator(np.diag([1.2, 0.0])))
+            check_norm(hermitian_norm(np.diag([1.2, 0.0])), "operator")
 
 
     def test_subnormalized_bound_is_unchanged(self):
@@ -102,8 +104,8 @@ class TestValidation:
         # and the message prints both numbers exactly
         match = r"^spectral norm of h = 1\.000001 is not <= 1\.0000000001$"
         with pytest.raises(ValidationError, match=match):
-            check_subnormalized(HermitianOperator(np.diag([0.5, -(1.0 + 1e-6)])), "h")
-        assert check_subnormalized(HermitianOperator(np.diag([0.5, -(1.0 + 1e-11)]))) == 1.0 + 1e-11
+            check_norm(hermitian_norm(np.diag([0.5, -(1.0 + 1e-6)])), "h")
+        assert check_norm(hermitian_norm(np.diag([0.5, -(1.0 + 1e-11)])), "h") == 1.0 + 1e-11
 
 class TestEig:
     def test_reconstruction_random_dims(self):
@@ -206,6 +208,14 @@ class TestShiftOperator:
         with pytest.raises(ResourceError, match=f"^{label} dimension 8192 exceeds budget 4096$"):
             build(H, 9)
 
+    @pytest.mark.parametrize("build", [shift_operator, shift_evolution_factored])
+    @pytest.mark.parametrize("n", [2.5, 2.0, True, "2", None])
+    def test_register_size_must_be_an_integer(self, build, n):
+        # refused before ``dim << n`` is formed; a bool is not an integer here
+        message = re.escape(f"register size must be an integer, got {n!r}")
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            build(HermitianOperator(np.eye(2)), n)
+
     def test_factored_form_matches_direct_exponential(self):
         rng = np.random.default_rng(29)
         for dim in (1, 2, 3, 4):
@@ -290,3 +300,34 @@ class TestBound:
             and names_a_bound(node.test)
         ]
         assert offenders == []
+
+
+class TestTracedNames:
+    """The benchmark's tracer (``bench/tracing.py``) finds each function it
+    times by its name in ``LAYERS``; here it is installed and uninstalled
+    without running a job, so renaming or removing one of them fails this
+    test and not only a traced benchmark run."""
+
+    @staticmethod
+    def traced(name):
+        """The binding the tracer wraps for ``layer.function``: the function,
+        or a class's ``__post_init__``."""
+        layer, fn = name.split(".")
+        obj = getattr(sys.modules[f"dyncool.{layer}"], fn)
+        return obj.__post_init__ if isinstance(obj, type) else obj
+
+    def test_the_benchmark_tracer_finds_every_traced_function(self):
+        importlib.import_module("dyncool.cli")  # the package does not import cli itself
+        path = SRC.parent.parent / "bench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("bench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        before = {name: self.traced(name) for name in tracing.FUNCTIONS}
+        tracer = tracing.Tracer()
+        try:
+            tracer.install()
+            wrapped = {name: self.traced(name) is not before[name] for name in before}
+        finally:
+            tracer.uninstall()
+        assert wrapped == dict.fromkeys(before, True)
+        assert {name: self.traced(name) for name in before} == before

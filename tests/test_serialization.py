@@ -30,7 +30,6 @@ from dyncool.serialization import (
     trajectory_document,
     write_json,
     write_text_atomic,
-    write_trajectory_csv,
 )
 
 from conftest import random_hermitian
@@ -286,7 +285,7 @@ class TestTrajectoryFormats:
     def test_csv_file_write(self, small_run, tmp_path):
         H, A, config, trajectories = small_run
         path = tmp_path / "traj.csv"
-        write_trajectory_csv(str(path), trajectories, config)
+        write_text_atomic(str(path), trajectory_csv_text(trajectories, config))
         assert path.read_text() == trajectory_csv_text(trajectories, config)
 
     def test_run_record_round_trip(self, small_run):

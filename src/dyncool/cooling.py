@@ -596,7 +596,6 @@ def coherent_step(
     values get the correct cutoff for free. Register populations are exactly
     preserved.
     """
-    check_delta(delta)
     a_rot = _rotated_perturbation(A, dec)
     vecs = dec.eigenvectors
     # row j of ``blocks`` holds V^dag times register block j

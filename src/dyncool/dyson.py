@@ -8,17 +8,19 @@ its time have their one home here. The claims this module makes checkable:
 - `leakage`: weight driven across sectors stays below delta at the step time.
 - `effective_error`: inside the kept sector the step is the compressed
   rotation exp(-i kappa t P A P) up to a global phase, with O(delta) error.
-- `dyson_term` / `per_term_leakage`: individual orders of the time-ordered
-  interaction-picture expansion, computed by cumulative Simpson quadrature
-  with a step-halving error estimate, checked against factorial bounds.
+- `dyson_term` / `per_term_leakage`: orders of the interaction-picture
+  expansion by cumulative Simpson quadrature with a step-halving error
+  estimate, checked against factorial bounds.
 - `path_weight`: the nested phase integrals that control each term; any path
   with at least one oscillating slot loses a full power of t.
-- `transition_matrix` / `cooling_probability` / `sample_gue`: the classical
-  Markov picture the coherent step reduces to at second order, and the
-  random-matrix ensemble used to drive it.
+- `transition_matrix` / `cooling_probability` / `sample_gue`: the second-order
+  Markov picture of the step and the random-matrix ensemble that drives it.
 
-All matrix arguments accept either raw ndarrays or the wrapped operator
-types.
+Matrix arguments may be ndarrays or wrapped operators. Each input is checked
+once, where it enters: delta in ``_coupling`` (every kappa's one path) and in
+``leakage_term_bound`` (its delta^(k/2) bypasses kappa); A and P, square and of
+one shape, in ``_sectors``; eigenvalues, one per row of A, in ``_spectrum``; a
+time, which must be finite, in ``_time``.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from math import ceil, factorial
 import numpy as np
 
 from .errors import RangeError, ResolutionError, ValidationError
-from .operators import HermitianOperator, _bound, check_delta, evolve, spectral_norm
-from .operators import square_entries
+from .operators import HermitianOperator, _bound, _number, check_delta, check_dim, evolve
+from .operators import spectral_norm, square_entries
 
 __all__ = [
     "MAX_EXPANSION_ORDER",
@@ -73,13 +75,29 @@ def _cumsimp(y: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _coupling(delta: float) -> float:
-    """The kick strength kappa = sqrt(delta)/2 that scales A in every step."""
+    """The kick strength kappa = sqrt(delta)/2 of every step, once delta is checked."""
+    check_delta(delta)
     return 0.5 * np.sqrt(delta)
 
 
 def _repetitions(delta: float) -> int:
-    check_delta(delta)
     return ceil(1.0 / (2.0 * np.pi * _coupling(delta)))
+
+
+def _sectors(A, P) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(A, P, I - P) as arrays, for square A and P of one shape."""
+    a = square_entries(A, "perturbation")
+    p = square_entries(P, "projector")
+    if a.shape != p.shape:
+        raise ValidationError(f"perturbation shape {a.shape} differs from projector shape {p.shape}")
+    return a, p, np.eye(p.shape[0]) - p
+
+
+def _time(t: float) -> float:
+    """``t`` if it is a finite number."""
+    if not np.isfinite(_number(t, "time")):
+        raise RangeError(f"time must be finite, got {t}")
+    return t
 
 
 def default_time(delta: float) -> float:
@@ -90,35 +108,25 @@ def default_time(delta: float) -> float:
 
 def sector_hamiltonian(A, P, delta: float) -> HermitianOperator:
     """R + kappa A with R = I - 2P."""
-    check_delta(delta)
-    a = square_entries(A, "perturbation")
-    p = square_entries(P, "projector")
-    r = np.eye(p.shape[0]) - 2.0 * p
-    return HermitianOperator(r + _coupling(delta) * a)
+    a, p, _ = _sectors(A, P)
+    return HermitianOperator(np.eye(p.shape[0]) - 2.0 * p + _coupling(delta) * a)
 
 
 def leakage(A, P, delta: float, t: float | None = None) -> float:
     """Squared norm of the cross-sector block of the step unitary."""
-    if t is None:
-        t = default_time(delta)
-    p = square_entries(P, "projector")
-    comp = np.eye(p.shape[0]) - p
-    U = evolve(sector_hamiltonian(A, P, delta), t).entries
+    a, p, comp = _sectors(A, P)
+    t = default_time(delta) if t is None else _time(t)
+    U = evolve(sector_hamiltonian(a, p, delta), t).entries
     return spectral_norm(comp @ U @ p) ** 2
 
 
 def effective_error(A, P, delta: float, t: float | None = None) -> float:
     """Squared distance between the phase-corrected kept-sector block and the
-    compressed rotation exp(-i kappa t P A P).
-
-    Defaults to t = 1/(2 kappa), where the rotation angle is exactly 1/2.
-    """
-    check_delta(delta)
-    if t is None:
-        t = 1.0 / (2.0 * _coupling(delta))
-    a = square_entries(A, "perturbation")
-    p = square_entries(P, "projector")
-    U = evolve(sector_hamiltonian(A, P, delta), t).entries
+    compressed rotation exp(-i kappa t P A P); t defaults to 1/(2 kappa), where
+    the rotation angle is exactly 1/2."""
+    a, p, _ = _sectors(A, P)
+    t = 1.0 / (2.0 * _coupling(delta)) if t is None else _time(t)
+    U = evolve(sector_hamiltonian(a, p, delta), t).entries
     compressed = HermitianOperator(0.5 * (p @ a @ p + (p @ a @ p).conj().T))
     target = evolve(compressed, _coupling(delta) * t).entries
     diff = np.exp(-1j * t) * (p @ U @ p) - target @ p
@@ -127,21 +135,16 @@ def effective_error(A, P, delta: float, t: float | None = None) -> float:
 
 def interaction_unitary(A, P, delta: float, t: float) -> np.ndarray:
     """exp(iRt) exp(-iHt): the exact object the expansion approximates."""
-    p = square_entries(P, "projector")
-    r = HermitianOperator(np.eye(p.shape[0]) - 2.0 * p)
-    U = evolve(sector_hamiltonian(A, P, delta), t).entries
-    return evolve(r, -t).entries @ U
+    a, p, _ = _sectors(A, P)
+    U = evolve(sector_hamiltonian(a, p, delta), _time(t)).entries
+    return evolve(HermitianOperator(np.eye(p.shape[0]) - 2.0 * p), -t).entries @ U
 
 
 def _interaction_frames(A, P, s: np.ndarray) -> np.ndarray:
-    """exp(iRs) A exp(-iRs) stacked along axis 0.
-
-    R has eigenvalues -1 (kept sector) and +1, so conjugation splits A into
-    two static blocks plus two cross blocks rotating at frequency 2.
-    """
-    a = square_entries(A, "perturbation")
-    p = square_entries(P, "projector")
-    comp = np.eye(p.shape[0]) - p
+    """exp(iRs) A exp(-iRs) stacked along axis 0. R has eigenvalues -1 (kept
+    sector) and +1, so conjugation splits A into two static blocks plus two
+    cross blocks rotating at frequency 2."""
+    a, p, comp = _sectors(A, P)
     static = comp @ a @ comp + p @ a @ p
     up = comp @ a @ p
     down = p @ a @ comp
@@ -164,13 +167,15 @@ def _expansion_stack(A, P, delta: float, order: int, t: float, n_steps: int):
 
 def dyson_term_bound(order: int, t: float, delta: float) -> float:
     """Factorial bound (kappa t)^k / k! on the order-k term."""
-    return (t * _coupling(delta)) ** order / factorial(order)
+    return (_time(t) * _coupling(delta)) ** order / factorial(order)
 
 
 def leakage_term_bound(order: int, t: float, delta: float) -> float:
     """Bound on the cross-sector block of the order-k term: one time
     integration is killed by the oscillating phase, trading a power of t for
     a constant."""
+    _time(t)
+    check_delta(delta)
     if order < 1:
         return 0.0
     return t ** (order - 1) * delta ** (order / 2.0) / (factorial(order - 1) * 2.0)
@@ -210,7 +215,7 @@ def _expansion_time(order: int, n_steps: int, delta: float, t: float | None) -> 
         )
     if n_steps < 8:
         raise ValidationError(f"need at least 8 quadrature steps, got {n_steps}")
-    return default_time(delta) if t is None else t
+    return default_time(delta) if t is None else _time(t)
 
 
 def dyson_term(
@@ -219,10 +224,8 @@ def dyson_term(
     """Order-k term of the interaction-picture expansion at time t.
 
     Quadrature runs at n_steps and 2*n_steps; the difference is the error
-    estimate. If the estimate exceeds 10% of the factorial bound the
-    resolution is insufficient and the result would be meaningless for
-    bound checking, so this raises instead of returning.
-    """
+    estimate. An estimate past 10% of the factorial bound would make the
+    term meaningless for bound checking, so it raises ``ResolutionError``."""
     t = _expansion_time(order, n_steps, delta, t)
     coarse = _expansion_stack(A, P, delta, order, t, n_steps)[order][-1]
     fine = _expansion_stack(A, P, delta, order, t, 2 * n_steps)[order][-1]
@@ -246,10 +249,8 @@ def per_term_leakage(
     A, P, delta: float, order: int, t: float | None = None, n_steps: int = 512
 ) -> float:
     """Norm of the cross-sector block of the order-k term."""
-    term = dyson_term(A, P, delta, order, t, n_steps)
-    p = square_entries(P, "projector")
-    comp = np.eye(p.shape[0]) - p
-    return spectral_norm(comp @ term.matrix @ p)
+    a, p, comp = _sectors(A, P)
+    return spectral_norm(comp @ dyson_term(a, p, delta, order, t, n_steps).matrix @ p)
 
 
 def path_weight(phases, t: float, n_steps: int = 2048) -> PathWeight:
@@ -267,7 +268,7 @@ def path_weight(phases, t: float, n_steps: int = 2048) -> PathWeight:
         raise ValidationError(f"slot frequencies must be 0 or +/-2, got {phases}")
     if n_steps < 8:
         raise ValidationError(f"need at least 8 quadrature steps, got {n_steps}")
-    s = np.linspace(0.0, t, n_steps + 1)
+    s = np.linspace(0.0, _time(t), n_steps + 1)
     acc = np.ones_like(s, dtype=complex)
     for mu in phases:
         acc = _cumsimp(np.exp(1j * mu * s) * acc, s)
@@ -279,6 +280,15 @@ def path_weight(phases, t: float, n_steps: int = 2048) -> PathWeight:
     return PathWeight(phases, t, complex(acc[-1]), float(bound))
 
 
+def _spectrum(eigenvalues, A) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues, A) as arrays: one float eigenvalue per row of a square A."""
+    lam = np.asarray(eigenvalues, dtype=np.float64)
+    a = square_entries(A, "perturbation")
+    if lam.ndim != 1 or lam.size != a.shape[0]:
+        raise ValidationError(f"need one eigenvalue per row, got {lam.shape} against {a.shape}")
+    return lam, a
+
+
 def transition_matrix(eigenvalues, A) -> np.ndarray:
     """Second-order Markov model of one cooling step.
 
@@ -287,12 +297,7 @@ def transition_matrix(eigenvalues, A) -> np.ndarray:
     degenerate partners) occur with probability |A_ij|^2 / 4, uphill moves
     are projected out exactly, the rest stays put.
     """
-    lam = np.asarray(eigenvalues, dtype=np.float64)
-    a = square_entries(A, "perturbation")
-    if lam.ndim != 1 or lam.size != a.shape[0]:
-        raise ValidationError(
-            f"need one eigenvalue per row, got {lam.shape} against {a.shape}"
-        )
+    lam, a = _spectrum(eigenvalues, A)
     T = np.where(lam[:, None] <= lam[None, :], np.abs(a) ** 2 / 4.0, 0.0)
     np.fill_diagonal(T, 0.0)
     stay = 1.0 - T.sum(axis=0)
@@ -307,8 +312,7 @@ def transition_matrix(eigenvalues, A) -> np.ndarray:
 
 def cooling_probability(eigenvalues, A, j: int) -> float:
     """Probability of moving strictly downhill from eigenstate j in one step."""
-    lam = np.asarray(eigenvalues, dtype=np.float64)
-    a = square_entries(A, "perturbation")
+    lam, a = _spectrum(eigenvalues, A)
     if not 0 <= j < lam.size:
         raise RangeError(f"state index {j} outside [0, {lam.size})")
     below = lam < lam[j]
@@ -319,8 +323,7 @@ def sample_gue(rng: np.random.Generator, dim: int) -> np.ndarray:
     """GUE draw normalized as M/sqrt(dim): unit-variance matrix elements,
     semicircle support approaching [-2, 2]. Callers wanting spectral norm
     <= 1 must rescale."""
-    if dim < 1:
-        raise ValidationError(f"dimension must be positive, got {dim}")
+    check_dim(dim, "GUE")
     diag = rng.normal(size=dim)
     off = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     M = np.triu(off, 1) / np.sqrt(2.0)

@@ -181,7 +181,7 @@ def matrix_document(M) -> dict:
 
 def matrix_from_document(doc: dict) -> np.ndarray:
     dim = doc.get("dim") if isinstance(doc, dict) else None
-    if not _is_integer(dim) or dim < 1:
+    if not _is_integer(dim):
         raise ValidationError(f"matrix document needs a positive integer 'dim', got {dim!r}")
     check_dim(dim, "matrix document")
     flat = _pairs_to_complex(doc.get("entries"), dim * dim, "matrix entries")

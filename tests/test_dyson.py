@@ -41,6 +41,35 @@ def normalized_gue(rng, dim):
     return A / max(1.0, spectral_norm(A))
 
 
+def owned_calls(path):
+    """(innermost enclosing function's name, call) for every call in ``path``."""
+    tree = ast.parse(path.read_text())
+    # ast.walk visits outer functions first, so inner ones overwrite their claims
+    owner = {
+        child: fn.name
+        for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for child in ast.walk(fn)
+    }
+    return [(owner.get(node, "<module>"), node)
+            for node in ast.walk(tree) if isinstance(node, ast.Call)]
+
+
+def callee(call):
+    return ast.unparse(call.func).split(".")[-1]
+
+
+# every public function that takes the two-sector pair (A, P), called with a good delta
+TWO_SECTOR = {
+    "sector_hamiltonian": lambda A, P: sector_hamiltonian(A, P, 0.1),
+    "leakage": lambda A, P: leakage(A, P, 0.1),
+    "effective_error": lambda A, P: effective_error(A, P, 0.1),
+    "interaction_unitary": lambda A, P: interaction_unitary(A, P, 0.1, 1.0),
+    "dyson_term": lambda A, P: dyson_term(A, P, 0.1, 1),
+    "dyson_partial_sum": lambda A, P: dyson_partial_sum(A, P, 0.1, 1),
+    "per_term_leakage": lambda A, P: per_term_leakage(A, P, 0.1, 1),
+}
+
+
 class TestClosedForms:
     def test_two_level_leakage_axis_angle(self):
         # H = cX - Z rotates about an axis of length a = sqrt(1 + c^2); the
@@ -134,6 +163,44 @@ class TestBoundsAndConvergence:
             sector_hamiltonian(A, P, 1.5)
         with pytest.raises(RangeError):
             default_time(0.0)
+
+    @pytest.mark.parametrize("delta", [-0.1, 2.0])
+    @pytest.mark.parametrize("fn", [dyson_term, dyson_partial_sum, per_term_leakage])
+    def test_an_explicit_time_still_checks_delta(self, fn, delta):
+        with pytest.raises(RangeError, match=f"^delta must lie in \\(0, 1\\), got {delta}$"):
+            fn(np.diag([1.0, -1.0]), np.diag([1.0, 0.0]), delta, 1, t=1.0)
+
+    @pytest.mark.parametrize("delta", [-0.5, 2.0])
+    @pytest.mark.parametrize("bound", [dyson_term_bound, leakage_term_bound])
+    def test_term_bounds_check_delta(self, bound, delta):
+        with pytest.raises(RangeError, match=f"^delta must lie in \\(0, 1\\), got {delta}$"):
+            bound(2, 1.0, delta)
+
+    @pytest.mark.parametrize("name", sorted(TWO_SECTOR))
+    def test_a_projector_of_another_shape_is_refused(self, name):
+        message = r"^perturbation shape \(4, 4\) differs from projector shape \(2, 2\)$"
+        with pytest.raises(ValidationError, match=message):
+            TWO_SECTOR[name](np.eye(4), np.diag([1.0, 0.0]))
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda t: leakage(np.eye(2), np.diag([1.0, 0.0]), 0.1, t),
+            lambda t: effective_error(np.eye(2), np.diag([1.0, 0.0]), 0.1, t),
+            lambda t: interaction_unitary(np.eye(2), np.diag([1.0, 0.0]), 0.1, t),
+            lambda t: dyson_term(np.eye(2), np.diag([1.0, 0.0]), 0.1, 1, t),
+            lambda t: dyson_partial_sum(np.eye(2), np.diag([1.0, 0.0]), 0.1, 1, t),
+            lambda t: path_weight((0, 2), t),
+            lambda t: dyson_term_bound(2, t, 0.1),
+            lambda t: leakage_term_bound(2, t, 0.1),
+        ],
+        ids=["leakage", "effective_error", "interaction_unitary", "dyson_term",
+             "dyson_partial_sum", "path_weight", "dyson_term_bound", "leakage_term_bound"],
+    )
+    def test_a_time_must_be_finite(self, call, t):
+        with pytest.raises(RangeError, match=f"^time must be finite, got {t}$"):
+            call(t)
 
 
 class TestStepContracts:
@@ -263,24 +330,49 @@ class TestRandomMatrixModel:
         with pytest.raises(RangeError):
             cooling_probability(np.arange(3.0), np.eye(3), 5)
 
+    @pytest.mark.parametrize(
+        "model", [transition_matrix, lambda lam, A: cooling_probability(lam, A, 1)],
+        ids=["transition_matrix", "cooling_probability"],
+    )
+    def test_one_eigenvalue_per_row(self, model):
+        with pytest.raises(ValidationError, match=r"^need one eigenvalue per row, got \(3,\) "
+                                                  r"against \(5, 5\)$"):
+            model(np.arange(3.0), np.eye(5))
+
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_dimension_floor_is_check_dim(self, dim):
+        with pytest.raises(ValidationError, match=f"^GUE dimension must be at least 1, got {dim}$"):
+            sample_gue(np.random.default_rng(0), dim)
+
 
 class TestOneStrength:
     def test_the_kick_strength_has_one_home(self):
         """Every sqrt of a delta in ``src/`` is the one in ``dyson._coupling``."""
-        sites = []
-        for path in sorted(SRC.glob("*.py")):
-            tree = ast.parse(path.read_text())
-            # the innermost function around each node, as ast.walk visits outer ones first
-            owner = {
-                child: fn.name
-                for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
-                for child in ast.walk(fn)
-            }
-            sites += [
-                f"{path.name}:{owner.get(node, '<module>')}"
-                for node in ast.walk(tree)
-                if isinstance(node, ast.Call)
-                and ast.unparse(node.func).split(".")[-1] == "sqrt"
-                and any(ast.unparse(arg).split(".")[-1] == "delta" for arg in node.args)
-            ]
+        sites = [
+            f"{path.name}:{owner}"
+            for path in sorted(SRC.glob("*.py"))
+            for owner, node in owned_calls(path)
+            if callee(node) == "sqrt"
+            and any(ast.unparse(arg).split(".")[-1] == "delta" for arg in node.args)
+        ]
         assert sites == ["dyson.py:_coupling"]
+
+    def test_each_two_sector_input_has_one_check(self):
+        """In ``dyson``, delta is checked only in ``_coupling`` and ``leakage_term_bound``
+        (whose delta^(k/2) bypasses kappa), A and P are read only in ``_sectors`` (A also
+        in ``_spectrum``), and eigenvalues are coerced only in ``_spectrum``."""
+        calls = owned_calls(SRC / "dyson.py")
+
+        def owners(keep):
+            return sorted(owner for owner, node in calls if keep(node))
+
+        def names(node):
+            return {ast.unparse(arg) for arg in node.args}
+
+        assert owners(lambda n: callee(n) == "check_delta") == ["_coupling", "leakage_term_bound"]
+        assert owners(lambda n: callee(n) == "square_entries" and "'projector'" in names(n)) == [
+            "_sectors"]
+        assert owners(lambda n: callee(n) == "square_entries" and "'perturbation'" in names(n)) == [
+            "_sectors", "_spectrum"]
+        assert owners(lambda n: "eigenvalues" in names(n) and callee(n) != "_spectrum") == [
+            "_spectrum"]

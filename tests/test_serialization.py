@@ -88,6 +88,9 @@ class TestDocuments:
             matrix_document(np.zeros((2, 3)))
         with pytest.raises(ValidationError):
             matrix_from_document({"dim": 2, "entries": [[0.0, 0.0]] * 3})
+        with pytest.raises(ValidationError,
+                           match="^matrix document dimension must be at least 1, got 0$"):
+            matrix_from_document({"dim": 0, "entries": []})
 
     def test_polynomial_round_trip(self):
         rng = np.random.default_rng(5)

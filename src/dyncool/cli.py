@@ -77,11 +77,12 @@ def _number(doc: dict, key: str, default=None) -> float:
 
 
 def _integer(doc: dict, key: str, default=None) -> int:
-    """doc[key] as an int: an int or an integral float, never a bool."""
+    """doc[key] as an int: an integral float becomes its int, then
+    ``operators.check_integer`` applies."""
     value = _require(doc, key) if default is None else doc.get(key, default)
-    if operators._is_integer(value) or isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ValidationError(f"config key {key!r} must be an integer, got {value!r}")
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    return operators.check_integer(value, f"config key {key!r}")
 
 
 def _matrix_file(source: dict) -> np.ndarray:
@@ -102,9 +103,8 @@ def _site_product(ops: dict, sites: int) -> np.ndarray:
 
 def _tfim_matrix(sites: int, coupling: float, field: float) -> np.ndarray:
     """-J sum Z_i Z_{i+1} - h sum X_i on an open chain."""
-    if sites < 2:
-        raise ValidationError(f"chain needs at least 2 sites, got {sites}")
-    check_dim(1, "hamiltonian", sites)
+    operators.check_integer(sites, "chain sites", 2)
+    operators.check_register(1, sites, "hamiltonian")
     dim = 2**sites
     H = np.zeros((dim, dim))
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused by the caller
@@ -126,9 +126,7 @@ def generate_hamiltonian(source: dict, rng: np.random.Generator) -> np.ndarray:
     """
     kind = _require(source, "type")
     if kind == "random":
-        dim = _integer(source, "dim")
-        check_dim(dim, "hamiltonian")
-        mat = sample_gue(rng, dim)
+        mat = sample_gue(rng, _integer(source, "dim"))  # sample_gue checks the dimension
         return mat / hermitian_norm(mat)
     if kind == "tfim":
         H = _tfim_matrix(
@@ -192,7 +190,7 @@ def cmd_run(args) -> int:
     seed = args.seed if args.seed is not None else _integer(doc, "seed", 0)
     trials = args.trials if args.trials is not None else _integer(doc, "trials", 1)
 
-    setup_rng = np.random.default_rng(operators.check_seed(seed))
+    setup_rng = np.random.default_rng(operators.check_integer(seed, "seed", 0))
     H = generate_hamiltonian(_require(doc, "hamiltonian"), setup_rng)
     A = generate_perturbation(
         doc.get("perturbation", {"type": "zero"}), H.shape[0], setup_rng
@@ -267,7 +265,7 @@ def cmd_signpoly(args) -> int:
 
 def cmd_gqsp(args) -> int:
     check_dim(args.check_dim, "check")
-    rng = np.random.default_rng(operators.check_seed(args.seed))
+    rng = np.random.default_rng(operators.check_integer(args.seed, "seed", 0))
     if args.poly is not None:
         doc = read_json(args.poly)
         # accept a bare polynomial document or one nested in a certification
@@ -296,7 +294,7 @@ def cmd_gqsp(args) -> int:
 
 def _certify_checks(epsilons, deltas, seed):
     """Yield (name, passed, detail) for every certification target."""
-    rng = np.random.default_rng(operators.check_seed(seed))
+    rng = np.random.default_rng(operators.check_integer(seed, "seed", 0))
     polys = []
     for eps in epsilons:
         for delta in deltas:

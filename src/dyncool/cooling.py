@@ -71,15 +71,14 @@ from .operators import (
     HermitianOperator,
     SpectralDecomposition,
     StateVector,
-    _is_integer,
+    MAX_COUNT,
     _number,
-    check_count,
     check_delta,
     check_epsilon,
+    check_integer,
     check_margin,
     check_norm,
     check_register,
-    check_seed,
     eig,
     evolve,
     hermitian_norm,
@@ -129,7 +128,7 @@ class CoolingConfig:
     """Parameters of one cooling experiment.
 
     delta defaults to 1/steps so the per-step leakage budget sums to a
-    constant over the whole run; steps is a count ``check_count`` accepts.
+    constant over the whole run; steps is an integer from 1 to ``MAX_COUNT``.
     """
 
     epsilon: float
@@ -140,7 +139,7 @@ class CoolingConfig:
 
     def __post_init__(self):
         check_epsilon(_number(self.epsilon, "epsilon"))
-        check_count(self.steps, "steps")
+        check_integer(self.steps, "steps", 1, MAX_COUNT)
         if self.delta is None:
             object.__setattr__(self, "delta", 1.0 / self.steps)
         check_delta(_number(self.delta, "delta"))
@@ -352,8 +351,7 @@ def query_costs(epsilon: float, delta: float, sign_degree: int) -> tuple[int, in
     """
     reps = _repetitions(delta)
     check_epsilon(epsilon)
-    if not _is_integer(sign_degree) or sign_degree < 0:
-        raise ValidationError(f"degree must be a non-negative integer, got {sign_degree!r}")
+    check_integer(sign_degree, "degree", 0)
     qpe = ceil(log2(1.0 / epsilon)) * max(1, ceil(log2(1.0 / delta))) * ceil(1.0 / epsilon)
     return sign_degree * reps + qpe, 4 * reps
 
@@ -491,10 +489,10 @@ def run(
 
 def run_experiment(H, A, config: CoolingConfig, seed: int, trials: int, stopping=None):
     """Run ``trials`` independent trajectories on per-trial substreams, the
-    trials of ``run`` on one prepared context looked up once; ``trials`` is a
-    count that ``check_count`` accepts and ``seed`` one that ``check_seed`` does."""
-    check_seed(seed)
-    check_count(trials, "trials")
+    trials of ``run`` on one prepared context looked up once; ``trials`` is an
+    integer from 1 to ``MAX_COUNT`` and ``seed`` one from 0."""
+    check_integer(seed, "seed", 0)
+    check_integer(trials, "trials", 1, MAX_COUNT)
     ctx = _MEMO.context(H, A, config)
     return [
         _trajectory(ctx, np.random.default_rng((seed, t)), stopping=stopping)

@@ -20,7 +20,9 @@ Matrix arguments may be ndarrays or wrapped operators. Each input is checked
 once, where it enters: delta in ``_coupling`` (every kappa's one path) and in
 ``leakage_term_bound`` (its delta^(k/2) bypasses kappa); A and P, square and of
 one shape, in ``_sectors``; eigenvalues, one per row of A, in ``_spectrum``; a
-time, which must be finite, in ``_time``.
+time, which must be finite, in ``_time``; a quadrature step count, an integer
+of at least 8, in ``_grid``; an expansion order, a slot frequency and a state
+index, each an integer, by ``operators.check_integer`` where they enter.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from math import ceil, factorial
 import numpy as np
 
 from .errors import RangeError, ResolutionError, ValidationError
-from .operators import HermitianOperator, _bound, _number, check_delta, check_dim, evolve
-from .operators import spectral_norm, square_entries
+from .operators import HermitianOperator, _bound, _number, check_delta, check_dim, check_integer
+from .operators import evolve, spectral_norm, square_entries
 
 __all__ = [
     "MAX_EXPANSION_ORDER",
@@ -100,6 +102,11 @@ def _time(t: float) -> float:
     return t
 
 
+def _grid(t: float, n_steps: int) -> np.ndarray:
+    """The uniform quadrature grid of ``n_steps`` (an integer >= 8) steps on [0, t]."""
+    return np.linspace(0.0, t, check_integer(n_steps, "quadrature step count", 8) + 1)
+
+
 def default_time(delta: float) -> float:
     """Step duration pi * ceil(1/(2 pi kappa)), the smallest multiple of pi
     with coupling angle kappa t >= 1/2; the count is ``_repetitions``."""
@@ -154,7 +161,7 @@ def _interaction_frames(A, P, s: np.ndarray) -> np.ndarray:
 
 def _expansion_stack(A, P, delta: float, order: int, t: float, n_steps: int):
     """All orders 0..order of the expansion on the quadrature grid."""
-    s = np.linspace(0.0, t, n_steps + 1)
+    s = _grid(t, n_steps)
     frames = _interaction_frames(A, P, s)
     dim = frames.shape[1]
     levels = [np.broadcast_to(np.eye(dim, dtype=complex), frames.shape).copy()]
@@ -167,6 +174,7 @@ def _expansion_stack(A, P, delta: float, order: int, t: float, n_steps: int):
 
 def dyson_term_bound(order: int, t: float, delta: float) -> float:
     """Factorial bound (kappa t)^k / k! on the order-k term."""
+    check_integer(order, "expansion order", 0)
     return (_time(t) * _coupling(delta)) ** order / factorial(order)
 
 
@@ -174,6 +182,7 @@ def leakage_term_bound(order: int, t: float, delta: float) -> float:
     """Bound on the cross-sector block of the order-k term: one time
     integration is killed by the oscillating phase, trading a power of t for
     a constant."""
+    check_integer(order, "expansion order", 0)
     _time(t)
     check_delta(delta)
     if order < 1:
@@ -208,13 +217,8 @@ class PathWeight:
     bound: float
 
 
-def _expansion_time(order: int, n_steps: int, delta: float, t: float | None) -> float:
-    if not 0 <= order <= MAX_EXPANSION_ORDER:
-        raise ValidationError(
-            f"expansion order must lie in [0, {MAX_EXPANSION_ORDER}], got {order}"
-        )
-    if n_steps < 8:
-        raise ValidationError(f"need at least 8 quadrature steps, got {n_steps}")
+def _expansion_time(order: int, delta: float, t: float | None) -> float:
+    check_integer(order, "expansion order", 0, MAX_EXPANSION_ORDER)
     return default_time(delta) if t is None else _time(t)
 
 
@@ -226,7 +230,7 @@ def dyson_term(
     Quadrature runs at n_steps and 2*n_steps; the difference is the error
     estimate. An estimate past 10% of the factorial bound would make the
     term meaningless for bound checking, so it raises ``ResolutionError``."""
-    t = _expansion_time(order, n_steps, delta, t)
+    t = _expansion_time(order, delta, t)
     coarse = _expansion_stack(A, P, delta, order, t, n_steps)[order][-1]
     fine = _expansion_stack(A, P, delta, order, t, 2 * n_steps)[order][-1]
     estimate = float(np.linalg.norm(fine - coarse, 2))
@@ -240,7 +244,7 @@ def dyson_partial_sum(
     A, P, delta: float, max_order: int, t: float | None = None, n_steps: int = 512
 ) -> np.ndarray:
     """Sum of expansion terms through max_order (order 0 is the identity)."""
-    t = _expansion_time(max_order, n_steps, delta, t)
+    t = _expansion_time(max_order, delta, t)
     levels = _expansion_stack(A, P, delta, max_order, t, n_steps)
     return np.sum([lvl[-1] for lvl in levels], axis=0)
 
@@ -256,19 +260,17 @@ def per_term_leakage(
 def path_weight(phases, t: float, n_steps: int = 2048) -> PathWeight:
     """Ordered integral of prod_j exp(i mu_j s_j) over 0 <= s_1 <= ... <= t.
 
-    ``phases`` lists the slot frequencies innermost first; each must be one
-    of 0, +2, -2 (the frequencies appearing in the conjugated perturbation).
+    ``phases`` lists the slot frequencies innermost first; each must be an
+    integer in {0, +2, -2} (the frequencies appearing in the conjugated perturbation).
     The all-static path integrates to exactly t^k / k!; any oscillating slot
     reduces the bound to t^(k-1)/(k-1)!.
     """
-    phases = tuple(int(mu) for mu in phases)
+    phases = tuple(int(check_integer(mu, "slot frequency")) for mu in phases)
     if not phases:
         raise ValidationError("need at least one slot")
     if any(mu not in (0, 2, -2) for mu in phases):
         raise ValidationError(f"slot frequencies must be 0 or +/-2, got {phases}")
-    if n_steps < 8:
-        raise ValidationError(f"need at least 8 quadrature steps, got {n_steps}")
-    s = np.linspace(0.0, _time(t), n_steps + 1)
+    s = _grid(_time(t), n_steps)
     acc = np.ones_like(s, dtype=complex)
     for mu in phases:
         acc = _cumsimp(np.exp(1j * mu * s) * acc, s)
@@ -313,7 +315,7 @@ def transition_matrix(eigenvalues, A) -> np.ndarray:
 def cooling_probability(eigenvalues, A, j: int) -> float:
     """Probability of moving strictly downhill from eigenstate j in one step."""
     lam, a = _spectrum(eigenvalues, A)
-    if not 0 <= j < lam.size:
+    if check_integer(j, "state index", 0, error=RangeError) >= lam.size:
         raise RangeError(f"state index {j} outside [0, {lam.size})")
     below = lam < lam[j]
     return float(np.sum(np.abs(a[below, j]) ** 2) / 4.0)

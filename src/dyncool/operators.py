@@ -8,11 +8,12 @@ than truncation error.
 The input rules the other modules share live here, each written once: the
 one tolerance set ``TOL``, the one bound check ``_bound`` that every
 certificate's measured value goes through (a NaN fails it), numbers that are
-never bools or strings, the epsilon, delta and completion-margin ranges, the
-step and trial counts, the seed, the (k, m) window of a Laurent polynomial,
-the register checks, the spectral-norm bound, the Hermiticity and unitarity
-measurements, the shifted-spectrum band of a sign transform and the matrix
-coercion, which refuses an empty matrix.
+never bools or strings, the one integer rule ``check_integer`` (every count,
+seed, order, index, window and dimension), the epsilon, delta and
+completion-margin ranges, the dimension budget, the register checks, the
+spectral-norm bound, the Hermiticity and unitarity measurements, the
+shifted-spectrum band of a sign transform and the matrix coercion, which
+refuses an empty matrix.
 """
 
 from __future__ import annotations
@@ -45,9 +46,8 @@ __all__ = [
     "check_epsilon",
     "check_delta",
     "check_margin",
+    "check_integer",
     "check_dim",
-    "check_count",
-    "check_seed",
     "check_window",
     "check_register",
     "shifted_spectrum",
@@ -104,6 +104,19 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def check_integer(value, name: str, low=None, high=None, error=ValidationError):
+    """``value`` if it is an integer (never a bool, a float or a string) from
+    ``low`` to ``high``; below ``low`` it raises ``error``, past ``high`` a
+    ``ResourceError``. The one place that asks whether a value is an integer."""
+    if not _is_integer(value):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise error(f"{name} must be at least {low}, got {value}")
+    if high is not None and value > high:
+        raise ResourceError(f"{name} {value} exceeds budget {high}")
+    return value
+
+
 def check_epsilon(epsilon: float) -> None:
     """Reject a bin width outside [2^-51, 0.7]; the floor keeps lambda/epsilon + 1/2 exact."""
     if not 2.0**-51 <= epsilon <= 0.7:
@@ -123,53 +136,27 @@ def check_margin(margin: float) -> None:
         raise ValidationError(f"margin must be a finite number >= {floor}, got {margin}")
 
 
-def check_dim(dim: int, label: str, n: int = 0) -> None:
-    """Reject a ``label`` dimension ``dim`` below 1, or ``dim * 2**n`` past
-    ``TOL.max_total_dim``; an n past the budget's bit length is refused before
-    2**n is formed."""
-    if dim < 1:
-        raise ValidationError(f"{label} dimension must be at least 1, got {dim}")
-    budget = TOL.max_total_dim
-    if n > budget.bit_length():
-        raise ResourceError(f"{label} dimension {dim} * 2^{n} exceeds budget {budget}")
-    if dim << n > budget:
-        raise ResourceError(f"{label} dimension {dim << n} exceeds budget {budget}")
-
-
-def check_count(count: int, name: str) -> None:
-    """Reject a count of ``name`` that is not an integer (a bool is not one),
-    is below 1 or is past ``MAX_COUNT``."""
-    if not _is_integer(count):
-        raise ValidationError(f"{name} must be an integer, got {count!r}")
-    if count < 1:
-        raise ValidationError(f"{name} must be at least 1, got {count}")
-    if count > MAX_COUNT:
-        raise ResourceError(f"{name} {count} exceeds budget {MAX_COUNT}")
-
-
-def check_seed(seed: int) -> int:
-    """``seed`` if it is a non-negative integer (a bool is not one)."""
-    if not _is_integer(seed) or seed < 0:
-        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
-    return seed
+def check_dim(dim: int, label: str) -> int:
+    """``dim`` if ``check_integer`` takes it as a ``label`` dimension from 1 to
+    ``TOL.max_total_dim``."""
+    return check_integer(dim, f"{label} dimension", 1, TOL.max_total_dim)
 
 
 def check_window(k: int, m: int) -> None:
-    """Reject a Laurent window [-k, m] unless k and m are non-negative integers
-    (a bool is not one)."""
-    for key, value in (("k", k), ("m", m)):
-        if not _is_integer(value) or value < 0:
-            raise ValidationError(f"k and m must be non-negative integers, {key} got {value!r}")
+    """Reject a Laurent window [-k, m] unless k and m are integers >= 0."""
+    check_integer(k, "k", 0)
+    check_integer(m, "m", 0)
 
 
 def check_register(dim: int, n: int, label: str) -> None:
-    """Reject an n-bit register unless n is an integer >= 1 (a bool is not one) and
-    ``check_dim`` accepts its ``dim * 2**n``."""
-    if not _is_integer(n):
-        raise ValidationError(f"register size must be an integer, got {n!r}")
-    if n < 1:
-        raise RangeError(f"register size must be >= 1, got {n}")
-    check_dim(dim, label, n)
+    """Reject an n-bit register unless n is an integer >= 1 and ``check_dim``
+    accepts ``dim * 2**n``; an n past the budget's bit length is refused
+    before 2**n is formed."""
+    check_integer(n, "register size", 1, error=RangeError)
+    budget = TOL.max_total_dim
+    if n > budget.bit_length():
+        raise ResourceError(f"{label} dimension {dim} * 2^{n} exceeds budget {budget}")
+    check_dim(dim << n, label)
 
 
 def shifted_spectrum(eigenvalues: np.ndarray, shift: float, epsilon: float | None) -> np.ndarray:

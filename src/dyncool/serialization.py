@@ -21,7 +21,7 @@ import numpy as np
 from .cooling import CoolingConfig, Trajectory
 from .errors import ValidationError
 from .gqsp import AngleSequence
-from .operators import _is_integer, _is_number, _number, check_dim, check_window, square_entries
+from .operators import _is_number, _number, check_dim, check_window, square_entries
 from .signfun import FourierPolynomial
 
 __all__ = [
@@ -180,10 +180,7 @@ def matrix_document(M) -> dict:
 
 
 def matrix_from_document(doc: dict) -> np.ndarray:
-    dim = doc.get("dim") if isinstance(doc, dict) else None
-    if not _is_integer(dim):
-        raise ValidationError(f"matrix document needs a positive integer 'dim', got {dim!r}")
-    check_dim(dim, "matrix document")
+    dim = check_dim(doc.get("dim") if isinstance(doc, dict) else None, "matrix document")
     flat = _pairs_to_complex(doc.get("entries"), dim * dim, "matrix entries")
     return flat.reshape(dim, dim)
 

@@ -30,7 +30,8 @@ import numpy as np
 
 from .errors import CertificationError, ValidationError
 from .operators import HermitianOperator, SpectralDecomposition, eig
-from .operators import _bound, check_delta, check_epsilon, check_window, shifted_spectrum
+from .operators import _bound, check_delta, check_epsilon, check_integer, check_window
+from .operators import shifted_spectrum
 
 __all__ = [
     "C_DEG",
@@ -171,14 +172,14 @@ def eval_fourier(S: FourierPolynomial, x) -> np.ndarray:
 
 
 def eval_fourier_grid(S: FourierPolynomial, points: int) -> np.ndarray:
-    """S on ``np.linspace(-pi, pi, points)`` from one inverse FFT.
+    """S on ``np.linspace(-pi, pi, points)``, points an integer >= 2, from one inverse FFT.
 
     At x_j = -pi + 2 pi j / N (N = points - 1) the mode a_n e^{inx} equals
     (-1)^n a_n e^{2 pi i n j / N}, so coefficient n lands in bin n mod N;
     degrees above N alias into the same bins by accumulation. The last
     point repeats the first (x = pi and x = -pi coincide on the circle).
     """
-    n_bins = points - 1
+    n_bins = check_integer(points, "grid point count", 2) - 1
     n = np.arange(-S.k, S.m + 1)
     spectrum = np.zeros(n_bins, dtype=np.complex128)
     np.add.at(spectrum, n % n_bins, np.where(n % 2, -1.0, 1.0) * S.coeffs)

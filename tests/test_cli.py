@@ -323,7 +323,8 @@ class TestRunCommand:
         hpath.write_text(json.dumps({"entries": [[0.5, 0.0]]}))
         cfg = write_config(tmp_path, hamiltonian={"type": "file", "path": str(hpath)})
         assert main(["run", "--config", cfg]) == 1
-        assert "error: matrix document needs a positive integer 'dim'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == "error: matrix document dimension must be an integer, got None\n"
 
     def test_matrix_document_with_a_bool_dim_exits_nonzero(self, tmp_path, capsys):
         hpath = tmp_path / "h.json"
@@ -331,7 +332,7 @@ class TestRunCommand:
         cfg = write_config(tmp_path, hamiltonian={"type": "file", "path": str(hpath)})
         assert main(["run", "--config", cfg]) == 1
         err = capsys.readouterr().err
-        assert err == "error: matrix document needs a positive integer 'dim', got True\n"
+        assert err == "error: matrix document dimension must be an integer, got True\n"
 
     @pytest.mark.parametrize(
         "key, source, message",
@@ -479,7 +480,7 @@ def test_negative_seed_exits_nonzero(tmp_path, capsys, argv, seed):
     argv = [write_config(tmp_path, seed=-1) if a is None else a for a in argv]
     assert main(argv) == 1
     captured = capsys.readouterr()
-    assert captured.err == f"error: seed must be a non-negative integer, got {seed}\n"
+    assert captured.err == f"error: seed must be at least 0, got {seed}\n"
     assert "gqsp:" not in captured.out and "[ok]" not in captured.out
 
 

@@ -122,7 +122,8 @@ class TestConfig:
 
         monkeypatch.setattr(cooling, "_trajectory", no_trial)
         H, A = np.diag([-0.5, 0.5]), np.zeros((2, 2))
-        message = f"^seed must be a non-negative integer, got {re.escape(repr(seed))}$"
+        message = "at least 0, got -1" if seed == -1 else f"an integer, got {seed!r}"
+        message = f"^seed must be {re.escape(message)}$"
         with pytest.raises(ValidationError, match=message):
             run_experiment(H, A, CoolingConfig(epsilon=0.25, steps=2), seed=seed, trials=2)
 
@@ -389,7 +390,7 @@ class TestQueryCosts:
 
     @pytest.mark.parametrize("degree", [2.5, 2.0, True, "a", None])
     def test_degree_must_be_an_integer(self, degree):
-        message = re.escape(f"degree must be a non-negative integer, got {degree!r}")
+        message = re.escape(f"degree must be an integer, got {degree!r}")
         with pytest.raises(ValidationError, match=f"^{message}$"):
             query_costs(0.1, 0.1, degree)
         assert query_costs(0.1, 0.1, np.int64(2)) == query_costs(0.1, 0.1, 2)
@@ -1285,7 +1286,7 @@ class TestMalformedStates:
         with pytest.raises(ResourceError):
             register_populations(big, 10)
         for n in (0, -1):
-            with pytest.raises(RangeError, match=f"register size must be >= 1, got {n}"):
+            with pytest.raises(RangeError, match=f"register size must be at least 1, got {n}"):
                 prepare_joint(dec, psi, n)
             with pytest.raises(RangeError):
                 coherent_step(joint, dec, A, n, S, 0.1)

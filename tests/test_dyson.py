@@ -29,7 +29,7 @@ from dyncool.dyson import (
     sector_hamiltonian,
     transition_matrix,
 )
-from dyncool.errors import RangeError, ResolutionError, ValidationError
+from dyncool.errors import RangeError, ResolutionError, ResourceError, ValidationError
 from dyncool.operators import HermitianOperator, evolve, spectral_norm
 
 from conftest import random_hermitian, random_projector
@@ -157,7 +157,7 @@ class TestBoundsAndConvergence:
     def test_order_cap_and_delta_range(self):
         A = np.eye(2)
         P = np.diag([1.0, 0.0])
-        with pytest.raises(ValidationError):
+        with pytest.raises(ResourceError, match="^expansion order 9 exceeds budget 8$"):
             dyson_term(A, P, 0.1, order=9)
         with pytest.raises(RangeError):
             sector_hamiltonian(A, P, 1.5)
@@ -263,6 +263,9 @@ class TestPathWeight:
             path_weight((1,), 1.0)
         with pytest.raises(ValidationError):
             path_weight((), 1.0)
+        for slot in (2.7, "2"):
+            with pytest.raises(ValidationError, match="^slot frequency must be an integer, got "):
+                path_weight((slot,), 1.0)
 
 
 class TestMarkovModel:

@@ -230,7 +230,7 @@ class TestAssemble:
     @pytest.mark.parametrize("k, m", [(-1, 2), (0, True), (0.5, 1)],
                              ids=["negative", "bool", "fractional"])
     def test_window_must_be_non_negative_integers(self, k, m):
-        with pytest.raises(ValidationError, match="^k and m must be non-negative integers"):
+        with pytest.raises(ValidationError, match="^[km] must be (an integer|at least 0), got "):
             AngleSequence(np.zeros(2), np.zeros(2), 0.0, k=k, m=m)
 
     def test_counters_are_the_walks_products(self, monkeypatch):

@@ -27,7 +27,21 @@ from dyncool import (
     spectral_norm,
     spectral_values,
 )
-from dyncool.operators import _bound, check_norm, hermitian_norm
+from dyncool import AngleSequence, CoolingConfig, DyncoolError, run_experiment
+from dyncool.cooling import prepare_joint, query_costs, register_populations
+from dyncool.dyson import (
+    cooling_probability,
+    dyson_partial_sum,
+    dyson_term,
+    dyson_term_bound,
+    leakage_term_bound,
+    path_weight,
+    per_term_leakage,
+    sample_gue,
+)
+from dyncool.operators import _bound, check_dim, check_norm, hermitian_norm
+from dyncool.serialization import matrix_from_document
+from dyncool.signfun import eval_fourier_grid
 from conftest import random_hermitian, random_projector, random_state
 
 
@@ -203,7 +217,7 @@ class TestShiftOperator:
     )
     def test_register_checks_are_shared(self, build, label):
         H = HermitianOperator(np.eye(16))
-        with pytest.raises(RangeError, match="register size must be >= 1, got 0"):
+        with pytest.raises(RangeError, match="register size must be at least 1, got 0"):
             build(H, 0)
         with pytest.raises(ResourceError, match=f"^{label} dimension 8192 exceeds budget 4096$"):
             build(H, 9)
@@ -300,6 +314,108 @@ class TestBound:
             and names_a_bound(node.test)
         ]
         assert offenders == []
+
+    def test_every_integer_goes_through_the_one_rule(self):
+        """``_is_integer`` is called only by ``check_integer``, and ``dyson``
+        checks a quadrature step count in one place and compares it nowhere."""
+        def calls(tree, name):
+            return sum(
+                isinstance(node, ast.Call)
+                and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+                for node in ast.walk(tree)
+            )
+
+        trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+        helper = next(fn for fn in ast.walk(trees["operators"])
+                      if isinstance(fn, ast.FunctionDef) and fn.name == "check_integer")
+        total = sum(calls(tree, "_is_integer") for tree in trees.values())
+        assert total == calls(helper, "_is_integer") == 1
+        step_rules = [
+            node.lineno
+            for node in ast.walk(trees["dyson"])
+            if isinstance(node, (ast.Call, ast.Compare))
+            and any(isinstance(n, ast.Name) and n.id == "n_steps" for n in ast.walk(node))
+            and (isinstance(node, ast.Compare) or getattr(node.func, "id", None) == "check_integer")
+        ]
+        assert len(step_rules) == 1
+
+
+class TestOneIntegerRule:
+    """Every public entry that takes an integer refuses a float, a bool, a
+    string and a numpy float with a ``ValidationError``, and a value below its
+    floor with its own error class."""
+
+    ENTRIES = {
+        "CoolingConfig.steps": (lambda v: CoolingConfig(epsilon=0.25, steps=v), 0, ValidationError),
+        "run_experiment.seed": (
+            lambda v: run_experiment(np.diag([-0.5, 0.5]), np.zeros((2, 2)),
+                                     CoolingConfig(epsilon=0.25, steps=2), seed=v, trials=1),
+            -1, ValidationError,
+        ),
+        "run_experiment.trials": (
+            lambda v: run_experiment(np.diag([-0.5, 0.5]), np.zeros((2, 2)),
+                                     CoolingConfig(epsilon=0.25, steps=2), seed=0, trials=v),
+            0, ValidationError,
+        ),
+        "query_costs": (lambda v: query_costs(0.1, 0.1, v), -1, ValidationError),
+        "shift_operator": (lambda v: shift_operator(HermitianOperator(np.eye(2)), v), 0, RangeError),
+        "prepare_joint": (
+            lambda v: prepare_joint(eig(HermitianOperator(np.diag([-0.5, 0.5]))), [1.0, 0.0], v),
+            0, RangeError,
+        ),
+        "register_populations": (lambda v: register_populations(np.ones(4) / 2, v), 0, RangeError),
+        "check_dim": (lambda v: check_dim(v, "x"), 0, ValidationError),
+        "sample_gue": (lambda v: sample_gue(np.random.default_rng(0), v), 0, ValidationError),
+        "FourierPolynomial.k": (lambda v: FourierPolynomial([0.0, 1.0], k=v, m=1), -1, ValidationError),
+        "FourierPolynomial.m": (lambda v: FourierPolynomial([0.0, 1.0], k=1, m=v), -1, ValidationError),
+        "eval_fourier_grid": (
+            lambda v: eval_fourier_grid(FourierPolynomial([1.0], k=0, m=0), v), 1, ValidationError,
+        ),
+        "AngleSequence.k": (lambda v: AngleSequence(np.zeros(2), np.zeros(2), 0.0, k=v, m=1), -1,
+                            ValidationError),
+        "AngleSequence.m": (lambda v: AngleSequence(np.zeros(2), np.zeros(2), 0.0, k=1, m=v), -1,
+                            ValidationError),
+        "matrix_from_document": (lambda v: matrix_from_document({"dim": v, "entries": []}), 0,
+                                 ValidationError),
+        "dyson_term.order": (lambda v: dyson_term(np.eye(2), np.diag([1.0, 0.0]), 0.1, v), -1,
+                             ValidationError),
+        "dyson_term.n_steps": (
+            lambda v: dyson_term(np.eye(2), np.diag([1.0, 0.0]), 0.1, 1, n_steps=v), 7,
+            ValidationError,
+        ),
+        "dyson_partial_sum.max_order": (
+            lambda v: dyson_partial_sum(np.eye(2), np.diag([1.0, 0.0]), 0.1, v), -1,
+            ValidationError,
+        ),
+        "per_term_leakage.order": (
+            lambda v: per_term_leakage(np.eye(2), np.diag([1.0, 0.0]), 0.1, v), -1,
+            ValidationError,
+        ),
+        "dyson_term_bound": (lambda v: dyson_term_bound(v, 1.0, 0.1), -1, ValidationError),
+        "leakage_term_bound": (lambda v: leakage_term_bound(v, 1.0, 0.1), -1, ValidationError),
+        "path_weight.n_steps": (lambda v: path_weight((0,), 1.0, n_steps=v), 7, ValidationError),
+        # a slot frequency has no floor; 1 is the integer outside {0, +2, -2}
+        "path_weight.phases": (lambda v: path_weight((0, v), 1.0), 1, ValidationError),
+        "cooling_probability": (
+            lambda v: cooling_probability(np.array([0.0, 1.0]), np.eye(2), v), -1, RangeError,
+        ),
+    }
+
+    @pytest.mark.parametrize("value", [2.5, True, "3", np.float64(3.0)],
+                             ids=["float", "bool", "string", "numpy-float"])
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    def test_a_non_integer_is_a_validation_error(self, entry, value):
+        with pytest.raises(DyncoolError) as caught:
+            self.ENTRIES[entry][0](value)
+        assert caught.type is ValidationError
+        assert re.search(rf" must be an integer, got {re.escape(repr(value))}$", str(caught.value))
+
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    def test_a_value_below_the_floor_keeps_its_error_class(self, entry):
+        call, below, error = self.ENTRIES[entry]
+        with pytest.raises(DyncoolError) as caught:
+            call(below)
+        assert caught.type is error
 
 
 class TestTracedNames:

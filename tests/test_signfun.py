@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -118,7 +120,8 @@ def _random_laurent(k, m, seed=7):
 
 @pytest.mark.parametrize("k", [True, 1.0, "a", -1], ids=["bool", "float", "string", "negative"])
 def test_laurent_window_must_be_non_negative_integers(k):
-    message = f"^k and m must be non-negative integers, k got {k!r}$"
+    message = "at least 0, got -1" if k == -1 else f"an integer, got {k!r}"
+    message = f"^k must be {re.escape(message)}$"
     with pytest.raises(ValidationError, match=message):
         FourierPolynomial([0.0, 1.0, 0.0], k=k, m=1)
 

@@ -28,7 +28,6 @@ from .operators import (
     eig,
     evolve,
     projector_below,
-    reflection,
     shift_evolution_factored,
     shift_operator,
     spectral_norm,
@@ -42,7 +41,6 @@ from .signfun import (
     build_sign_poly,
     eval_fourier,
     eval_fourier_grid,
-    eval_poly,
     fourier_sign,
     spectral_values,
     to_fourier,
@@ -85,13 +83,10 @@ from .cooling import (
     StoppingRule,
     Trajectory,
     build_hsign,
-    coherent_step,
     cooling_step,
-    prepare_joint,
     qpe_project,
     query_costs,
     random_initial_state,
-    register_populations,
     run,
     run_experiment,
 )

@@ -152,7 +152,10 @@ def generate_perturbation(source: dict, dim: int, rng: np.random.Generator) -> n
     file:  matrix document from disk, rejected unless Hermitian and of the
            Hamiltonian's dimension.
     zero:  no coupling.
+
+    ``dim`` must be a dimension ``check_dim`` accepts.
     """
+    check_dim(dim, "perturbation")
     kind = _require(source, "type")
     if kind == "gue":
         mat = sample_gue(rng, dim)

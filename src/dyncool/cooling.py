@@ -44,10 +44,6 @@ eigenvector up to a global phase, it keeps the kicked state and all that is
 observed from it instead. All bins' blocks hold d columns in total, so the
 memo's one bound, ``_MEMO_CONTEXTS`` contexts evicted least recently used,
 bounds them too.
-
-The coherent variant keeps the energy register as an explicit tensor factor
-instead of sampling it; one step is block-diagonal over register values,
-which is what makes it checkable against the sampled route branch by branch.
 """
 
 from __future__ import annotations
@@ -74,11 +70,11 @@ from .operators import (
     MAX_COUNT,
     _number,
     check_delta,
+    check_dim,
     check_epsilon,
     check_integer,
     check_margin,
     check_norm,
-    check_register,
     eig,
     evolve,
     hermitian_norm,
@@ -100,9 +96,6 @@ __all__ = [
     "run",
     "run_experiment",
     "random_initial_state",
-    "prepare_joint",
-    "register_populations",
-    "coherent_step",
 ]
 
 MODES = ("exact_spectral", "gqsp_circuit", "exact_reflection")
@@ -195,26 +188,24 @@ def _state_vec(state, dim: int) -> np.ndarray:
     return _amplitudes(vec, dim) / np.linalg.norm(vec)
 
 
-def _amplitudes(state, dim: int, name: str = "state") -> np.ndarray:
+def _amplitudes(state, dim: int) -> np.ndarray:
     """``state`` as a vector of ``dim`` complex amplitudes, every entry finite."""
     arr = np.asarray(state, dtype=complex)
     if arr.shape != (dim,):
-        raise ValidationError(f"{name} must have shape ({dim},), got shape {arr.shape}")
+        raise ValidationError(f"state must have shape ({dim},), got shape {arr.shape}")
     if not np.isfinite(arr).all():
-        raise ValidationError(f"{name} contains non-finite amplitudes")
+        raise ValidationError("state contains non-finite amplitudes")
     return arr
 
 
-def _register_blocks(joint, n: int, dim: int) -> np.ndarray:
-    """A joint state of an n-bit register and a ``dim``-dimensional system,
-    checked, as 2^n rows of ``dim`` amplitudes, one per register value."""
-    check_register(dim, n, "joint state")
-    return _amplitudes(np.ravel(joint), dim << n, "joint state").reshape(1 << n, dim)
-
-
 def random_initial_state(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """A Haar-random unit vector from one block of 2 * ``dim`` normal draws,
-    the real parts first."""
+    """A Haar-random unit vector of a dimension ``check_dim`` accepts."""
+    return _haar_state(rng, check_dim(dim, "state"))
+
+
+def _haar_state(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """``random_initial_state`` unchecked, from one block of 2 * ``dim`` normal
+    draws, the real parts first; ``run`` draws each trajectory's state here."""
     z = rng.normal(size=2 * dim)
     vec = z[:dim] + 1j * z[dim:]
     return vec / np.linalg.norm(vec)
@@ -237,7 +228,7 @@ def _draw_index(probs, rng: np.random.Generator) -> int:
 
 def _labels(values: np.ndarray, width: float) -> np.ndarray:
     """The integer label floor(v/width + 1/2) of each value: the nearest multiple
-    of ``width``, ties rounded up, the one rule for energy bins and registers."""
+    of ``width``, ties rounded up, the one rule for energy bins."""
     return np.floor(values / width + 0.5).astype(int)
 
 
@@ -506,7 +497,7 @@ def _trajectory(ctx: _Context, rng, initial_state=None, stopping=None) -> Trajec
     labels, estimates, slices = bins.labels, bins.estimates, bins.slices
     per_eiH, per_UA, kicks = ctx.per_eiH, ctx.per_UA, ctx.kicks
     state = (
-        random_initial_state(rng, ctx.dim)
+        _haar_state(rng, ctx.dim)
         if initial_state is None
         else _state_vec(initial_state, ctx.dim)
     )
@@ -549,59 +540,3 @@ def _trajectory(ctx: _Context, rng, initial_state=None, stopping=None) -> Trajec
     return Trajectory(tuple(map(StepResult._make, rows)), initial_energy, initial_overlap,
                       final_bin, final_estimate, final[n], final[n + 1], leaks, leaks == 0)
 
-
-def prepare_joint(dec: SpectralDecomposition, state, n: int) -> np.ndarray:
-    """Entangle an n-bit energy register with the state's spectral bins.
-
-    Register value j holds the part of the state whose eigenphase rounds to
-    j * 2pi/2^n (``_labels``); negative energies wrap to the register's upper
-    half, which the periodic polynomial evaluation treats without unwrapping.
-    """
-    dim = dec.dim
-    check_register(dim, n, "joint state")
-    reg = 2**n
-    vec = _state_vec(state, dim)
-    amps = dec.eigenvectors.conj().T @ vec
-    bins = _labels(dec.eigenvalues, 2.0 * np.pi / reg) % reg
-    joint = np.zeros(reg * dim, dtype=complex)
-    for j in np.unique(bins):
-        sel = bins == j
-        branch = dec.eigenvectors[:, sel] @ amps[sel]
-        joint[j * dim : (j + 1) * dim] = branch
-    return joint
-
-
-def register_populations(joint: np.ndarray, n: int) -> np.ndarray:
-    """Probability of each register value."""
-    check_register(1, n, "joint state")  # before 2**n is formed
-    # the system dimension is what the joint's size leaves per register value
-    blocks = _register_blocks(joint, n, max(1, np.size(joint) // 2**n))
-    return np.sum(np.abs(blocks) ** 2, axis=1)
-
-
-def coherent_step(
-    joint: np.ndarray,
-    dec: SpectralDecomposition,
-    A,
-    n: int,
-    S: FourierPolynomial,
-    delta: float,
-) -> np.ndarray:
-    """One cooling step conditioned on the register, without measuring it.
-
-    Block j evolves under the sign of H relative to cutoff (j+1) * 2pi/2^n,
-    using the periodic evaluation so wrapped (negative-energy) register
-    values get the correct cutoff for free. Register populations are exactly
-    preserved.
-    """
-    a_rot = _rotated_perturbation(A, dec)
-    vecs = dec.eigenvectors
-    # row j of ``blocks`` holds V^dag times register block j
-    blocks = _register_blocks(joint, n, dec.dim) @ vecs.conj()
-    reg = 2**n
-    width = 2.0 * np.pi / reg
-    for j in range(reg):
-        if np.linalg.norm(blocks[j]) == 0.0:
-            continue
-        blocks[j] = _kick(spectral_values(S, dec, j * width + width), a_rot, delta) @ blocks[j]
-    return (blocks @ vecs.T).reshape(-1)

@@ -36,7 +36,6 @@ __all__ = [
     "SpectralDecomposition",
     "eig",
     "evolve",
-    "reflection",
     "projector_below",
     "spectral_norm",
     "hermitian_norm",
@@ -332,11 +331,6 @@ def evolve(H: HermitianOperator, t: float) -> UnitaryOperator:
     """exp(-iHt) through the eigendecomposition."""
     dec = eig(H)
     return UnitaryOperator(dec.apply(np.exp(-1j * dec.eigenvalues * t)))
-
-
-def reflection(P: Projector) -> UnitaryOperator:
-    """I - 2P, the reflection through the complement of range(P)."""
-    return UnitaryOperator(np.eye(P.dim) - 2.0 * P.entries)
 
 
 def projector_below(dec: SpectralDecomposition, energy: float) -> Projector:

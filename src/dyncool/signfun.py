@@ -41,7 +41,6 @@ __all__ = [
     "build_sign_poly",
     "to_fourier",
     "fourier_sign",
-    "eval_poly",
     "eval_fourier",
     "eval_fourier_grid",
     "apply_spectral",
@@ -155,11 +154,6 @@ def _chebval(x: np.ndarray, c: np.ndarray) -> np.ndarray:
     for i in range(3, len(c) + 1):
         c0, c1 = c[-i] - c1, c0 + c1 * x2
     return c0 + c1 * x
-
-
-def eval_poly(P: RealOddPolynomial, x) -> np.ndarray:
-    """Clenshaw evaluation of the Chebyshev series at array ``x``."""
-    return _chebval(np.asarray(x, dtype=np.float64), P.cheb_coeffs)
 
 
 def eval_fourier(S: FourierPolynomial, x) -> np.ndarray:

@@ -2,9 +2,10 @@
 
 import numpy as np
 
-from dyncool import HermitianOperator, Projector, StateVector
+from dyncool import HermitianOperator, Projector, StateVector, cooling
 # the CLI's, which `gqsp` and `certify` use for their checks
 from dyncool.cli import _random_unitary as random_unitary
+from dyncool.signfun import spectral_values
 
 
 def laurent_sum(P, U: np.ndarray) -> np.ndarray:
@@ -18,6 +19,36 @@ def laurent_sum(P, U: np.ndarray) -> np.ndarray:
         power = np.linalg.matrix_power(U if n >= 0 else Ud, abs(n))
         acc += a * power
     return acc
+
+
+def prepare_joint(dec, psi, n: int) -> np.ndarray:
+    """The measurement-free route's joint state of an n-bit energy register
+    and ``psi``, as 2^n rows, one per register value: row j holds the part of
+    ``psi`` whose eigenvalue ``cooling._labels`` rounds to j 2pi/2^n, negative
+    ones wrapped to the register's upper half."""
+    reg = 2**n
+    amps = dec.eigenvectors.conj().T @ psi
+    labels = cooling._labels(dec.eigenvalues, 2.0 * np.pi / reg) % reg
+    joint = np.zeros((reg, dec.dim), dtype=complex)
+    for j in np.unique(labels):
+        joint[j] = dec.eigenvectors[:, labels == j] @ amps[labels == j]
+    return joint
+
+
+def coherent_step(joint, dec, A, S, delta) -> np.ndarray:
+    """One cooling step conditioned on the register rows of ``joint``, without
+    measuring it: row j is kicked by ``cooling._kick`` at the cutoff
+    (j+1) 2pi/2^n, through the periodic sign ``S``. Empty rows are skipped: at
+    the top row's cutoff 2pi, for one, the spectrum leaves the sign's band."""
+    a_rot = cooling._rotated_perturbation(A, dec)
+    vecs = dec.eigenvectors
+    width = 2.0 * np.pi / len(joint)
+    out = np.zeros_like(joint)
+    for j, row in enumerate(joint):
+        if np.linalg.norm(row) > 0.0:
+            kick = cooling._kick(spectral_values(S, dec, j * width + width), a_rot, delta)
+            out[j] = vecs @ (kick @ (vecs.conj().T @ row))
+    return out
 
 
 def random_hermitian(rng, dim, norm=None):

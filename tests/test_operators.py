@@ -21,14 +21,14 @@ from dyncool import (
     eig,
     evolve,
     projector_below,
-    reflection,
     shift_evolution_factored,
     shift_operator,
     spectral_norm,
     spectral_values,
 )
 from dyncool import AngleSequence, CoolingConfig, DyncoolError, run_experiment
-from dyncool.cooling import prepare_joint, query_costs, register_populations
+from dyncool.cli import generate_perturbation
+from dyncool.cooling import query_costs, random_initial_state
 from dyncool.dyson import (
     cooling_probability,
     dyson_partial_sum,
@@ -39,10 +39,10 @@ from dyncool.dyson import (
     per_term_leakage,
     sample_gue,
 )
-from dyncool.operators import _bound, check_dim, check_norm, hermitian_norm
+from dyncool.operators import TOL, _bound, check_dim, check_norm, check_register, hermitian_norm
 from dyncool.serialization import matrix_from_document
 from dyncool.signfun import eval_fourier_grid
-from conftest import random_hermitian, random_projector, random_state
+from conftest import random_hermitian, random_state
 
 
 def taylor_expm(M, order=60):
@@ -158,19 +158,6 @@ class TestEvolve:
         assert np.max(np.abs(lhs - rhs)) <= 1e-9
 
 
-class TestReflection:
-    def test_single_site(self):
-        P = Projector(np.diag([1.0, 0.0]))
-        R = reflection(P)
-        assert np.allclose(R.entries, np.diag([-1.0, 1.0]))
-
-    def test_is_involution(self):
-        rng = np.random.default_rng(17)
-        P = random_projector(rng, 6, 2)
-        R = reflection(P).entries
-        assert np.max(np.abs(R @ R - np.eye(6))) <= 1e-12
-
-
 class TestProjectorBelow:
     def test_strict_threshold(self):
         dec = eig(HermitianOperator(np.diag([-0.5, 0.5])))
@@ -216,6 +203,8 @@ class TestShiftOperator:
         [(shift_operator, "shift operator"), (shift_evolution_factored, "factored evolution")],
     )
     def test_register_checks_are_shared(self, build, label):
+        assert TOL.max_total_dim == 4096
+        check_register(8, 9, label)  # 8 * 2^9, at the budget
         H = HermitianOperator(np.eye(16))
         with pytest.raises(RangeError, match="register size must be at least 1, got 0"):
             build(H, 0)
@@ -339,6 +328,22 @@ class TestBound:
         ]
         assert len(step_rules) == 1
 
+    def test_every_kick_has_two_callers(self):
+        """``cooling._kick`` is called in ``src/`` only by ``_Context.step`` and
+        ``cooling_step``, the one builder of the step unitary."""
+        def callers(node, scope):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.Call) and "_kick" in (
+                    getattr(child.func, "id", None), getattr(child.func, "attr", None)
+                ):
+                    yield scope
+                inner = getattr(child, "name", None)
+                yield from callers(child, f"{scope}.{inner}" if inner else scope)
+
+        found = [caller for path in sorted(SRC.glob("*.py"))
+                 for caller in callers(ast.parse(path.read_text()), path.stem)]
+        assert sorted(found) == ["cooling._Context.step", "cooling.cooling_step"]
+
 
 class TestOneIntegerRule:
     """Every public entry that takes an integer refuses a float, a bool, a
@@ -359,11 +364,12 @@ class TestOneIntegerRule:
         ),
         "query_costs": (lambda v: query_costs(0.1, 0.1, v), -1, ValidationError),
         "shift_operator": (lambda v: shift_operator(HermitianOperator(np.eye(2)), v), 0, RangeError),
-        "prepare_joint": (
-            lambda v: prepare_joint(eig(HermitianOperator(np.diag([-0.5, 0.5]))), [1.0, 0.0], v),
-            0, RangeError,
+        "random_initial_state": (lambda v: random_initial_state(np.random.default_rng(0), v), 0,
+                                 ValidationError),
+        "generate_perturbation.zero": (
+            lambda v: generate_perturbation({"type": "zero"}, v, np.random.default_rng(0)), 0,
+            ValidationError,
         ),
-        "register_populations": (lambda v: register_populations(np.ones(4) / 2, v), 0, RangeError),
         "check_dim": (lambda v: check_dim(v, "x"), 0, ValidationError),
         "sample_gue": (lambda v: sample_gue(np.random.default_rng(0), v), 0, ValidationError),
         "FourierPolynomial.k": (lambda v: FourierPolynomial([0.0, 1.0], k=v, m=1), -1, ValidationError),

@@ -602,6 +602,15 @@ class TestDraws:
             twin.random()
         assert used.random() == twin.random()
 
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda g: g.__name__)
+    def test_drawn_state_is_the_public_draw(self, bit_generator):
+        # ``run`` draws its state unchecked, bit for bit as ``random_initial_state`` does
+        used = np.random.Generator(bit_generator(8))
+        twin = np.random.Generator(bit_generator(8))
+        for dim in (1, 6, 40):
+            assert np.array_equal(cooling._haar_state(used, dim), random_initial_state(twin, dim))
+        assert used.random() == twin.random()
+
 
 class TestStepRecord:
     """A step record is a ``NamedTuple``: immutable, hashable, and equal to
@@ -1231,6 +1240,14 @@ class TestMalformedStates:
             cooling_step(dec, self.BAD_STATES[bad], A, 0.0, cfg)
         with pytest.raises(ValidationError):
             qpe_project(dec, self.BAD_STATES[bad], cfg.epsilon, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("bad", sorted(BAD_STATES))
+    def test_run_rejects_a_bad_state(self, bad):
+        dec, A = self.instance()
+        cfg = CoolingConfig(epsilon=0.25, steps=2)
+        H = dec.eigenvectors @ np.diag(dec.eigenvalues) @ dec.eigenvectors.conj().T
+        with pytest.raises(ValidationError):
+            run(H, A, cfg, np.random.default_rng(0), initial_state=self.BAD_STATES[bad])
 
     def test_state_steps_refuse_a_column_block(self):
         dec, A = self.instance()

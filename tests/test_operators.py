@@ -26,7 +26,7 @@ from dyncool import (
     spectral_norm,
     spectral_values,
 )
-from dyncool import AngleSequence, CoolingConfig, DyncoolError, run_experiment
+from dyncool import AngleSequence, CoolingConfig, DyncoolError, build_hsign, run_experiment
 from dyncool.cli import generate_perturbation
 from dyncool.cooling import query_costs, random_initial_state
 from dyncool.dyson import (
@@ -156,6 +156,23 @@ class TestEvolve:
         lhs = evolve(H, 0.7).entries @ evolve(H, 1.9).entries
         rhs = evolve(H, 2.6).entries
         assert np.max(np.abs(lhs - rhs)) <= 1e-9
+
+
+class TestReflection:
+    """The exact-reflection kick I - 2P, P the projector strictly below the
+    cutoff, as ``build_hsign`` builds it in ``exact_reflection`` mode."""
+
+    CONFIG = CoolingConfig(epsilon=0.25, steps=4, mode="exact_reflection")
+
+    def test_single_site(self):
+        dec = eig(HermitianOperator(np.diag([-0.5, 0.5])))
+        assert np.allclose(build_hsign(dec, 0.0, self.CONFIG), np.diag([-1.0, 1.0]))
+
+    def test_is_involution(self):
+        rng = np.random.default_rng(17)
+        dec = eig(random_hermitian(rng, 6, norm=1.0))
+        R = build_hsign(dec, float(np.median(dec.eigenvalues)), self.CONFIG)
+        assert np.max(np.abs(R @ R - np.eye(6))) <= 1e-12
 
 
 class TestProjectorBelow:
@@ -422,6 +439,21 @@ class TestOneIntegerRule:
         with pytest.raises(DyncoolError) as caught:
             call(below)
         assert caught.type is error
+
+    # the entries whose integer is a dimension, by the label of their budget refusal
+    DIMENSIONS = {
+        "check_dim": "x",
+        "sample_gue": "GUE",
+        "random_initial_state": "state",
+        "generate_perturbation.zero": "perturbation",
+    }
+
+    @pytest.mark.parametrize("entry", sorted(DIMENSIONS))
+    def test_a_dimension_past_the_budget_is_a_resource_error(self, entry):
+        # refused before an array of that size is formed
+        message = f"^{self.DIMENSIONS[entry]} dimension 4097 exceeds budget 4096$"
+        with pytest.raises(ResourceError, match=message):
+            self.ENTRIES[entry][0](TOL.max_total_dim + 1)
 
 
 class TestTracedNames:

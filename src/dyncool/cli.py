@@ -30,6 +30,7 @@ from .operators import (
     check_dim,
     check_norm,
     hermitian_norm,
+    matrix_entries,
     spectral_norm,
 )
 from .signfun import eval_fourier, fourier_sign
@@ -160,11 +161,8 @@ def generate_perturbation(source: dict, dim: int, rng: np.random.Generator) -> n
     if kind == "gue":
         mat = sample_gue(rng, dim)
     elif kind == "file":
-        mat = HermitianOperator(_matrix_file(source)).entries
-        if mat.shape != (dim, dim):
-            raise ValidationError(
-                f"perturbation shape {mat.shape} does not match dimension {dim}"
-            )
+        mat = matrix_entries(_matrix_file(source), name="perturbation", shape=(dim, dim))
+        mat = HermitianOperator(mat).entries
     elif kind == "zero":
         return np.zeros((dim, dim))
     else:

@@ -28,10 +28,10 @@ modes), K's Hermiticity, the eig reconstruction of K and the result's unitarity.
 ``run`` carries the state as eigen-amplitudes V^dag psi; the eigenvalues
 ascend, so every energy bin is a contiguous slice of them. What a
 trajectory needs beyond that depends only on (H, A, config) and comes from
-a module-level memo of contexts keyed by content (the bytes of H and A as
-complex128 with their shapes, and the frozen config). A lookup compares its
-key with the held ones, newest first, and hashes it only to insert it. A
-context holds eig(H), V^dag A V, the bin slices, the query costs and one
+a module-level memo of contexts found by content: each context keeps
+read-only copies of H and A as complex128 and the frozen config, and a
+lookup compares the config and then the caller's arrays with the copies in
+place, newest first, hashing nothing. A context holds eig(H), V^dag A V, the bin slices, the query costs and one
 real observation matrix, whose product with the squared real and imaginary
 parts of the amplitudes gives every bin weight, the energy, the ground
 overlap and every bin's leakage.
@@ -68,12 +68,12 @@ from .operators import (
     SpectralDecomposition,
     StateVector,
     MAX_COUNT,
-    _number,
     check_delta,
     check_dim,
     check_epsilon,
     check_integer,
     check_margin,
+    check_real,
     check_norm,
     eig,
     evolve,
@@ -131,14 +131,14 @@ class CoolingConfig:
     margin: float = MIN_MARGIN
 
     def __post_init__(self):
-        check_epsilon(_number(self.epsilon, "epsilon"))
+        check_epsilon(self.epsilon)
         check_integer(self.steps, "steps", 1, MAX_COUNT)
         if self.delta is None:
             object.__setattr__(self, "delta", 1.0 / self.steps)
-        check_delta(_number(self.delta, "delta"))
-        if self.mode not in MODES:
+        check_delta(self.delta)
+        if not isinstance(self.mode, str) or self.mode not in MODES:
             raise ValidationError(f"mode must be one of {MODES}, got {self.mode!r}")
-        check_margin(_number(self.margin, "margin"))
+        check_margin(self.margin)
 
 
 @dataclass(frozen=True)
@@ -148,8 +148,7 @@ class StoppingRule:
     target_estimate: float
 
     def __post_init__(self):
-        if not np.isfinite(_number(self.target_estimate, "target_estimate")):
-            raise ValidationError(f"target_estimate must be finite, got {self.target_estimate}")
+        check_real(self.target_estimate, "target_estimate", error=ValidationError)
 
     def satisfied(self, energy_estimate: float) -> bool:
         return energy_estimate <= self.target_estimate
@@ -190,12 +189,7 @@ def _state_vec(state, dim: int) -> np.ndarray:
 
 def _amplitudes(state, dim: int) -> np.ndarray:
     """``state`` as a vector of ``dim`` complex amplitudes, every entry finite."""
-    arr = np.asarray(state, dtype=complex)
-    if arr.shape != (dim,):
-        raise ValidationError(f"state must have shape ({dim},), got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValidationError("state contains non-finite amplitudes")
-    return arr
+    return matrix_entries(state, name="state", finite=True, shape=(dim,))
 
 
 def random_initial_state(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -281,6 +275,7 @@ def qpe_project(
 def _sign_values(dec, cutoff, config) -> np.ndarray:
     """The sign of each eigenvalue of H - cutoff under the configured mode;
     the polynomial modes first check the shifted spectrum against the sign's band."""
+    cutoff = check_real(cutoff, "cutoff")
     if config.mode == "exact_reflection":
         return np.where(dec.eigenvalues < cutoff, -1.0, 1.0)
     S = _sign_cached(config.epsilon, config.delta)
@@ -300,9 +295,7 @@ def build_hsign(dec: SpectralDecomposition, cutoff: float, config: CoolingConfig
 def _rotated_perturbation(A, dec: SpectralDecomposition) -> np.ndarray:
     """V^dag A V, symmetrized, for a perturbation A checked first: Hermitian,
     of ``dec``'s shape and of spectral norm <= 1."""
-    a = HermitianOperator(matrix_entries(A)).entries
-    if a.shape != (dec.dim, dec.dim):
-        raise ValidationError(f"perturbation shape {a.shape} does not match dimension {dec.dim}")
+    a = HermitianOperator(matrix_entries(A, name="perturbation", shape=(dec.dim, dec.dim))).entries
     check_norm(hermitian_norm(a), "perturbation")
     vecs = dec.eigenvectors
     rotated = vecs.conj().T @ a @ vecs
@@ -359,11 +352,14 @@ class _Fixed(NamedTuple):
 class _Context:
     """What ``run`` needs that depends only on (H, A, config), checked once.
 
-    ``h`` and ``a`` are complex128 arrays; A is kept only as ``a_rot`` = V^dag A V.
+    ``h`` and ``a`` are complex128 arrays, of which it keeps read-only copies
+    for ``_Memo`` to compare; A is used as ``a_rot`` = V^dag A V.
     """
 
     def __init__(self, h: np.ndarray, a: np.ndarray, config: CoolingConfig):
         H = HermitianOperator(h)
+        self.h, self.a = H.entries, a.copy()
+        self.a.setflags(write=False)
         self.dec = eig(H)
         self.lam = self.dec.eigenvalues
         check_norm(float(np.max(np.abs(self.lam))), "hamiltonian")
@@ -425,25 +421,32 @@ class _Context:
             return self.kicks[bin_idx]
 
 
+def _same(x: np.ndarray, held: np.ndarray) -> bool:
+    """Whether ``x`` has the shape and the bits of ``held`` (so -0.0 is not 0.0),
+    compared in place as 64-bit words; below 64 KiB a bytes copy is cheaper."""
+    if x.shape != held.shape or x.nbytes < 1 << 16:
+        return x.shape == held.shape and x.tobytes() == held.tobytes()
+    return bool((np.ascontiguousarray(x).view(np.uint64) == held.view(np.uint64)).all())
+
+
 class _Memo:
     """Prepared contexts by content, at most ``contexts`` of them, evicted
     least recently used. A lock guards it, so threads may share the memo."""
 
     def __init__(self, contexts: int):
         self.max_contexts = contexts
-        self.contexts = OrderedDict()
+        self.contexts = OrderedDict()  # keyed by tokens; a context holds its H, A and config
         self.lock = threading.Lock()
 
     def context(self, H, A, config: CoolingConfig) -> _Context:
         h, a = matrix_entries(H), matrix_entries(A)
-        key = (h.shape, h.tobytes(), a.shape, a.tobytes(), config)
         with self.lock:
-            # newest first, by equality: a hit compares the bytes and never hashes them
-            for held, ctx in reversed(self.contexts.items()):
-                if held == key:
-                    self.contexts.move_to_end(held)
+            # newest first: a hit compares the config, then the arrays in place
+            for key, ctx in reversed(self.contexts.items()):
+                if ctx.config == config and _same(h, ctx.h) and _same(a, ctx.a):
+                    self.contexts.move_to_end(key)
                     return ctx
-            ctx = self.contexts[key] = _Context(h, a, config)
+            ctx = self.contexts[object()] = _Context(h, a, config)
             if len(self.contexts) > self.max_contexts:
                 self.contexts.popitem(last=False)
             return ctx

@@ -19,8 +19,9 @@ its time have their one home here. The claims this module makes checkable:
 Matrix arguments may be ndarrays or wrapped operators. Each input is checked
 once, where it enters: delta in ``_coupling`` (every kappa's one path) and in
 ``leakage_term_bound`` (its delta^(k/2) bypasses kappa); A and P, square and of
-one shape, in ``_sectors``; eigenvalues, one per row of A, in ``_spectrum``; a
-time, which must be finite, in ``_time``; a quadrature step count, an integer
+one shape, in ``_sectors``; eigenvalues, one finite value per row of A, in
+``_spectrum``; a time, which must be finite, by ``operators.check_real`` (in
+``evolve`` where a time goes there first); a quadrature step count, an integer
 of at least 8, in ``_grid``; an expansion order, a slot frequency and a state
 index, each an integer, by ``operators.check_integer`` where they enter.
 """
@@ -33,8 +34,8 @@ from math import ceil, factorial
 import numpy as np
 
 from .errors import RangeError, ResolutionError, ValidationError
-from .operators import HermitianOperator, _bound, _number, check_delta, check_dim, check_integer
-from .operators import evolve, spectral_norm, square_entries
+from .operators import HermitianOperator, _bound, check_delta, check_dim, check_integer
+from .operators import check_real, evolve, matrix_entries, spectral_norm, square_entries
 
 __all__ = [
     "MAX_EXPANSION_ORDER",
@@ -95,13 +96,6 @@ def _sectors(A, P) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return a, p, np.eye(p.shape[0]) - p
 
 
-def _time(t: float) -> float:
-    """``t`` if it is a finite number."""
-    if not np.isfinite(_number(t, "time")):
-        raise RangeError(f"time must be finite, got {t}")
-    return t
-
-
 def _grid(t: float, n_steps: int) -> np.ndarray:
     """The uniform quadrature grid of ``n_steps`` (an integer >= 8) steps on [0, t]."""
     return np.linspace(0.0, t, check_integer(n_steps, "quadrature step count", 8) + 1)
@@ -122,8 +116,7 @@ def sector_hamiltonian(A, P, delta: float) -> HermitianOperator:
 def leakage(A, P, delta: float, t: float | None = None) -> float:
     """Squared norm of the cross-sector block of the step unitary."""
     a, p, comp = _sectors(A, P)
-    t = default_time(delta) if t is None else _time(t)
-    U = evolve(sector_hamiltonian(a, p, delta), t).entries
+    U = evolve(sector_hamiltonian(a, p, delta), default_time(delta) if t is None else t).entries
     return spectral_norm(comp @ U @ p) ** 2
 
 
@@ -132,7 +125,7 @@ def effective_error(A, P, delta: float, t: float | None = None) -> float:
     compressed rotation exp(-i kappa t P A P); t defaults to 1/(2 kappa), where
     the rotation angle is exactly 1/2."""
     a, p, _ = _sectors(A, P)
-    t = 1.0 / (2.0 * _coupling(delta)) if t is None else _time(t)
+    t = 1.0 / (2.0 * _coupling(delta)) if t is None else t
     U = evolve(sector_hamiltonian(a, p, delta), t).entries
     compressed = HermitianOperator(0.5 * (p @ a @ p + (p @ a @ p).conj().T))
     target = evolve(compressed, _coupling(delta) * t).entries
@@ -143,7 +136,7 @@ def effective_error(A, P, delta: float, t: float | None = None) -> float:
 def interaction_unitary(A, P, delta: float, t: float) -> np.ndarray:
     """exp(iRt) exp(-iHt): the exact object the expansion approximates."""
     a, p, _ = _sectors(A, P)
-    U = evolve(sector_hamiltonian(a, p, delta), _time(t)).entries
+    U = evolve(sector_hamiltonian(a, p, delta), t).entries
     return evolve(HermitianOperator(np.eye(p.shape[0]) - 2.0 * p), -t).entries @ U
 
 
@@ -175,7 +168,7 @@ def _expansion_stack(A, P, delta: float, order: int, t: float, n_steps: int):
 def dyson_term_bound(order: int, t: float, delta: float) -> float:
     """Factorial bound (kappa t)^k / k! on the order-k term."""
     check_integer(order, "expansion order", 0)
-    return (_time(t) * _coupling(delta)) ** order / factorial(order)
+    return (check_real(t, "time") * _coupling(delta)) ** order / factorial(order)
 
 
 def leakage_term_bound(order: int, t: float, delta: float) -> float:
@@ -183,7 +176,7 @@ def leakage_term_bound(order: int, t: float, delta: float) -> float:
     integration is killed by the oscillating phase, trading a power of t for
     a constant."""
     check_integer(order, "expansion order", 0)
-    _time(t)
+    check_real(t, "time")
     check_delta(delta)
     if order < 1:
         return 0.0
@@ -219,7 +212,7 @@ class PathWeight:
 
 def _expansion_time(order: int, delta: float, t: float | None) -> float:
     check_integer(order, "expansion order", 0, MAX_EXPANSION_ORDER)
-    return default_time(delta) if t is None else _time(t)
+    return default_time(delta) if t is None else check_real(t, "time")
 
 
 def dyson_term(
@@ -265,12 +258,13 @@ def path_weight(phases, t: float, n_steps: int = 2048) -> PathWeight:
     The all-static path integrates to exactly t^k / k!; any oscillating slot
     reduces the bound to t^(k-1)/(k-1)!.
     """
-    phases = tuple(int(check_integer(mu, "slot frequency")) for mu in phases)
+    listed = phases if np.iterable(phases) else [phases]
+    phases = tuple(int(check_integer(mu, "slot frequency")) for mu in listed)
     if not phases:
         raise ValidationError("need at least one slot")
     if any(mu not in (0, 2, -2) for mu in phases):
         raise ValidationError(f"slot frequencies must be 0 or +/-2, got {phases}")
-    s = _grid(_time(t), n_steps)
+    s = _grid(check_real(t, "time"), n_steps)
     acc = np.ones_like(s, dtype=complex)
     for mu in phases:
         acc = _cumsimp(np.exp(1j * mu * s) * acc, s)
@@ -284,7 +278,7 @@ def path_weight(phases, t: float, n_steps: int = 2048) -> PathWeight:
 
 def _spectrum(eigenvalues, A) -> tuple[np.ndarray, np.ndarray]:
     """(eigenvalues, A) as arrays: one float eigenvalue per row of a square A."""
-    lam = np.asarray(eigenvalues, dtype=np.float64)
+    lam = matrix_entries(eigenvalues, float, "eigenvalues", finite=True)
     a = square_entries(A, "perturbation")
     if lam.ndim != 1 or lam.size != a.shape[0]:
         raise ValidationError(f"need one eigenvalue per row, got {lam.shape} against {a.shape}")
@@ -304,10 +298,8 @@ def transition_matrix(eigenvalues, A) -> np.ndarray:
     np.fill_diagonal(T, 0.0)
     stay = 1.0 - T.sum(axis=0)
     if np.any(stay < 0.0):
-        raise ValidationError(
-            "downhill weight exceeds 1; the second-order model needs a "
-            "weaker perturbation"
-        )
+        raise ValidationError("downhill weight exceeds 1; the second-order model needs a "
+                              "weaker perturbation")
     T[np.diag_indices_from(T)] = stay
     return T
 

@@ -31,7 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MarginError, NumericError, SynthesisError, ValidationError
-from .operators import MIN_MARGIN, _bound, check_margin, check_window, square_entries
+from .operators import MIN_MARGIN, _bound, check_margin, check_real, check_window
+from .operators import matrix_entries, square_entries
 from .signfun import FourierPolynomial, eval_fourier_grid
 
 __all__ = [
@@ -59,7 +60,14 @@ _OUTER_MAX_POINTS = 1 << 21
 
 
 def rotation_matrix(theta: float, phi: float, lam: float = 0.0) -> np.ndarray:
-    """Single-qubit rotation [[e^{i(lam+phi)}c, e^{i phi}s], [e^{i lam}s, -c]]."""
+    """Single-qubit rotation [[e^{i(lam+phi)}c, e^{i phi}s], [e^{i lam}s, -c]] at
+    finite real angles."""
+    return _rotations(check_real(theta, "theta"), check_real(phi, "phi"), check_real(lam, "lam"))
+
+
+def _rotations(theta, phi, lam) -> np.ndarray:
+    """``rotation_matrix`` unchecked and elementwise: arrays of angles give the
+    2x2 rotations along the trailing axes."""
     c, s = np.cos(theta), np.sin(theta)
     return np.array(
         [
@@ -86,17 +94,13 @@ class AngleSequence:
     peel_residual: float = 0.0
 
     def __post_init__(self):
-        theta = np.array(self.theta, dtype=np.float64)
-        phi = np.array(self.phi, dtype=np.float64)
         check_window(self.k, self.m)
-        n = self.k + self.m + 1
-        if theta.shape != (n,) or phi.shape != (n,):
-            raise ValidationError(
-                f"angle arrays must have length k+m+1={n}, got "
-                f"{theta.shape} and {phi.shape}"
-            )
-        if not np.isfinite([*theta, *phi, self.lam]).all():
-            raise ValidationError("angles theta, phi and lam must be finite")
+        n = (self.k + self.m + 1,)
+        theta, phi = (matrix_entries(a, float, "angle arrays", shape=n).copy()
+                      for a in (self.theta, self.phi))
+        matrix_entries([*theta, *phi, self.lam], float, "angles theta, phi and lam", finite=True)
+        check_real(self.lam, "lam")  # a bool would pass the array rule as 1.0
+        check_real(self.peel_residual, "peel_residual", 0.0, rule="be a finite number >= 0")
         theta.setflags(write=False)
         phi.setflags(write=False)
         object.__setattr__(self, "theta", theta)
@@ -209,9 +213,9 @@ def _outer_complement(a: np.ndarray) -> np.ndarray:
 
 
 def _margin_limit(margin: float) -> float:
-    """Largest grid max |P| that `complete` accepts: 1 - margin, with 1e-9
-    slack so inputs rescaled exactly onto the margin do not fail by rounding."""
-    return 1.0 - margin + 1e-9
+    """Largest grid max |P| that `complete` accepts: 1 - margin (``check_margin``),
+    with 1e-9 slack so inputs rescaled exactly onto the margin do not fail by rounding."""
+    return 1.0 - check_margin(margin) + 1e-9
 
 
 def complete(P: FourierPolynomial, margin: float = MIN_MARGIN) -> CompletionPair:
@@ -223,9 +227,9 @@ def complete(P: FourierPolynomial, margin: float = MIN_MARGIN) -> CompletionPair
     every root inside the disk and a real positive leading coefficient,
     declared on P's window [-k, m].
     """
-    check_margin(margin)
+    limit = _margin_limit(margin)
     P = _trim_support(P)
-    _bound(f"max |P| with margin {margin!r}", _grid_max(P), _margin_limit(margin), MarginError)
+    _bound(f"max |P| with margin {margin!r}", _grid_max(P), limit, MarginError)
     Q = FourierPolynomial(_outer_complement(P.coeffs), k=P.k, m=P.m)
     return CompletionPair(P, Q)
 
@@ -254,9 +258,7 @@ def compute_angles(pair: CompletionPair) -> AngleSequence:
     P, Q = pair.P, pair.Q
     k, m = P.k, P.m
     if Q.k > k or Q.m > m:
-        raise ValidationError(
-            f"completion support [-{Q.k}, {Q.m}] exceeds target [-{k}, {m}]"
-        )
+        raise ValidationError(f"completion support [-{Q.k}, {Q.m}] exceeds target [-{k}, {m}]")
     # align both onto the window [-k, m]
     p = np.zeros(k + m + 1, dtype=complex)
     q = np.zeros(k + m + 1, dtype=complex)
@@ -293,7 +295,7 @@ def _walk(angles: AngleSequence, col: np.ndarray, multiply, u, u_dag) -> np.ndar
     rows with its four scalars.
     """
     lam = np.concatenate(([angles.lam], np.zeros(angles.k + angles.m)))
-    rotations = np.moveaxis(rotation_matrix(angles.theta, angles.phi, lam), -1, 0)
+    rotations = np.moveaxis(_rotations(angles.theta, angles.phi, lam), -1, 0)
     for j, rotation in enumerate(rotations):
         if 0 < j <= angles.m:
             multiply(col[0], u)
@@ -313,7 +315,7 @@ def assemble_and_extract(angles: AngleSequence, U) -> AssembledBlock:
     never formed. Counts are structural: the sizes m and k of the two
     controlled groups.
     """
-    mat = square_entries(U, "U")
+    mat = square_entries(U, "U", finite=True)
     n = mat.shape[0]
 
     def times(row, factor):
@@ -336,7 +338,7 @@ def eval_angles(angles: AngleSequence, z) -> np.ndarray:
     one pair per z: controlled-U multiplies top by z and controlled-U^dag
     multiplies bottom by conj(z).
     """
-    z = np.asarray(z, dtype=complex)
+    z = matrix_entries(z, name="z", finite=True).ravel()
     col = np.zeros((2, z.size), dtype=complex)
     col[0] = 1.0
     return _walk(angles, col, operator.imul, z, z.conj())[0]

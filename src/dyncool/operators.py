@@ -9,11 +9,13 @@ The input rules the other modules share live here, each written once: the
 one tolerance set ``TOL``, the one bound check ``_bound`` that every
 certificate's measured value goes through (a NaN fails it), numbers that are
 never bools or strings, the one integer rule ``check_integer`` (every count,
-seed, order, index, window and dimension), the epsilon, delta and
-completion-margin ranges, the dimension budget, the register checks, the
-spectral-norm bound, the Hermiticity and unitarity measurements, the
-shifted-spectrum band of a sign transform and the matrix coercion, which
-refuses an empty matrix.
+seed, order, index, window and dimension), the one real-number rule
+``check_real`` (every time, cutoff, shift, energy and angle, and the epsilon,
+delta and completion-margin ranges written on it), the one array rule
+``matrix_entries`` (every matrix, vector and coefficient array), the
+dimension budget, the register checks, the spectral-norm bound, the
+Hermiticity and unitarity measurements and the shifted-spectrum band of a
+sign transform.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ __all__ = [
     "check_delta",
     "check_margin",
     "check_integer",
+    "check_real",
     "check_dim",
     "check_window",
     "check_register",
@@ -116,23 +119,32 @@ def check_integer(value, name: str, low=None, high=None, error=ValidationError):
     return value
 
 
-def check_epsilon(epsilon: float) -> None:
-    """Reject a bin width outside [2^-51, 0.7]; the floor keeps lambda/epsilon + 1/2 exact."""
-    if not 2.0**-51 <= epsilon <= 0.7:
-        raise RangeError(f"epsilon must lie in [2^-51, 0.7], got {epsilon}")
+def check_real(value, name: str, low=-np.inf, high=np.inf, rule="be finite", error=RangeError):
+    """``value`` as a float if ``_number`` takes it and it is finite and from ``low``
+    to ``high``; else ``error`` says ``{name} must {rule}, got {value}``. The one
+    place that asks whether a value is a real number in a range; an open end is
+    the next float inward."""
+    x = _number(value, name)
+    if not (low <= x <= high and np.isfinite(x)):
+        raise error(f"{name} must {rule}, got {value}")
+    return x
 
 
-def check_delta(delta: float) -> None:
-    """Reject a per-step leakage delta outside (0, 1)."""
-    if not 0.0 < delta < 1.0:
-        raise RangeError(f"delta must lie in (0, 1), got {delta}")
+def check_epsilon(epsilon: float) -> float:
+    """A bin width in [2^-51, 0.7]; the floor keeps lambda/epsilon + 1/2 exact."""
+    return check_real(epsilon, "epsilon", 2.0**-51, 0.7, "lie in [2^-51, 0.7]")
 
 
-def check_margin(margin: float) -> None:
-    """Reject a completion margin that is not a finite number >= ``MIN_MARGIN``."""
-    if not MIN_MARGIN <= margin < np.inf:
-        floor = np.format_float_scientific(MIN_MARGIN, trim="-", exp_digits=1)
-        raise ValidationError(f"margin must be a finite number >= {floor}, got {margin}")
+def check_delta(delta: float) -> float:
+    """A per-step leakage delta in (0, 1), whose ends are 0 and 1 minus one float."""
+    return check_real(delta, "delta", 5e-324, 1.0 - 2.0**-53, "lie in (0, 1)")
+
+
+def check_margin(margin: float) -> float:
+    """A completion margin, a finite number >= ``MIN_MARGIN``."""
+    floor = np.format_float_scientific(MIN_MARGIN, trim="-", exp_digits=1)
+    return check_real(margin, "margin", MIN_MARGIN, rule=f"be a finite number >= {floor}",
+                      error=ValidationError)
 
 
 def check_dim(dim: int, label: str) -> int:
@@ -171,25 +183,43 @@ def shifted_spectrum(eigenvalues: np.ndarray, shift: float, epsilon: float | Non
     return shifted
 
 
-def matrix_entries(M, dtype=complex) -> np.ndarray:
-    """The entries of a wrapped operator, or ``M`` as an array of ``dtype``."""
-    return M.entries if hasattr(M, "entries") else np.asarray(M, dtype=dtype)
+def matrix_entries(M, dtype=complex, name: str = "matrix", finite: bool = False,
+                   shape: tuple | None = None) -> np.ndarray:
+    """The entries of a wrapped operator, or ``M`` as an array of ``dtype`` (None
+    keeps numpy's). The one array rule: what numpy cannot read as numbers of that
+    dtype (a ragged list, None, a string, an object, bools, or complex numbers
+    for a real dtype) is a ``ValidationError``, and so is an array of another
+    ``shape`` than the one given, or with ``finite`` one holding a NaN or an
+    infinity."""
+    if hasattr(M, "entries"):
+        return M.entries
+    try:  # a ragged list, and numbers of another kind (complex for real), raise here
+        src = np.asarray(M)
+        arr = src.astype(dtype or src.dtype, casting="same_kind", copy=False)
+    except (TypeError, ValueError):
+        src = arr = np.asarray(None)
+    if src.dtype.kind not in "iufc":  # bools, strings and objects are not numbers
+        raise ValidationError(f"{name} must be an array of numbers, got {M!r:.60}")
+    if shape is not None and arr.shape != shape:
+        raise ValidationError(f"{name} must have shape {shape}, got shape {arr.shape}")
+    if finite and not np.isfinite(arr).all():
+        raise ValidationError(f"{name} must be finite")
+    return arr
 
 
-def square_entries(M, name: str) -> np.ndarray:
-    """``matrix_entries(M)``, which must be a square matrix."""
-    arr = matrix_entries(M)
+def square_entries(M, name: str, dtype=complex, finite: bool = False) -> np.ndarray:
+    """``matrix_entries(M, dtype, name, finite)``, which must be a non-empty square matrix."""
+    arr = matrix_entries(M, dtype, name, finite)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValidationError(f"{name} must be a square matrix, got shape {arr.shape}")
+    if not arr.size:
+        raise ValidationError(f"{name} must not be empty")
     return arr
 
 
 def _as_matrix(entries, name: str) -> np.ndarray:
-    arr = square_entries(np.array(entries, dtype=np.complex128, order="C"), name)
-    if not arr.size:
-        raise ValidationError(f"{name} must not be empty")
-    if not np.all(np.isfinite(arr.view(np.float64))):
-        raise ValidationError(f"{name} contains non-finite entries")
+    """A read-only C-ordered complex copy of the finite ``square_entries``."""
+    arr = np.array(square_entries(entries, name, finite=True), order="C")
     arr.setflags(write=False)
     return arr
 
@@ -265,11 +295,9 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.amplitudes, dtype=np.complex128)
+        arr = matrix_entries(self.amplitudes, name="state", finite=True).copy()
         if arr.ndim != 1:
             raise ValidationError(f"state must be a vector, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr.view(np.float64))):
-            raise ValidationError("state contains non-finite amplitudes")
         _bound("deviation of state norm from 1", abs(np.linalg.norm(arr) - 1.0), TOL.state_norm)
         arr.setflags(write=False)
         object.__setattr__(self, "amplitudes", arr)
@@ -291,10 +319,9 @@ class SpectralDecomposition:
     eigenvectors: np.ndarray
 
     def __post_init__(self):
-        vals = np.array(self.eigenvalues, dtype=np.float64)
         vecs = _as_matrix(self.eigenvectors, "eigenvectors")
-        if vals.ndim != 1 or vals.shape[0] != vecs.shape[0]:
-            raise ValidationError("eigenvalue/eigenvector shape mismatch")
+        vals = matrix_entries(self.eigenvalues, float, "eigenvalues", finite=True,
+                              shape=vecs.shape[:1]).copy()
         if np.any(np.diff(vals) < 0):
             raise ValidationError("eigenvalues must be ascending")
         _unitary(vecs, "eigenvectors")
@@ -329,20 +356,21 @@ def eig(H: HermitianOperator) -> SpectralDecomposition:
 
 def evolve(H: HermitianOperator, t: float) -> UnitaryOperator:
     """exp(-iHt) through the eigendecomposition."""
+    t = check_real(t, "time")
     dec = eig(H)
     return UnitaryOperator(dec.apply(np.exp(-1j * dec.eigenvalues * t)))
 
 
 def projector_below(dec: SpectralDecomposition, energy: float) -> Projector:
     """Spectral projector onto eigenvalues strictly below ``energy``."""
-    sel = dec.eigenvalues < energy
+    sel = dec.eigenvalues < check_real(energy, "energy")
     vecs = dec.eigenvectors[:, sel]
     return Projector(vecs @ vecs.conj().T)
 
 
 def spectral_norm(M) -> float:
-    """Largest singular value; accepts wrapped operators or raw arrays."""
-    return float(np.linalg.norm(matrix_entries(M, dtype=None), 2))
+    """Largest singular value of a finite square matrix, wrapped or raw."""
+    return float(np.linalg.norm(square_entries(M, "matrix", None, finite=True), 2))
 
 
 def hermitian_norm(mat: np.ndarray) -> float:

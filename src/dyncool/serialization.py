@@ -21,7 +21,7 @@ import numpy as np
 from .cooling import CoolingConfig, Trajectory
 from .errors import ValidationError
 from .gqsp import AngleSequence
-from .operators import _is_number, _number, check_dim, check_window, square_entries
+from .operators import _is_number, check_dim, check_window, matrix_entries, square_entries
 from .signfun import FourierPolynomial
 
 __all__ = [
@@ -153,15 +153,14 @@ def _complex_pairs(values) -> list:
 
 
 def _numbers(values, what: str) -> np.ndarray:
-    """``values`` as a float64 array whose every element is a finite number
-    (``_is_number``: never a bool or a string)."""
+    """``values`` as a float64 array whose every element is a finite number: the
+    array rule, read stricter, since every element must pass ``_is_number`` (never
+    a bool or a string), and with one message for every failure."""
     try:
         arr = np.array(values, dtype=object)
         if all(map(_is_number, arr.flat)):
-            arr = arr.astype(np.float64)
-            if np.all(np.isfinite(arr)):
-                return arr
-    except (ValueError, OverflowError):
+            return matrix_entries(arr.astype(np.float64), float, what, finite=True)
+    except (ValueError, OverflowError):  # the rule's ValidationError is a ValueError
         pass
     raise ValidationError(f"{what} must hold only finite numbers")
 
@@ -208,12 +207,7 @@ def _window(doc) -> tuple[int, int]:
 def polynomial_from_document(doc: dict) -> FourierPolynomial:
     k, m = _window(doc)
     coeffs = _pairs_to_complex(doc.get("coefficients"), k + m + 1, "coefficients")
-    eps, delta = doc.get("epsilon"), doc.get("delta")
-    return FourierPolynomial(
-        coeffs, k, m,
-        None if eps is None else _number(eps, "polynomial 'epsilon'"),
-        None if delta is None else _number(delta, "polynomial 'delta'"),
-    )
+    return FourierPolynomial(coeffs, k, m, doc.get("epsilon"), doc.get("delta"))
 
 
 def angles_document(angles: AngleSequence) -> dict:
@@ -230,7 +224,7 @@ def angles_from_document(doc: dict) -> AngleSequence:
     k, m = _window(doc)
     theta = _numbers(doc.get("theta"), "angle 'theta'")
     phi = _numbers(doc.get("phi"), "angle 'phi'")
-    return AngleSequence(theta, phi, _number(doc.get("lambda"), "angle 'lambda'"), k=k, m=m)
+    return AngleSequence(theta, phi, doc.get("lambda"), k=k, m=m)
 
 
 def config_document(config: CoolingConfig) -> dict:

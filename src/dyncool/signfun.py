@@ -30,8 +30,8 @@ import numpy as np
 
 from .errors import CertificationError, ValidationError
 from .operators import HermitianOperator, SpectralDecomposition, eig
-from .operators import _bound, check_delta, check_epsilon, check_integer, check_window
-from .operators import shifted_spectrum
+from .operators import _bound, check_delta, check_epsilon, check_integer, check_real
+from .operators import check_window, matrix_entries, shifted_spectrum
 
 __all__ = [
     "C_DEG",
@@ -76,7 +76,8 @@ class RealOddPolynomial:
     band_error: float
 
     def __post_init__(self):
-        coeffs = np.array(self.cheb_coeffs, dtype=np.float64)
+        _check_sign_data(self)
+        coeffs = matrix_entries(self.cheb_coeffs, float, "coefficients").copy()
         if coeffs.ndim != 1 or coeffs.size < 2:
             raise ValidationError("coefficients must be a vector of length >= 2")
         if np.any(coeffs[0::2] != 0.0):
@@ -110,18 +111,27 @@ class FourierPolynomial:
 
     def __post_init__(self):
         check_window(self.k, self.m)
-        coeffs = np.array(self.coeffs, dtype=np.complex128)
-        if coeffs.ndim != 1 or coeffs.size != self.k + self.m + 1:
-            raise ValidationError(
-                f"coefficient count {coeffs.size} does not match degrees "
-                f"k={self.k}, m={self.m}"
-            )
+        _check_sign_data(self, optional=True)
+        coeffs = matrix_entries(self.coeffs, name="coeffs", shape=(self.k + self.m + 1,)).copy()
         coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def degree(self) -> int:
         return max(self.k, self.m)
+
+
+def _check_sign_data(poly, optional: bool = False) -> None:
+    """Check a polynomial's epsilon and delta (``check_epsilon``, ``check_delta``)
+    and its grid measurements max_abs and band_error (finite and >= 0); with
+    ``optional`` each may be None."""
+    given = lambda value: value is not None or not optional
+    for value, check in ((poly.epsilon, check_epsilon), (poly.delta, check_delta)):
+        if given(value):
+            check(value)
+    for name in ("max_abs", "band_error"):
+        if given(getattr(poly, name)):
+            check_real(getattr(poly, name), name, 0.0, rule="be a finite number >= 0")
 
 
 def _certify(grid, vals, band, degree: int, epsilon: float, delta: float) -> tuple:
@@ -158,7 +168,7 @@ def _chebval(x: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 def eval_fourier(S: FourierPolynomial, x) -> np.ndarray:
     """Evaluate sum a_n e^{inx} by Horner in z = e^{ix} (unit modulus, stable)."""
-    z = np.exp(1j * np.asarray(x, dtype=np.float64))
+    z = np.exp(1j * matrix_entries(x, float, "x", finite=True))
     acc = np.full_like(z, S.coeffs[-1])
     for c in S.coeffs[-2::-1]:
         acc = acc * z + c
@@ -290,7 +300,7 @@ def apply_spectral(
     the polynomial's metadata (0 when absent).
     """
     dec = eig(H)
-    shifted_spectrum(dec.eigenvalues, shift, S.epsilon)
+    shifted_spectrum(dec.eigenvalues, check_real(shift, "shift"), S.epsilon)
     vals = spectral_values(S, dec, shift)
     return HermitianOperator(dec.apply(vals, hermitian=True))
 
@@ -303,7 +313,7 @@ def spectral_values(
     The Laurent sum at all eigenvalues is one d x (k+m+1) exponential table
     times the coefficients; the values must be real (a sign transform is).
     """
-    x = dec.eigenvalues - shift
+    x = dec.eigenvalues - check_real(shift, "shift")
     vals = np.exp(1j * np.outer(x, np.arange(-S.k, S.m + 1))) @ S.coeffs
     _bound("max |Im S| at the spectrum", np.max(np.abs(vals.imag)), 1e-10, CertificationError)
     return vals.real

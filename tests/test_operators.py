@@ -345,6 +345,32 @@ class TestBound:
         ]
         assert len(step_rules) == 1
 
+    def test_every_real_goes_through_the_one_rule(self):
+        """``check_epsilon``, ``check_delta`` and ``check_margin`` return a call of
+        ``check_real``, and ``src/`` tests no scalar for finiteness elsewhere: an
+        ``isfinite`` call outside ``check_real``, the array rule ``matrix_entries``
+        and ``serialization._fmt_float`` is an array test, reduced by ``.all()``."""
+        def named(node, name):
+            return isinstance(node, ast.Call) and name in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+        trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+        functions = {(stem, fn.name): fn for stem, tree in trees.items()
+                     for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)}
+        for name in ("check_epsilon", "check_delta", "check_margin"):
+            returns = [n.value for n in ast.walk(functions["operators", name])
+                       if isinstance(n, ast.Return)]
+            assert len(returns) == 1 and named(returns[0], "check_real")
+        exempt = [("operators", "check_real"), ("operators", "matrix_entries"),
+                  ("serialization", "_fmt_float")]
+        allowed = {id(n) for key in exempt for n in ast.walk(functions[key]) if named(n, "isfinite")}
+        assert len(allowed) == 3
+        reduced = {id(n.func.value) for tree in trees.values() for n in ast.walk(tree)
+                   if named(n, "all") and isinstance(n.func, ast.Attribute)}
+        scalar = [f"{stem}:{n.lineno}" for stem, tree in trees.items() for n in ast.walk(tree)
+                  if named(n, "isfinite") and id(n) not in allowed | reduced]
+        assert scalar == []
+
     def test_every_kick_has_two_callers(self):
         """``cooling._kick`` is called in ``src/`` only by ``_Context.step`` and
         ``cooling_step``, the one builder of the step unitary."""

@@ -1,8 +1,8 @@
 """Record what ``cooling.run`` and the block-encoding certificate cost at growing dimension.
 
-    python3 tools/scaling_record.py --out SCALING_22.json --baseline ../parent
+    python3 tools/scaling_record.py --out SCALING_27.json --baseline ../parent
 
-Runs, per dimension d = 256 and 1024: H from ``cli.generate_hamiltonian``
+Runs, per dimension d = 16, 256 and 1024: H from ``cli.generate_hamiltonian``
 (type random) and A from ``cli.generate_perturbation`` (type gue), both from
 ``default_rng(0)``, and the config epsilon = 0.2, 16 steps. The record holds
 the cold context build (``cooling._MEMO.context`` on an empty memo, with the
@@ -11,6 +11,15 @@ sign polynomial already synthesized), the build of every bin's step
 ``REPEATS`` lookups of the same H and A once every bin is built), the median
 warm ``run`` call over ``REPEATS`` trajectories, and the peak RSS of the
 process after that dimension.
+
+Beside each wall time stands a software count of the work it does, which
+does not vary with the host's load: ``*_work`` counts d^3 multiply-adds per
+dense d x d step (an ``eig``: one for the context's eig of H, one per bin
+build, one per bin a cold run builds, and one n^3 product per controlled
+step of an assembly, k + m of them), and ``memo_hit_words`` the float64
+words a memo hit compares (2 d^2 per complex d x d matrix, for H and A). Two
+sides whose counts agree did the same work, so a difference in their times
+is the host's.
 
 Cold runs, at d = 1024 with the same H and A, for (epsilon, steps) = (0.2, 16)
 and (0.05, 64): one ``cooling.run`` on an empty memo (sign polynomial already
@@ -50,7 +59,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-DIMS = (256, 1024)
+DIMS = (16, 256, 1024)
 EPSILON, STEPS = 0.2, 16
 REPEATS = 20
 SEQUENCES = ((0.1, 1.0 / 32.0), (0.05, 1.0 / 256.0))
@@ -110,7 +119,9 @@ def circuits() -> list:
             isometry = column_isometry(angles, U)
             rows.append({
                 "epsilon": epsilon, "delta": delta, "degree": angles.k, "dim": dim,
-                "assemble_s": round(assemble_s, 4), "reference_s": round(reference_s, 4),
+                "assemble_s": round(assemble_s, 4),
+                "assemble_work": (angles.k + angles.m) * dim**3,
+                "reference_s": round(reference_s, 4),
                 "certificate_s": round(certificate_s, 4),
                 "block_residual": float(f"{residual:.3g}"),
                 "column_isometry_residual": float(f"{isometry:.3g}"),
@@ -138,7 +149,7 @@ def cold_runs() -> list:
         rows.append({
             "dim": COLD_DIM, "epsilon": epsilon, "steps": steps, "bins": ctx.nbins,
             "bins_built": len(built), "columns_built": sum(stop - start for start, stop in built),
-            "run_s": round(run_s, 3),
+            "run_s": round(run_s, 3), "run_work": (1 + len(built)) * COLD_DIM**3,
         })
     cooling._MEMO.contexts.clear()
     return rows
@@ -176,10 +187,10 @@ def side(checkout: Path) -> dict:
                  for t in range(REPEATS)]
         runs.append({
             "dim": dim, "epsilon": EPSILON, "steps": STEPS, "bins": ctx.nbins,
-            "context_s": round(context_s, 4), "step_s": step_s,
-            "steps_total_s": round(sum(step_s), 3),
+            "context_s": round(context_s, 4), "context_work": dim**3, "step_s": step_s,
+            "steps_total_s": round(sum(step_s), 3), "steps_total_work": ctx.nbins * dim**3,
             "memo_hit_median_s": float(f"{statistics.median(hits):.3g}"),
-            "memo_hit_best_s": float(f"{min(hits):.3g}"),
+            "memo_hit_best_s": float(f"{min(hits):.3g}"), "memo_hit_words": 4 * dim * dim,
             "run_median_s": float(f"{statistics.median(calls):.3g}"),
             "peak_rss_mib": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
         })

@@ -31,12 +31,14 @@ trajectory needs beyond that depends only on (H, A, config) and comes from
 a module-level memo of contexts found by content: each context keeps
 read-only copies of H and A as complex128 and the frozen config, and a
 lookup compares the config and then the caller's arrays with the copies in
-place, newest first, hashing nothing. A context holds eig(H), V^dag A V, the bin slices, the query costs and one
-real observation matrix, whose product with the squared real and imaginary
-parts of the amplitudes gives every bin weight, the energy, the ground
-overlap and every bin's leakage.
-Input, the config's sign synthesis included, is checked only when a context
-is built, so invalid input never enters the memo and raises on every call.
+place, newest first, hashing nothing. A context holds eig(H), V^dag A V,
+the bin slices, the query costs and one real observation matrix, whose
+product with the squared real and imaginary parts of the amplitudes gives
+every bin weight, the energy, the ground overlap and every bin's leakage.
+Each call reads H and A through the array rule (``operators.matrix_entries``,
+without its finiteness test); the rest of the input, the config's sign
+synthesis included, is checked only when a context is built, so invalid
+input never enters the memo and raises on every call.
 Each context also keeps, per bin b, the columns of the kick exp(-iT K_b)
 over b's slice, where a measured state lives, built with every check on b's
 first visit; for a bin of one eigenvalue, whose collapsed state is that
@@ -101,6 +103,7 @@ __all__ = [
 MODES = ("exact_spectral", "gqsp_circuit", "exact_reflection")
 
 _MEMO_CONTEXTS = 4
+_WORDS = 1 << 17  # 64-bit words per chunk of a memo compare: 1 MiB a side, in cache
 
 
 @lru_cache(maxsize=64)
@@ -423,10 +426,12 @@ class _Context:
 
 def _same(x: np.ndarray, held: np.ndarray) -> bool:
     """Whether ``x`` has the shape and the bits of ``held`` (so -0.0 is not 0.0),
-    compared in place as 64-bit words; below 64 KiB a bytes copy is cheaper."""
+    compared in place as 64-bit words, ``_WORDS`` at a time so that each
+    comparison's temporary stays in cache; below 64 KiB a bytes copy is cheaper."""
     if x.shape != held.shape or x.nbytes < 1 << 16:
         return x.shape == held.shape and x.tobytes() == held.tobytes()
-    return bool((np.ascontiguousarray(x).view(np.uint64) == held.view(np.uint64)).all())
+    xw, hw = np.ascontiguousarray(x).view(np.uint64).ravel(), held.view(np.uint64).ravel()
+    return all((xw[i : i + _WORDS] == hw[i : i + _WORDS]).all() for i in range(0, xw.size, _WORDS))
 
 
 class _Memo:

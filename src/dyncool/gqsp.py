@@ -95,8 +95,7 @@ class AngleSequence:
 
     def __post_init__(self):
         check_window(self.k, self.m)
-        n = (self.k + self.m + 1,)
-        theta, phi = (matrix_entries(a, float, "angle arrays", shape=n).copy()
+        theta, phi = (matrix_entries(a, float, "angle arrays", shape=(self.k + self.m + 1,)).copy()
                       for a in (self.theta, self.phi))
         matrix_entries([*theta, *phi, self.lam], float, "angles theta, phi and lam", finite=True)
         check_real(self.lam, "lam")  # a bool would pass the array rule as 1.0

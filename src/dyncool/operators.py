@@ -75,6 +75,8 @@ class Tolerances:
 TOL = Tolerances()
 
 MIN_MARGIN = 1e-6  # the least completion margin any synthesis may ask for
+_MARGIN_RULE = "be a finite number >= " + np.format_float_scientific(MIN_MARGIN, trim="-",
+                                                                    exp_digits=1)
 MAX_COUNT = 100_000  # the most steps a trajectory, or trials a run, may ask for
 
 
@@ -122,8 +124,8 @@ def check_integer(value, name: str, low=None, high=None, error=ValidationError):
 def check_real(value, name: str, low=-np.inf, high=np.inf, rule="be finite", error=RangeError):
     """``value`` as a float if ``_number`` takes it and it is finite and from ``low``
     to ``high``; else ``error`` says ``{name} must {rule}, got {value}``. The one
-    place that asks whether a value is a real number in a range; an open end is
-    the next float inward."""
+    place that asks whether a value is a real number in a range; a caller
+    passes an open end as the nearest float inside it."""
     x = _number(value, name)
     if not (low <= x <= high and np.isfinite(x)):
         raise error(f"{name} must {rule}, got {value}")
@@ -136,15 +138,14 @@ def check_epsilon(epsilon: float) -> float:
 
 
 def check_delta(delta: float) -> float:
-    """A per-step leakage delta in (0, 1), whose ends are 0 and 1 minus one float."""
+    """A per-step leakage delta in (0, 1), whose nearest floats inside are 5e-324
+    and 1 - 2^-53."""
     return check_real(delta, "delta", 5e-324, 1.0 - 2.0**-53, "lie in (0, 1)")
 
 
 def check_margin(margin: float) -> float:
     """A completion margin, a finite number >= ``MIN_MARGIN``."""
-    floor = np.format_float_scientific(MIN_MARGIN, trim="-", exp_digits=1)
-    return check_real(margin, "margin", MIN_MARGIN, rule=f"be a finite number >= {floor}",
-                      error=ValidationError)
+    return check_real(margin, "margin", MIN_MARGIN, rule=_MARGIN_RULE, error=ValidationError)
 
 
 def check_dim(dim: int, label: str) -> int:

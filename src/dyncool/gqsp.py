@@ -95,10 +95,9 @@ class AngleSequence:
 
     def __post_init__(self):
         check_window(self.k, self.m)
-        theta, phi = (matrix_entries(a, float, "angle arrays", shape=(self.k + self.m + 1,)).copy()
-                      for a in (self.theta, self.phi))
-        matrix_entries([*theta, *phi, self.lam], float, "angles theta, phi and lam", finite=True)
-        check_real(self.lam, "lam")  # a bool would pass the array rule as 1.0
+        theta, phi = (matrix_entries(a, float, name, True, (self.k + self.m + 1,)).copy()
+                      for name, a in (("theta", self.theta), ("phi", self.phi)))
+        check_real(self.lam, "lam")
         check_real(self.peel_residual, "peel_residual", 0.0, rule="be a finite number >= 0")
         theta.setflags(write=False)
         phi.setflags(write=False)

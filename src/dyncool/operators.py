@@ -12,10 +12,10 @@ never bools or strings, the one integer rule ``check_integer`` (every count,
 seed, order, index, window and dimension), the one real-number rule
 ``check_real`` (every time, cutoff, shift, energy and angle, and the epsilon,
 delta and completion-margin ranges written on it), the one array rule
-``matrix_entries`` (every matrix, vector and coefficient array), the
-dimension budget, the register checks, the spectral-norm bound, the
-Hermiticity and unitarity measurements and the shifted-spectrum band of a
-sign transform.
+``matrix_entries`` (every matrix, vector and coefficient array, and each
+element of one given as a list), the dimension budget, the register checks,
+the spectral-norm bound, the Hermiticity and unitarity measurements and the
+shifted-spectrum band of a sign transform.
 """
 
 from __future__ import annotations
@@ -88,9 +88,10 @@ def _bound(name: str, value, limit, error=ValidationError):
     return value
 
 
-def _is_number(value) -> bool:
-    """Whether ``value`` is an int, a float or a numpy number; a bool or a string is not one."""
-    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+def _is_number(value, kinds=(int, float, np.integer, np.floating)) -> bool:
+    """Whether ``value`` is one of ``kinds``, by default an int, a float or a numpy
+    real; a bool or a string never is."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
 
 
 def _number(value, what: str) -> float:
@@ -187,14 +188,20 @@ def shifted_spectrum(eigenvalues: np.ndarray, shift: float, epsilon: float | Non
 def matrix_entries(M, dtype=complex, name: str = "matrix", finite: bool = False,
                    shape: tuple | None = None) -> np.ndarray:
     """The entries of a wrapped operator, or ``M`` as an array of ``dtype`` (None
-    keeps numpy's). The one array rule: what numpy cannot read as numbers of that
-    dtype (a ragged list, None, a string, an object, bools, or complex numbers
-    for a real dtype) is a ``ValidationError``, and so is an array of another
-    ``shape`` than the one given, or with ``finite`` one holding a NaN or an
-    infinity."""
+    keeps numpy's). The one array rule: every element of an ``M`` that is not an
+    ndarray must be an int, a float, a complex or a numpy number, never a bool,
+    a string or None. What is not that, or what numpy cannot read as numbers of
+    that dtype (a ragged list, an object, a bool array, an int outside 64 bits,
+    or complex numbers for a real dtype), is a ``ValidationError``, and so is
+    an array of another ``shape`` than the one given, or with ``finite`` one
+    holding a NaN or an infinity."""
     if hasattr(M, "entries"):
         return M.entries
-    try:  # a ragged list, and numbers of another kind (complex for real), raise here
+    try:  # a ragged list, an element that is no number, and complex for real raise here
+        if not isinstance(M, np.ndarray) and not all(
+            _is_number(x, (int, float, complex, np.number)) for x in np.array(M, dtype=object).flat
+        ):
+            raise TypeError
         src = np.asarray(M)
         arr = src.astype(dtype or src.dtype, casting="same_kind", copy=False)
     except (TypeError, ValueError):
@@ -375,8 +382,10 @@ def spectral_norm(M) -> float:
 
 
 def hermitian_norm(mat: np.ndarray) -> float:
-    """Spectral norm of a Hermitian matrix, max |eigenvalue|, without an SVD."""
-    return float(np.max(np.abs(np.linalg.eigvalsh(mat))))
+    """Spectral norm of a finite Hermitian matrix, max |eigenvalue|, without an SVD;
+    a non-finite entry, or a norm past float64, is a ``ValidationError``."""
+    vals = np.linalg.eigvalsh(square_entries(mat, "matrix", None, finite=True))
+    return _bound("spectral norm", float(np.max(np.abs(vals))), np.finfo(float).max)
 
 
 def check_norm(norm: float, name: str) -> float:

@@ -21,7 +21,7 @@ import numpy as np
 from .cooling import CoolingConfig, Trajectory
 from .errors import ValidationError
 from .gqsp import AngleSequence
-from .operators import _is_number, check_dim, check_window, matrix_entries, square_entries
+from .operators import check_dim, check_window, matrix_entries, square_entries
 from .signfun import FourierPolynomial
 
 __all__ = [
@@ -152,24 +152,18 @@ def _complex_pairs(values) -> list:
     return np.asarray(values, dtype=complex).ravel().view(np.float64).reshape(-1, 2).tolist()
 
 
-def _numbers(values, what: str) -> np.ndarray:
-    """``values`` as a float64 array whose every element is a finite number: the
-    array rule, read stricter, since every element must pass ``_is_number`` (never
-    a bool or a string), and with one message for every failure."""
-    try:
-        arr = np.array(values, dtype=object)
-        if all(map(_is_number, arr.flat)):
-            return matrix_entries(arr.astype(np.float64), float, what, finite=True)
-    except (ValueError, OverflowError):  # the rule's ValidationError is a ValueError
-        pass
-    raise ValidationError(f"{what} must hold only finite numbers")
-
-
 def _pairs_to_complex(pairs, count: int, what: str) -> np.ndarray:
-    arr = _numbers(pairs, what)
-    if arr.shape != (count, 2):
-        raise ValidationError(f"{what} must be {count} [re, im] pairs, got {arr.shape}")
+    """``count`` finite [re, im] pairs as complex numbers."""
+    arr = matrix_entries(pairs, float, what, finite=True, shape=(count, 2))
     return arr[:, 0] + 1j * arr[:, 1]
+
+
+def _json_object(doc, key: str) -> dict:
+    """``doc`` if it is a JSON object, else a ``ValidationError``; ``key`` names what
+    the caller reads from it. The one place that asks whether a value is an object."""
+    if not isinstance(doc, dict):
+        raise ValidationError(f"expected a JSON object with {key!r}, got {type(doc).__name__}")
+    return doc
 
 
 def matrix_document(M) -> dict:
@@ -179,7 +173,7 @@ def matrix_document(M) -> dict:
 
 
 def matrix_from_document(doc: dict) -> np.ndarray:
-    dim = check_dim(doc.get("dim") if isinstance(doc, dict) else None, "matrix document")
+    dim = check_dim(_json_object(doc, "dim").get("dim"), "matrix document")
     flat = _pairs_to_complex(doc.get("entries"), dim * dim, "matrix entries")
     return flat.reshape(dim, dim)
 
@@ -198,9 +192,7 @@ def polynomial_document(S: FourierPolynomial) -> dict:
 
 def _window(doc) -> tuple[int, int]:
     """(k, m) of a polynomial or angle document: non-negative integers."""
-    if not isinstance(doc, dict):
-        raise ValidationError(f"expected a JSON object, got {type(doc).__name__}")
-    check_window(doc.get("k"), doc.get("m"))
+    check_window(_json_object(doc, "k").get("k"), doc.get("m"))
     return doc["k"], doc["m"]
 
 
@@ -222,9 +214,7 @@ def angles_document(angles: AngleSequence) -> dict:
 
 def angles_from_document(doc: dict) -> AngleSequence:
     k, m = _window(doc)
-    theta = _numbers(doc.get("theta"), "angle 'theta'")
-    phi = _numbers(doc.get("phi"), "angle 'phi'")
-    return AngleSequence(theta, phi, doc.get("lambda"), k=k, m=m)
+    return AngleSequence(doc.get("theta"), doc.get("phi"), doc.get("lambda"), k=k, m=m)
 
 
 def config_document(config: CoolingConfig) -> dict:

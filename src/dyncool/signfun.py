@@ -77,7 +77,7 @@ class RealOddPolynomial:
 
     def __post_init__(self):
         _check_sign_data(self)
-        coeffs = matrix_entries(self.cheb_coeffs, float, "coefficients").copy()
+        coeffs = matrix_entries(self.cheb_coeffs, float, "coefficients", finite=True).copy()
         if coeffs.ndim != 1 or coeffs.size < 2:
             raise ValidationError("coefficients must be a vector of length >= 2")
         if np.any(coeffs[0::2] != 0.0):
@@ -112,7 +112,8 @@ class FourierPolynomial:
     def __post_init__(self):
         check_window(self.k, self.m)
         _check_sign_data(self, optional=True)
-        coeffs = matrix_entries(self.coeffs, name="coeffs", shape=(self.k + self.m + 1,)).copy()
+        coeffs = matrix_entries(self.coeffs, name="coeffs", finite=True,
+                                shape=(self.k + self.m + 1,)).copy()
         coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from dyncool import HermitianOperator, Projector, StateVector, cooling
+from dyncool import HermitianOperator, Projector, StateVector, cooling, sample_gue, spectral_norm
 # the CLI's, which `gqsp` and `certify` use for their checks
 from dyncool.cli import _random_unitary as random_unitary
 from dyncool.signfun import spectral_values
@@ -49,6 +49,12 @@ def coherent_step(joint, dec, A, S, delta) -> np.ndarray:
             kick = cooling._kick(spectral_values(S, dec, j * width + width), a_rot, delta)
             out[j] = vecs @ (kick @ (vecs.conj().T @ row))
     return out
+
+
+def normalized_gue(rng, dim):
+    """A ``sample_gue`` draw, scaled down to spectral norm 1 when its norm exceeds 1."""
+    A = sample_gue(rng, dim)
+    return A / max(1.0, spectral_norm(A))
 
 
 def random_hermitian(rng, dim, norm=None):

@@ -39,7 +39,7 @@ from dyncool import (
 )
 from dyncool.cooling import run_experiment
 
-from conftest import laurent_sum, random_hermitian, random_projector, random_unitary
+from conftest import laurent_sum, normalized_gue, random_hermitian, random_projector, random_unitary
 
 
 def report(num, name, ok, detail, elapsed, budget):
@@ -50,11 +50,6 @@ def report(num, name, ok, detail, elapsed, budget):
     )
     assert ok, f"criterion {num} {name}: {detail}"
     assert elapsed < budget, f"criterion {num} took {elapsed:.1f}s >= {budget}s"
-
-
-def normalized_gue(rng, dim):
-    A = sample_gue(rng, dim)
-    return A / max(1.0, spectral_norm(A))
 
 
 def two_sector_instances(dims, count, seed):

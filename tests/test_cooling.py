@@ -34,7 +34,7 @@ from dyncool.cooling import (
     run,
     run_experiment,
 )
-from dyncool.dyson import default_time, sample_gue
+from dyncool.dyson import default_time
 from dyncool.errors import MarginError, RangeError, ValidationError
 from dyncool.operators import (
     HermitianOperator,
@@ -45,13 +45,8 @@ from dyncool.operators import (
 )
 from dyncool.signfun import apply_spectral, fourier_sign
 
-from conftest import coherent_step, prepare_joint, random_hermitian
+from conftest import coherent_step, normalized_gue, prepare_joint, random_hermitian
 from test_reference_trajectories import CASES, trajectory_rows
-
-
-def normalized_gue(rng, dim):
-    A = sample_gue(rng, dim)
-    return A / max(1.0, spectral_norm(A))
 
 
 def toy_instance():

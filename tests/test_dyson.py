@@ -32,13 +32,8 @@ from dyncool.dyson import (
 from dyncool.errors import RangeError, ResolutionError, ResourceError, ValidationError
 from dyncool.operators import HermitianOperator, evolve, spectral_norm
 
-from conftest import random_hermitian, random_projector
+from conftest import normalized_gue, random_hermitian, random_projector
 from test_operators import SRC
-
-
-def normalized_gue(rng, dim):
-    A = sample_gue(rng, dim)
-    return A / max(1.0, spectral_norm(A))
 
 
 def owned_calls(path):
@@ -169,6 +164,9 @@ class TestBoundsAndConvergence:
     def test_an_explicit_time_still_checks_delta(self, fn, delta):
         with pytest.raises(RangeError, match=f"^delta must lie in \\(0, 1\\), got {delta}$"):
             fn(np.diag([1.0, -1.0]), np.diag([1.0, 0.0]), delta, 1, t=1.0)
+
+    def test_the_order_zero_term_has_no_cross_block(self):
+        assert leakage_term_bound(0, 1.0, 0.1) == 0.0
 
     @pytest.mark.parametrize("delta", [-0.5, 2.0])
     @pytest.mark.parametrize("bound", [dyson_term_bound, leakage_term_bound])

@@ -17,6 +17,7 @@ from dyncool.errors import (
     DyncoolError,
     MarginError,
     NumericError,
+    RangeError,
     SynthesisError,
     ValidationError,
 )
@@ -104,6 +105,11 @@ class TestComplete:
         pair = complete(FourierPolynomial([0.0], 0, 0))
         assert pair.Q.k == pair.Q.m == 0
         assert np.allclose(pair.Q.coeffs, [1.0])
+
+    def test_zero_edge_coefficients_are_trimmed(self):
+        pair = complete(FourierPolynomial([0.0, 0.5, 0.0], k=1, m=1))
+        assert (pair.P.k, pair.P.m, pair.Q.k, pair.Q.m) == (0, 0, 0, 0)
+        assert np.array_equal(pair.P.coeffs, [0.5])
 
     def test_monomial_violates_margin(self):
         with pytest.raises(MarginError):
@@ -218,13 +224,14 @@ class TestAssemble:
             assert np.linalg.norm(gram - np.eye(6)) <= 1e-9
 
     @pytest.mark.parametrize(
-        "theta, phi, lam",
-        [([np.nan, 0.0], [0.0, 0.0], 0.0), ([0.0, 0.0], [0.0, np.inf], 0.0),
-         ([0.0, 0.0], [0.0, 0.0], -np.inf)],
+        "theta, phi, lam, error, match",
+        [([np.nan, 0.0], [0.0, 0.0], 0.0, ValidationError, "^theta must be finite$"),
+         ([0.0, 0.0], [0.0, np.inf], 0.0, ValidationError, "^phi must be finite$"),
+         ([0.0, 0.0], [0.0, 0.0], -np.inf, RangeError, "^lam must be finite, got -inf$")],
         ids=["theta", "phi", "lam"],
     )
-    def test_non_finite_angles_rejected(self, theta, phi, lam):
-        with pytest.raises(ValidationError, match="^angles theta, phi and lam must be finite$"):
+    def test_non_finite_angles_rejected(self, theta, phi, lam, error, match):
+        with pytest.raises(error, match=match):
             AngleSequence(theta, phi, lam, k=0, m=1)
 
     @pytest.mark.parametrize("k, m", [(-1, 2), (0, True), (0.5, 1)],

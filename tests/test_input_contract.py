@@ -3,8 +3,9 @@
 
 Every public callable, except the output records, is called once with a
 valid value for each parameter (``VALID``, one per parameter name), and then
-once per (parameter, bad value) with one of eleven malformed values in that
-parameter. Warnings are raised as errors.
+once per (parameter, bad value) with one of thirteen malformed values in that
+parameter. Warnings are raised as errors. Two of them are built from the
+parameter's valid value: a bool or a string put inside its array.
 
 - A *data* parameter (a number, an array, a string) must refuse every value
   that is bad for it with a ``DyncoolError``. ``ACCEPTED`` lists the few
@@ -43,6 +44,23 @@ CALLABLES = {
     and not (isinstance(obj, type) and issubclass(obj, BaseException))
 }
 
+
+class Inside:
+    """A bad value made from a parameter's valid one: the valid array as a
+    nested list with its first element replaced by ``element``; for a valid
+    value that is not an array, the list [[element, 0.0], [0.0, 1.0]]."""
+
+    def __init__(self, element):
+        self.element = element
+
+    def of(self, valid):
+        if not isinstance(valid, np.ndarray):
+            return [[self.element, 0.0], [0.0, 1.0]]
+        elements = np.array(valid, dtype=object)
+        elements.flat[0] = self.element
+        return elements.tolist()
+
+
 BAD = {
     "2.5": 2.5,
     "True": True,
@@ -55,6 +73,8 @@ BAD = {
     "eye3": np.eye(3),
     "ragged": [[1.0, 2.0], [3.0]],
     "object": object(),
+    "True inside": Inside(True),
+    "'1' inside": Inside("1"),
 }
 
 _H = np.diag([-0.5, 0.5])
@@ -171,7 +191,8 @@ TABLE = {
 def _call(name: str, bad_param=None, bad_value=None):
     kwargs = {p.name: _valid(p) for p in _params(CALLABLES[name])}
     if bad_param is not None:
-        kwargs[bad_param] = bad_value
+        valid = kwargs[bad_param]
+        kwargs[bad_param] = bad_value.of(valid) if isinstance(bad_value, Inside) else bad_value
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         return CALLABLES[name](**kwargs)

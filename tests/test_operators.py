@@ -24,7 +24,6 @@ from dyncool import (
     shift_evolution_factored,
     shift_operator,
     spectral_norm,
-    spectral_values,
 )
 from dyncool import AngleSequence, CoolingConfig, DyncoolError, build_hsign, run_experiment
 from dyncool.cli import generate_perturbation
@@ -40,6 +39,7 @@ from dyncool.dyson import (
     sample_gue,
 )
 from dyncool.operators import TOL, _bound, check_dim, check_norm, check_register, hermitian_norm
+from dyncool.operators import matrix_entries
 from dyncool.serialization import matrix_from_document
 from dyncool.signfun import eval_fourier_grid
 from conftest import random_hermitian, random_state
@@ -79,6 +79,21 @@ class TestValidation:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValidationError):
             UnitaryOperator([[1, 0], [0, 2]])
+
+    @pytest.mark.parametrize("element", [True, np.True_, "1", None, 10**400, [1.0]],
+                             ids=["bool", "numpy-bool", "string", "none", "int-past-float64",
+                                  "ragged"])
+    def test_every_element_of_a_list_must_be_a_number(self, element):
+        with pytest.raises(ValidationError, match="^matrix must be an array of numbers, got "):
+            matrix_entries([[1.0, element], [0.0, 1.0]])
+
+    def test_an_element_may_be_any_kind_of_number(self):
+        mixed = [[1, 2.0], [3j, np.float32(4.0)]]
+        assert np.array_equal(matrix_entries(mixed), np.array(mixed, dtype=complex))
+
+    def test_descending_eigenvalues_are_refused(self):
+        with pytest.raises(ValidationError, match="^eigenvalues must be ascending$"):
+            SpectralDecomposition(np.array([0.5, -0.5]), np.eye(2))
 
     def test_rejects_non_idempotent(self):
         with pytest.raises(ValidationError):
@@ -203,6 +218,17 @@ class TestSpectralNorm:
 
     def test_known_value(self):
         assert spectral_norm(np.diag([3.0, -4.0])) == pytest.approx(4.0, abs=1e-14)
+        assert hermitian_norm(np.diag([3.0, -4.0])) == pytest.approx(4.0, abs=1e-14)
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_hermitian_norm_refuses_a_non_finite_entry(self, entry):
+        # eigvalsh alone returns 1.414 for a NaN on the diagonal
+        with pytest.raises(ValidationError, match="^matrix must be finite$"):
+            hermitian_norm(np.array([[entry, 1.0], [1.0, 0.0]]))
+
+    def test_hermitian_norm_refuses_a_norm_past_float64(self):
+        with pytest.raises(ValidationError, match="^spectral norm = inf is not <= "):
+            hermitian_norm(np.full((2, 2), 1e308))
 
 
 class TestShiftOperator:
@@ -270,21 +296,17 @@ class TestBound:
             _bound("x", np.inf, np.finfo(float).max, CertificationError)
 
     @pytest.mark.parametrize(
-        "check, error",
+        "check, match",
         [
-            (lambda: _bound("x", float("nan"), 1.0), ValidationError),
-            (lambda: check_norm(float("nan"), "x"), ValidationError),
-            (
-                lambda: spectral_values(
-                    FourierPolynomial([np.nan], 0, 0), eig(HermitianOperator([[0.1]])), 0.0
-                ),
-                CertificationError,
-            ),
+            (lambda: _bound("x", float("nan"), 1.0), "^x = nan is not <= 1.0$"),
+            (lambda: check_norm(float("nan"), "x"), "^spectral norm of x = nan is not <= "),
+            # a NaN coefficient is refused where it enters, so it never reaches a bound
+            (lambda: FourierPolynomial([np.nan], 0, 0), "^coeffs must be finite$"),
         ],
-        ids=["bound", "check_norm", "spectral_values"],
+        ids=["bound", "check_norm", "fourier_coefficient"],
     )
-    def test_nan_fails(self, check, error):
-        with pytest.raises(error, match=" = nan is not <= "):
+    def test_nan_fails(self, check, match):
+        with pytest.raises(ValidationError, match=match):
             check()
 
     @pytest.mark.parametrize(
@@ -370,6 +392,21 @@ class TestBound:
         scalar = [f"{stem}:{n.lineno}" for stem, tree in trees.items() for n in ast.walk(tree)
                   if named(n, "isfinite") and id(n) not in allowed | reduced]
         assert scalar == []
+
+    def test_only_operators_judges_elements(self):
+        """No ``src/`` module but ``operators`` reaches ``_is_number`` (by import or
+        attribute) or calls ``np.isfinite``: whether an element is a number and
+        whether an array is finite are the array rule's questions."""
+        offenders = [
+            f"{path.stem}:{node.lineno}"
+            for path in sorted(SRC.glob("*.py")) if path.stem != "operators"
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ImportFrom) and any(a.name == "_is_number" for a in node.names)
+            or isinstance(node, ast.Attribute) and node.attr == "_is_number"
+            or isinstance(node, ast.Attribute) and node.attr == "isfinite"
+            and getattr(node.value, "id", None) in ("np", "numpy")
+        ]
+        assert offenders == []
 
     def test_every_kick_has_two_callers(self):
         """``cooling._kick`` is called in ``src/`` only by ``_Context.step`` and

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from dyncool import CoolingConfig, FourierPolynomial, AngleSequence, run
 from dyncool.cooling import StepResult, Trajectory, run_experiment
-from dyncool.errors import DyncoolError, ValidationError
+from dyncool.errors import DyncoolError, RangeError, ValidationError
 from dyncool.serialization import (
     CSV_COLUMNS,
     _fmt_float,
@@ -191,7 +191,7 @@ class TestMalformedDocuments:
     @pytest.mark.parametrize(
         "kind, key, what",
         [("matrix", "entries", "matrix entries"), ("polynomial", "coefficients", "coefficients"),
-         ("angles", "theta", "angle 'theta'"), ("angles", "phi", "angle 'phi'")],
+         ("angles", "theta", "theta"), ("angles", "phi", "phi")],
     )
     @settings(max_examples=30, deadline=None)
     @given(value=st.booleans() | st.text(max_size=6), data=st.data())
@@ -204,14 +204,14 @@ class TestMalformedDocuments:
         elements = np.array(good[key], dtype=object)
         at = 0 if data is None else data.draw(st.integers(0, elements.size - 1))
         elements.flat[at] = value
-        with pytest.raises(ValidationError, match=f"^{what} must hold only finite numbers$"):
+        with pytest.raises(ValidationError, match=f"^{what} must be an array of numbers, got "):
             reader({**good, key: elements.tolist()})
 
     @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
     def test_a_non_finite_lambda_is_refused(self, value):
         reader, good = READERS["angles"]
         doc = json.loads(json.dumps({**good, "lambda": value}))  # Infinity, NaN
-        with pytest.raises(ValidationError, match="^angles theta, phi and lam must be finite$"):
+        with pytest.raises(RangeError, match=f"^lam must be finite, got {value}$"):
             reader(doc)
 
 
@@ -222,6 +222,13 @@ class TestFileWrites:
         assert read_json(str(path)) == {"x": 0.1}
         leftovers = [p for p in os.listdir(tmp_path) if p != "doc.json"]
         assert leftovers == []
+
+    def test_a_failed_rename_leaves_no_temp_file(self, tmp_path):
+        target = tmp_path / "taken"
+        target.mkdir()
+        with pytest.raises(IsADirectoryError):
+            write_text_atomic(str(target), "text")
+        assert os.listdir(tmp_path) == ["taken"] and os.listdir(target) == []
 
     def test_atomic_write_replaces(self, tmp_path):
         path = tmp_path / "doc.txt"

@@ -119,6 +119,24 @@ def _random_laurent(k, m, seed=7):
     return FourierPolynomial(rng.normal(size=n) + 1j * rng.normal(size=n), k=k, m=m)
 
 
+@pytest.mark.parametrize(
+    "coeffs, message",
+    [([0.0, 0.5, 0.0, 0.0], "leading coefficient must be nonzero"),
+     ([0.0, np.inf], "coefficients must be finite"),
+     ([0.0, np.nan, 0.0, 0.5], "coefficients must be finite")],
+    ids=["zero-lead", "inf", "nan"],
+)
+def test_a_real_polynomial_needs_a_finite_nonzero_lead(coeffs, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        simple_odd(coeffs)
+
+
+@pytest.mark.parametrize("coeff", [np.nan, np.inf, -np.inf])
+def test_a_fourier_coefficient_must_be_finite(coeff):
+    with pytest.raises(ValidationError, match="^coeffs must be finite$"):
+        FourierPolynomial([0.1, coeff, 0.1], k=1, m=1)
+
+
 @pytest.mark.parametrize("k", [True, 1.0, "a", -1], ids=["bool", "float", "string", "negative"])
 def test_laurent_window_must_be_non_negative_integers(k):
     message = "at least 0, got -1" if k == -1 else f"an integer, got {k!r}"

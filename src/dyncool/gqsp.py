@@ -95,7 +95,8 @@ class AngleSequence:
 
     def __post_init__(self):
         check_window(self.k, self.m)
-        theta, phi = (matrix_entries(a, float, name, True, (self.k + self.m + 1,)).copy()
+        n = self.k + self.m + 1
+        theta, phi = (matrix_entries(a, float, name, finite=True, shape=(n,)).copy()
                       for name, a in (("theta", self.theta), ("phi", self.phi)))
         check_real(self.lam, "lam")
         check_real(self.peel_residual, "peel_residual", 0.0, rule="be a finite number >= 0")

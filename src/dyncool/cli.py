@@ -63,11 +63,22 @@ _PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 # P(U), in `dyncool gqsp` and in `dyncool certify`
 _BLOCK_TOL = 1e-7
 
+# the keys each type of source block reads besides "type" (an unknown type is refused later)
+_KEYS = {"random": ("dim",), "tfim": ("sites", "coupling", "field"), "file": ("path",),
+         "gue": (), "zero": ()}
+
 
 def _require(doc: dict, key: str):
     if key not in _json_object(doc, key):
         raise ValidationError(f"config is missing required key {key!r}")
     return doc[key]
+
+
+def _known(doc: dict, *keys):
+    """Refuse the first key of config object ``doc`` that its reader does not read."""
+    for key in doc:
+        if key not in keys:
+            raise ValidationError(f"config has unknown key {key!r}")
 
 
 def _number(doc: dict, key: str, default=None) -> float:
@@ -125,6 +136,7 @@ def generate_hamiltonian(source: dict, rng: np.random.Generator) -> np.ndarray:
              subnormalized.
     """
     kind = _require(source, "type")
+    _known(source, "type", *(_KEYS.get(kind, source) if isinstance(kind, str) else source))
     if kind == "random":
         mat = sample_gue(rng, _integer(source, "dim"))  # sample_gue checks the dimension
         return mat / hermitian_norm(mat)
@@ -154,6 +166,7 @@ def generate_perturbation(source: dict, dim: int, rng: np.random.Generator) -> n
     """
     check_dim(dim, "perturbation")
     kind = _require(source, "type")
+    _known(source, "type", *(_KEYS.get(kind, source) if isinstance(kind, str) else source))
     if kind == "gue":
         mat = sample_gue(rng, dim)
     elif kind == "file":
@@ -167,16 +180,12 @@ def generate_perturbation(source: dict, dim: int, rng: np.random.Generator) -> n
 
 
 def _parse_run_config(doc: dict):
-    """The run's ``CoolingConfig``, given only the keys ``doc`` holds, and its
-    ``StoppingRule``, if any; a null ``delta`` or ``target_estimate`` is absent."""
-    given = {"epsilon": _number(doc, "epsilon"), "steps": _integer(doc, "steps")}
-    if doc.get("delta") is not None:
-        given["delta"] = _number(doc, "delta")
-    if "mode" in doc:
-        given["mode"] = doc["mode"]
-    if "margin" in doc:
-        given["margin"] = _number(doc, "margin")
-    config = CoolingConfig(**given)
+    """A run's ``CoolingConfig`` and ``StoppingRule`` (or None); a null key counts as absent."""
+    config = CoolingConfig(_number(doc, "epsilon"), _integer(doc, "steps"),
+                           None if doc.get("delta") is None else _number(doc, "delta"),
+                           doc.get("mode", CoolingConfig.mode))
+    _known(doc, "hamiltonian", "perturbation", "epsilon", "steps", "delta", "mode",
+           "target_estimate", "seed", "trials")
     target = doc.get("target_estimate")
     return config, None if target is None else StoppingRule(_number(doc, "target_estimate"))
 

@@ -65,7 +65,6 @@ from .dyson import _coupling, _repetitions, default_time
 from .errors import ValidationError
 from .gqsp import eval_angles, synthesize_angles
 from .operators import (
-    MIN_MARGIN,
     HermitianOperator,
     SpectralDecomposition,
     StateVector,
@@ -74,7 +73,6 @@ from .operators import (
     check_dim,
     check_epsilon,
     check_integer,
-    check_margin,
     check_real,
     check_norm,
     eig,
@@ -114,8 +112,8 @@ def _sign_cached(epsilon: float, delta: float) -> FourierPolynomial:
 
 
 @lru_cache(maxsize=64)
-def _angles_cached(epsilon: float, delta: float, margin: float):
-    angles, _, _ = synthesize_angles(_sign_cached(epsilon, delta), margin=margin)
+def _angles_cached(epsilon: float, delta: float):
+    angles, _, _ = synthesize_angles(_sign_cached(epsilon, delta))
     return angles
 
 
@@ -131,7 +129,6 @@ class CoolingConfig:
     steps: int
     delta: float | None = None
     mode: str = "exact_spectral"
-    margin: float = MIN_MARGIN
 
     def __post_init__(self):
         check_epsilon(self.epsilon)
@@ -141,7 +138,6 @@ class CoolingConfig:
         check_delta(self.delta)
         if not isinstance(self.mode, str) or self.mode not in MODES:
             raise ValidationError(f"mode must be one of {MODES}, got {self.mode!r}")
-        check_margin(self.margin)
 
 
 @dataclass(frozen=True)
@@ -286,7 +282,7 @@ def _sign_values(dec, cutoff, config) -> np.ndarray:
     if config.mode == "exact_spectral":
         return spectral_values(S, dec, cutoff)
     # gqsp_circuit: the encoded block of e^{i(H - cutoff)} is V diag(p) V^dag
-    angles = _angles_cached(config.epsilon, config.delta, config.margin)
+    angles = _angles_cached(config.epsilon, config.delta)
     return eval_angles(angles, np.exp(1j * shifted)).real
 
 
@@ -386,7 +382,7 @@ class _Context:
         if config.mode != "exact_reflection":
             sign_degree = _sign_cached(config.epsilon, config.delta).degree
         if config.mode == "gqsp_circuit":  # a failed synthesis raises before the memo keeps self
-            _angles_cached(config.epsilon, config.delta, config.margin)
+            _angles_cached(config.epsilon, config.delta)
         self.per_eiH, self.per_UA = query_costs(config.epsilon, config.delta, sign_degree)
         self.kicks = [None] * n  # per bin: ``step``'s entry once the bin is visited
         self.lock = threading.Lock()

@@ -18,9 +18,9 @@ its time have their one home here. The claims this module makes checkable:
 
 Matrix arguments may be ndarrays or wrapped operators. Each input is checked
 once, where it enters: delta in ``_coupling`` (every kappa's one path) and in
-``leakage_term_bound`` (its delta^(k/2) bypasses kappa); A and P, square and of
-one shape, in ``_sectors``; eigenvalues, one finite value per row of A, in
-``_spectrum``; a time, which must be finite, by ``operators.check_real`` (in
+``leakage_term_bound`` (its delta^(k/2) bypasses kappa); a Hermitian A and a projector
+P of one shape in ``_sectors``; eigenvalues, one finite value per row of a Hermitian A,
+in ``_spectrum``; a time, which must be finite, by ``operators.check_real`` (in
 ``evolve`` where a time goes there first); a quadrature step count, an integer
 of at least 8, in ``_grid``; an expansion order, a slot frequency and a state
 index, each an integer, by ``operators.check_integer`` where they enter.
@@ -34,8 +34,8 @@ from math import ceil, factorial
 import numpy as np
 
 from .errors import RangeError, ResolutionError, ValidationError
-from .operators import HermitianOperator, _bound, check_delta, check_dim, check_integer
-from .operators import check_real, evolve, matrix_entries, spectral_norm, square_entries
+from .operators import HermitianOperator, Projector, _bound, check_delta, check_dim, check_integer
+from .operators import check_real, evolve, matrix_entries, spectral_norm
 
 __all__ = [
     "MAX_EXPANSION_ORDER",
@@ -88,9 +88,9 @@ def _repetitions(delta: float) -> int:
 
 
 def _sectors(A, P) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(A, P, I - P) as arrays, for square A and P of one shape."""
-    a = square_entries(A, "perturbation")
-    p = square_entries(P, "projector")
+    """(A, P, I - P) as arrays, for a Hermitian A and a projector P of one shape."""
+    a = HermitianOperator(A).entries
+    p = Projector(P).entries
     if a.shape != p.shape:
         raise ValidationError(f"perturbation shape {a.shape} differs from projector shape {p.shape}")
     return a, p, np.eye(p.shape[0]) - p
@@ -113,19 +113,19 @@ def sector_hamiltonian(A, P, delta: float) -> HermitianOperator:
     return HermitianOperator(np.eye(p.shape[0]) - 2.0 * p + _coupling(delta) * a)
 
 
-def leakage(A, P, delta: float, t: float | None = None) -> float:
-    """Squared norm of the cross-sector block of the step unitary."""
+def leakage(A, P, delta: float) -> float:
+    """Squared norm of the cross-sector block of the step unitary at the step time."""
     a, p, comp = _sectors(A, P)
-    U = evolve(sector_hamiltonian(a, p, delta), default_time(delta) if t is None else t).entries
+    U = evolve(sector_hamiltonian(a, p, delta), default_time(delta)).entries
     return spectral_norm(comp @ U @ p) ** 2
 
 
-def effective_error(A, P, delta: float, t: float | None = None) -> float:
+def effective_error(A, P, delta: float) -> float:
     """Squared distance between the phase-corrected kept-sector block and the
-    compressed rotation exp(-i kappa t P A P); t defaults to 1/(2 kappa), where
-    the rotation angle is exactly 1/2."""
+    compressed rotation exp(-i kappa t P A P) at t = 1/(2 kappa), where the
+    rotation angle is exactly 1/2."""
     a, p, _ = _sectors(A, P)
-    t = 1.0 / (2.0 * _coupling(delta)) if t is None else t
+    t = 1.0 / (2.0 * _coupling(delta))
     U = evolve(sector_hamiltonian(a, p, delta), t).entries
     compressed = HermitianOperator(0.5 * (p @ a @ p + (p @ a @ p).conj().T))
     target = evolve(compressed, _coupling(delta) * t).entries
@@ -250,13 +250,13 @@ def per_term_leakage(
     return spectral_norm(comp @ dyson_term(a, p, delta, order, t, n_steps).matrix @ p)
 
 
-def path_weight(phases, t: float, n_steps: int = 2048) -> PathWeight:
+def path_weight(phases, t: float) -> PathWeight:
     """Ordered integral of prod_j exp(i mu_j s_j) over 0 <= s_1 <= ... <= t.
 
     ``phases`` lists the slot frequencies innermost first; each must be an
     integer in {0, +2, -2} (the frequencies appearing in the conjugated perturbation).
     The all-static path integrates to exactly t^k / k!; any oscillating slot
-    reduces the bound to t^(k-1)/(k-1)!.
+    reduces the bound to t^(k-1)/(k-1)!. Quadrature runs on 2,048 steps.
     """
     listed = phases if np.iterable(phases) else [phases]
     phases = tuple(int(check_integer(mu, "slot frequency")) for mu in listed)
@@ -264,7 +264,7 @@ def path_weight(phases, t: float, n_steps: int = 2048) -> PathWeight:
         raise ValidationError("need at least one slot")
     if any(mu not in (0, 2, -2) for mu in phases):
         raise ValidationError(f"slot frequencies must be 0 or +/-2, got {phases}")
-    s = _grid(check_real(t, "time"), n_steps)
+    s = _grid(check_real(t, "time"), 2048)
     acc = np.ones_like(s, dtype=complex)
     for mu in phases:
         acc = _cumsimp(np.exp(1j * mu * s) * acc, s)
@@ -277,9 +277,9 @@ def path_weight(phases, t: float, n_steps: int = 2048) -> PathWeight:
 
 
 def _spectrum(eigenvalues, A) -> tuple[np.ndarray, np.ndarray]:
-    """(eigenvalues, A) as arrays: one float eigenvalue per row of a square A."""
+    """(eigenvalues, A) as arrays: one float eigenvalue per row of a Hermitian A."""
     lam = matrix_entries(eigenvalues, float, "eigenvalues", finite=True)
-    a = square_entries(A, "perturbation")
+    a = HermitianOperator(A).entries
     if lam.ndim != 1 or lam.size != a.shape[0]:
         raise ValidationError(f"need one eigenvalue per row, got {lam.shape} against {a.shape}")
     return lam, a

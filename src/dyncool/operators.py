@@ -185,6 +185,17 @@ def shifted_spectrum(eigenvalues: np.ndarray, shift: float, epsilon: float | Non
     return shifted
 
 
+def _numbers(M) -> np.ndarray:
+    """``M`` parsed once, as objects, judged per type (``TypeError`` for a non-number) and
+    cast to the dtype numpy reads from one element of each type and the least and greatest int."""
+    obj = np.array(M, dtype=object)
+    kinds = dict(zip(map(type, obj.flat), obj.flat))
+    if not all(_is_number(x, (int, float, complex, np.number)) for x in kinds.values()):
+        raise TypeError
+    ints = [x for x in obj.flat if isinstance(x, int)] if kinds.keys() - {float} else []
+    return obj.astype(np.array([*kinds.values(), *(ints and (min(ints), max(ints)))]).dtype)
+
+
 def matrix_entries(M, dtype=complex, name: str = "matrix", finite: bool = False,
                    shape: tuple | None = None) -> np.ndarray:
     """The entries of a wrapped operator, or ``M`` as an array of ``dtype`` (None
@@ -198,11 +209,7 @@ def matrix_entries(M, dtype=complex, name: str = "matrix", finite: bool = False,
     if hasattr(M, "entries"):
         return M.entries
     try:  # a ragged list, an element that is no number, and complex for real raise here
-        if not isinstance(M, np.ndarray) and not all(
-            _is_number(x, (int, float, complex, np.number)) for x in np.array(M, dtype=object).flat
-        ):
-            raise TypeError
-        src = np.asarray(M)
+        src = M if isinstance(M, np.ndarray) else _numbers(M)
         arr = src.astype(dtype or src.dtype, casting="same_kind", copy=False)
     except (TypeError, ValueError):
         src = arr = np.asarray(None)

@@ -21,7 +21,7 @@ import numpy as np
 from .cooling import CoolingConfig, Trajectory
 from .errors import ValidationError
 from .gqsp import AngleSequence
-from .operators import check_dim, check_window, matrix_entries, square_entries
+from .operators import MIN_MARGIN, check_dim, check_window, matrix_entries, square_entries
 from .signfun import FourierPolynomial
 
 __all__ = [
@@ -223,7 +223,7 @@ def config_document(config: CoolingConfig) -> dict:
         "steps": int(config.steps),
         "delta": float(config.delta),
         "mode": config.mode,
-        "margin": float(config.margin),
+        "margin": MIN_MARGIN,  # the completion margin of every run's angle synthesis
     }
 
 

@@ -126,10 +126,12 @@ class TestGenerators:
             )
 
     def test_unknown_types_rejected(self):
-        with pytest.raises(ValidationError):
-            generate_hamiltonian({"type": "bogus"}, np.random.default_rng(0))
-        with pytest.raises(ValidationError):
-            generate_perturbation({"type": "bogus"}, 4, np.random.default_rng(0))
+        # named by its type, not by a key that only a known type would read
+        for kind in ("bogus", ["random"]):
+            with pytest.raises(ValidationError, match="^unknown hamiltonian type "):
+                generate_hamiltonian({"type": kind, "sites": 3}, np.random.default_rng(0))
+            with pytest.raises(ValidationError, match="^unknown perturbation type "):
+                generate_perturbation({"type": kind, "dim": 4}, 4, np.random.default_rng(0))
 
     def test_perturbation_sources(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -372,7 +374,7 @@ class TestRunCommand:
 
     @pytest.mark.parametrize(
         "key, bad",
-        [("epsilon", True), ("delta", False), ("margin", True), ("target_estimate", False)],
+        [("epsilon", True), ("delta", False), ("target_estimate", False)],
     )
     def test_bool_number_exits_nonzero(self, tmp_path, capsys, key, bad):
         cfg = write_config(tmp_path, **{key: bad})
@@ -382,7 +384,7 @@ class TestRunCommand:
 
     @pytest.mark.parametrize(
         "key, bad",
-        [("epsilon", "0.2"), ("delta", "0.1"), ("margin", "1e-6"), ("target_estimate", "-0.5")],
+        [("epsilon", "0.2"), ("delta", "0.1"), ("target_estimate", "-0.5")],
     )
     def test_numeric_string_exits_nonzero(self, tmp_path, capsys, key, bad):
         cfg = write_config(tmp_path, **{key: bad})
@@ -409,16 +411,35 @@ class TestRunCommand:
               "--out", str(as_float)])
         assert as_float.read_bytes() == as_int.read_bytes()
 
-    @pytest.mark.parametrize(
-        "mode, margin", [("gqsp_circuit", float("nan")), ("exact_spectral", -5.0)]
-    )
-    def test_bad_margin_exits_before_any_trial(self, tmp_path, capsys, monkeypatch, mode, margin):
+    # a misspelled or retired key at the top level and in each type of source block
+    @pytest.mark.parametrize("overrides, key", [
+        pytest.param({"dleta": 0.5}, "dleta", id="dleta"),
+        pytest.param({"margin": 1e-6}, "margin", id="margin"),
+        pytest.param({"hamiltonian": {"type": "random", "dim": 4, "dimension": 8}}, "dimension",
+                     id="hamiltonian-random"),
+        pytest.param({"hamiltonian": {"type": "tfim", "sites": 3, "feild": 0.2}}, "feild",
+                     id="hamiltonian-tfim"),
+        pytest.param({"hamiltonian": {"type": "file", "path": "h.json", "dim": 4}}, "dim",
+                     id="hamiltonian-file"),
+        pytest.param({"perturbation": {"type": "gue", "dim": 99}}, "dim", id="perturbation-gue"),
+        pytest.param({"perturbation": {"type": "file", "path": "a.json", "scale": 2}}, "scale",
+                     id="perturbation-file"),
+        pytest.param({"perturbation": {"type": "zero", "strength": 0.0}}, "strength",
+                     id="perturbation-zero"),
+    ])
+    def test_an_unknown_key_exits_before_any_trial(self, tmp_path, capsys, monkeypatch,
+                                                   overrides, key):
+        for name in ("h.json", "a.json"):
+            write_json(str(tmp_path / name), matrix_document(np.diag([0.5, -0.5, 0.25, 0.0])))
+        for block in overrides.values():
+            if isinstance(block, dict) and "path" in block:
+                block["path"] = str(tmp_path / block["path"])
         trials = []
         monkeypatch.setattr(cooling, "_trajectory", lambda *a, **k: trials.append(a))
         out = tmp_path / "out.csv"
-        cfg = write_config(tmp_path, mode=mode, margin=margin)
+        cfg = write_config(tmp_path, **overrides)
         assert main(["run", "--config", cfg, "--out", str(out)]) == 1
-        assert "error: margin must be a finite number >= 1e-6" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: config has unknown key {key!r}\n"
         assert not trials and not out.exists()
 
     def test_config_that_is_a_list_exits_nonzero(self, tmp_path, capsys):
@@ -513,7 +534,6 @@ class TestAnyConfigValue:
         "steps": 3,
         "delta": 0.2,
         "mode": "gqsp_circuit",
-        "margin": 1e-6,
         "target_estimate": -0.9,
         "trials": 2,
         "seed": 11,

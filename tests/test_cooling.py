@@ -74,9 +74,6 @@ class TestConfig:
             CoolingConfig(epsilon=0.2, steps=4, delta=1.5)
         with pytest.raises(ValidationError):
             CoolingConfig(epsilon=0.2, steps=4, mode="magic")
-        for margin in (float("nan"), -5.0, 1e-7):
-            with pytest.raises(ValidationError):
-                CoolingConfig(epsilon=0.2, steps=4, margin=margin)
 
     @pytest.mark.parametrize(
         "overrides, message",
@@ -84,12 +81,10 @@ class TestConfig:
             ({"steps": 2.5, "delta": 0.25}, "steps must be an integer, got 2.5"),
             ({"steps": True}, "steps must be an integer, got True"),
             ({"steps": "3"}, "steps must be an integer, got '3'"),
-            ({"margin": True}, "margin must be a number, got True"),
             ({"epsilon": "0.2"}, "epsilon must be a number, got '0.2'"),
             ({"delta": "0.25"}, "delta must be a number, got '0.25'"),
         ],
-        ids=["float-steps", "bool-steps", "string-steps", "bool-margin", "string-epsilon",
-             "string-delta"],
+        ids=["float-steps", "bool-steps", "string-steps", "string-epsilon", "string-delta"],
     )
     def test_numbers_are_never_bools_or_strings(self, overrides, message):
         with pytest.raises(ValidationError, match=f"^{message}$"):
@@ -140,9 +135,8 @@ class TestConfig:
         assert bins.labels == sorted(set(exact)) and max(map(abs, exact)) < 2**52
 
     def test_stored_numbers_keep_their_types(self):
-        cfg = CoolingConfig(epsilon=np.float64(0.25), steps=np.int64(4), margin=1)
+        cfg = CoolingConfig(epsilon=np.float64(0.25), steps=np.int64(4))
         assert type(cfg.epsilon) is np.float64 and type(cfg.steps) is np.int64
-        assert cfg.margin == 1 and type(cfg.margin) is int
 
 
 class TestQpeProject:
@@ -998,10 +992,15 @@ class TestSharedContext:
                 run(H, A, cfg, np.random.default_rng(0))
         assert not cold_memo.contexts
 
-    def test_failed_synthesis_raises_on_every_call(self, cold_memo):
+    def test_failed_synthesis_raises_on_every_call(self, cold_memo, monkeypatch):
         # a context resolves its config's angles before the memo keeps it
+        def fail(*args, **kwargs):
+            raise MarginError("synthesis failed")
+
+        monkeypatch.setattr(cooling, "synthesize_angles", fail)
+        cooling._angles_cached.cache_clear()
         H, A = self.instance(9)
-        cfg = CoolingConfig(epsilon=0.25, steps=3, mode="gqsp_circuit", margin=1.5)
+        cfg = CoolingConfig(epsilon=0.25, steps=3, mode="gqsp_circuit")
         for _ in range(3):
             with pytest.raises(MarginError):
                 run(H, A, cfg, np.random.default_rng(0))

@@ -64,6 +64,14 @@ TWO_SECTOR = {
     "per_term_leakage": lambda A, P: per_term_leakage(A, P, 0.1, 1),
 }
 
+# every public function that reads a perturbation A, with a projector or eigenvalues
+READS_A = {
+    **{name: lambda A, call=call: call(A, np.diag([1.0, 0.0]))
+       for name, call in TWO_SECTOR.items()},
+    "transition_matrix": lambda A: transition_matrix([0.0, 1.0], A),
+    "cooling_probability": lambda A: cooling_probability([0.0, 1.0], A, 1),
+}
+
 
 class TestClosedForms:
     def test_two_level_leakage_axis_angle(self):
@@ -180,12 +188,23 @@ class TestBoundsAndConvergence:
         with pytest.raises(ValidationError, match=message):
             TWO_SECTOR[name](np.eye(4), np.diag([1.0, 0.0]))
 
+    @pytest.mark.parametrize("name", sorted(TWO_SECTOR))
+    def test_a_projector_is_read_as_one(self, name):
+        # 2I is Hermitian and of A's shape; leakage(A, 2I, 0.1) used to give 4.0
+        with pytest.raises(ValidationError, match="^deviation of Projector from idempotent = "):
+            TWO_SECTOR[name](np.array([[0.0, 0.5], [0.5, 0.0]]), 2.0 * np.eye(2))
+
+    @pytest.mark.parametrize("name", sorted(READS_A))
+    def test_a_perturbation_is_read_as_hermitian(self, name):
+        # transition_matrix([0, 1], A) used to return a stochastic matrix for this A
+        message = "^deviation of HermitianOperator from Hermitian = "
+        with pytest.raises(ValidationError, match=message):
+            READS_A[name](np.array([[0.0, 0.9], [0.1, 0.0]]))
+
     @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize(
         "call",
         [
-            lambda t: leakage(np.eye(2), np.diag([1.0, 0.0]), 0.1, t),
-            lambda t: effective_error(np.eye(2), np.diag([1.0, 0.0]), 0.1, t),
             lambda t: interaction_unitary(np.eye(2), np.diag([1.0, 0.0]), 0.1, t),
             lambda t: dyson_term(np.eye(2), np.diag([1.0, 0.0]), 0.1, 1, t),
             lambda t: dyson_partial_sum(np.eye(2), np.diag([1.0, 0.0]), 0.1, 1, t),
@@ -193,8 +212,8 @@ class TestBoundsAndConvergence:
             lambda t: dyson_term_bound(2, t, 0.1),
             lambda t: leakage_term_bound(2, t, 0.1),
         ],
-        ids=["leakage", "effective_error", "interaction_unitary", "dyson_term",
-             "dyson_partial_sum", "path_weight", "dyson_term_bound", "leakage_term_bound"],
+        ids=["interaction_unitary", "dyson_term", "dyson_partial_sum", "path_weight",
+             "dyson_term_bound", "leakage_term_bound"],
     )
     def test_a_time_must_be_finite(self, call, t):
         with pytest.raises(RangeError, match=f"^time must be finite, got {t}$"):
@@ -360,8 +379,9 @@ class TestOneStrength:
 
     def test_each_two_sector_input_has_one_check(self):
         """In ``dyson``, delta is checked only in ``_coupling`` and ``leakage_term_bound``
-        (whose delta^(k/2) bypasses kappa), A and P are read only in ``_sectors`` (A also
-        in ``_spectrum``), and eigenvalues are coerced only in ``_spectrum``."""
+        (whose delta^(k/2) bypasses kappa), P is read as a ``Projector`` and A as a
+        ``HermitianOperator`` only in ``_sectors`` (A also in ``_spectrum``), nothing is
+        read by ``square_entries``, and eigenvalues are coerced only in ``_spectrum``."""
         calls = owned_calls(SRC / "dyson.py")
 
         def owners(keep):
@@ -371,9 +391,9 @@ class TestOneStrength:
             return {ast.unparse(arg) for arg in node.args}
 
         assert owners(lambda n: callee(n) == "check_delta") == ["_coupling", "leakage_term_bound"]
-        assert owners(lambda n: callee(n) == "square_entries" and "'projector'" in names(n)) == [
-            "_sectors"]
-        assert owners(lambda n: callee(n) == "square_entries" and "'perturbation'" in names(n)) == [
+        assert owners(lambda n: callee(n) == "Projector") == ["_sectors"]
+        assert owners(lambda n: callee(n) == "HermitianOperator" and names(n) == {"A"}) == [
             "_sectors", "_spectrum"]
+        assert owners(lambda n: callee(n) == "square_entries") == []
         assert owners(lambda n: "eigenvalues" in names(n) and callee(n) != "_spectrum") == [
             "_spectrum"]

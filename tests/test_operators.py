@@ -91,6 +91,28 @@ class TestValidation:
         mixed = [[1, 2.0], [3j, np.float32(4.0)]]
         assert np.array_equal(matrix_entries(mixed), np.array(mixed, dtype=complex))
 
+    @pytest.mark.parametrize(
+        "values",
+        [[1, 2], [2**63], [2**63, 1], [-1, 2**63 - 1], [2**64], [0.5, 2**64], [0.5, -(2**63) - 1],
+         [np.float32(0.1), np.float32(0.2)], [np.float32(0.1), 0.5], [np.int8(3), np.float16(1.5)],
+         [np.uint64(2**63), 1], [1, 2.5, 3j], [[np.complex64(1j), 2], [3, 4]], [], [[]]],
+    )
+    @pytest.mark.parametrize("dtype", [None, complex, float])
+    def test_a_list_is_read_as_numpy_reads_it(self, values, dtype):
+        """A list is parsed once, as objects, and yet gives the dtype and the values
+        of ``np.asarray``: numpy reads a Python int by its value, so ints at or past
+        2^63 give uint64 or float64, and one past 64 bits gives objects, refused."""
+        want = np.asarray(values)
+        if want.dtype.kind not in "iufc" or not np.can_cast(want.dtype, dtype or want.dtype,
+                                                              "same_kind"):
+            with pytest.raises(ValidationError, match="^matrix must be an array of numbers, "):
+                matrix_entries(values, dtype)
+            return
+        want = want.astype(dtype or want.dtype)
+        got = matrix_entries(values, dtype)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
     def test_descending_eigenvalues_are_refused(self):
         with pytest.raises(ValidationError, match="^eigenvalues must be ascending$"):
             SpectralDecomposition(np.array([0.5, -0.5]), np.eye(2))
@@ -479,7 +501,6 @@ class TestOneIntegerRule:
         ),
         "dyson_term_bound": (lambda v: dyson_term_bound(v, 1.0, 0.1), -1, ValidationError),
         "leakage_term_bound": (lambda v: leakage_term_bound(v, 1.0, 0.1), -1, ValidationError),
-        "path_weight.n_steps": (lambda v: path_weight((0,), 1.0, n_steps=v), 7, ValidationError),
         # a slot frequency has no floor; 1 is the integer outside {0, +2, -2}
         "path_weight.phases": (lambda v: path_weight((0, v), 1.0), 1, ValidationError),
         "cooling_probability": (
@@ -548,3 +569,16 @@ class TestTracedNames:
             tracer.uninstall()
         assert wrapped == dict.fromkeys(before, True)
         assert {name: self.traced(name) for name in before} == before
+
+
+def test_src_stays_inside_its_line_budget():
+    """The standing budget of ``src/dyncool`` (ROADMAP): under 1,800 code lines
+    and at most 2,890 in all, as ``tools/src_lines.py`` counts them."""
+    spec = importlib.util.spec_from_file_location(
+        "src_lines", SRC.parent.parent / "tools" / "src_lines.py")
+    src_lines = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(src_lines)
+    counts = [src_lines.count(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    assert len(counts) == 9
+    assert sum(c["code"] for c in counts) < 1800
+    assert sum(c["total"] for c in counts) <= 2890

@@ -139,17 +139,18 @@ def generate_hamiltonian(source: dict, rng: np.random.Generator) -> np.ndarray:
     _known(source, "type", *(_KEYS.get(kind, source) if isinstance(kind, str) else source))
     if kind == "random":
         mat = sample_gue(rng, _integer(source, "dim"))  # sample_gue checks the dimension
-        return mat / hermitian_norm(mat)
+        return mat / hermitian_norm(mat, "hamiltonian")
     if kind == "tfim":
         H = _tfim_matrix(
             _integer(source, "sites"),
             _number(source, "coupling", 1.0),
             _number(source, "field", 1.0),
         )
-        return H / max(1.0, hermitian_norm(H))
+        return H / max(1.0, hermitian_norm(H, "tfim chain"))
     if kind == "file":
         mat = _matrix_file(source)
-        check_norm(hermitian_norm(HermitianOperator(mat).entries), "hamiltonian file")
+        check_norm(hermitian_norm(HermitianOperator(mat).entries, "hamiltonian file"),
+                   "hamiltonian file")
         return mat
     raise ValidationError(f"unknown hamiltonian type {kind!r}")
 
@@ -176,7 +177,7 @@ def generate_perturbation(source: dict, dim: int, rng: np.random.Generator) -> n
         return np.zeros((dim, dim))
     else:
         raise ValidationError(f"unknown perturbation type {kind!r}")
-    return mat / max(1.0, hermitian_norm(mat))
+    return mat / max(1.0, hermitian_norm(mat, "perturbation"))
 
 
 def _parse_run_config(doc: dict):

@@ -295,7 +295,7 @@ def _rotated_perturbation(A, dec: SpectralDecomposition) -> np.ndarray:
     """V^dag A V, symmetrized, for a perturbation A checked first: Hermitian,
     of ``dec``'s shape and of spectral norm <= 1."""
     a = HermitianOperator(matrix_entries(A, name="perturbation", shape=(dec.dim, dec.dim))).entries
-    check_norm(hermitian_norm(a), "perturbation")
+    check_norm(hermitian_norm(a, "perturbation"), "perturbation")
     vecs = dec.eigenvectors
     rotated = vecs.conj().T @ a @ vecs
     return (rotated + rotated.conj().T) / 2.0

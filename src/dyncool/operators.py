@@ -388,10 +388,10 @@ def spectral_norm(M) -> float:
     return float(np.linalg.norm(square_entries(M, "matrix", None, finite=True), 2))
 
 
-def hermitian_norm(mat: np.ndarray) -> float:
+def hermitian_norm(mat: np.ndarray, name: str) -> float:
     """Spectral norm of a finite Hermitian matrix, max |eigenvalue|, without an SVD;
-    a non-finite entry, or a norm past float64, is a ``ValidationError``."""
-    vals = np.linalg.eigvalsh(square_entries(mat, "matrix", None, finite=True))
+    a non-finite entry, named by ``name``, or a norm past float64, is a ``ValidationError``."""
+    vals = np.linalg.eigvalsh(square_entries(mat, name, None, finite=True))
     return _bound("spectral norm", float(np.max(np.abs(vals))), np.finfo(float).max)
 
 

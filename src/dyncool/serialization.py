@@ -1,9 +1,11 @@
 """File formats: deterministic JSON documents and the trajectory CSV.
 
-Floats are emitted with %.17g so every float64 survives a round trip
-through the standard json parser bit-exactly, and two runs with the same
-inputs produce byte-identical files. The CSV formats each distinct float
-once; zeros are not shared. Writes go through a temp file in the target
+The standard library writes every float: ``json.dumps`` the JSON documents
+and ``float.__repr__`` the CSV cells, both the shortest text that parses
+back to the same float64, so every float64 survives a round trip through
+the standard json parser bit-exactly, and two runs with the same inputs
+produce byte-identical files. The CSV formats each distinct float once;
+zeros are not shared. Writes go through a temp file in the target
 directory followed by os.replace, so readers never observe a half-written
 document.
 """
@@ -63,14 +65,12 @@ CSV_COLUMNS = (
 )
 
 
-def _fmt_float(x: float) -> str:
+def _fmt_float(x) -> str:
+    """The finite float ``x`` as ``repr`` writes it: the shortest text that parses back
+    to the same float64, with a ``.0`` or an exponent, so it still reads as a float."""
     if not math.isfinite(x):
         raise ValidationError(f"cannot serialize non-finite value {x}")
-    text = "%.17g" % x
-    # keep the token a float so parsing preserves type and the sign of zero
-    if "." not in text and "e" not in text:
-        text += ".0"
-    return text
+    return repr(float(x))
 
 
 class _Tokens(dict):
@@ -82,41 +82,33 @@ class _Tokens(dict):
         return text
 
 
-def to_json(obj) -> str:
-    """Serialize dicts/lists/scalars with %.17g floats, insertion order."""
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt_float(float(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, dict):
-        items = ", ".join(f"{json.dumps(str(k))}: {to_json(v)}" for k, v in obj.items())
-        return "{" + items + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(to_json(v) for v in obj) + "]"
-    if isinstance(obj, np.ndarray):
-        return to_json(obj.tolist())
+def _plain(obj):
+    """A numpy scalar or array as its Python value, for ``json.dumps``."""
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()
     raise ValidationError(f"cannot serialize {type(obj).__name__}")
 
 
+def _dumps(obj, **options) -> str:
+    """``json.dumps`` of ``obj`` with numpy values as Python values; a NaN or an
+    infinity, which ``json.dumps`` refuses with this one ``ValueError``, is a
+    ``ValidationError``."""
+    try:
+        return json.dumps(obj, allow_nan=False, default=_plain, **options)
+    except ValueError as exc:
+        if not str(exc).startswith("Out of range float values"):
+            raise
+        raise ValidationError("cannot serialize non-finite value (nan or inf)") from None
+
+
+def to_json(obj) -> str:
+    """``obj`` as JSON, in insertion order, with numpy values as their Python values."""
+    return _dumps(obj)
+
+
 def canonical_hash(obj) -> str:
-    """sha256 of the serialized document with sorted keys (order-insensitive)."""
-
-    def sort_keys(x):
-        if isinstance(x, dict):
-            return {k: sort_keys(x[k]) for k in sorted(x)}
-        if isinstance(x, (list, tuple)):
-            return [sort_keys(v) for v in x]
-        return x
-
-    return sha256(to_json(sort_keys(obj)).encode()).hexdigest()
+    """sha256 of the JSON text with sorted keys (order-insensitive)."""
+    return sha256(_dumps(obj, sort_keys=True).encode()).hexdigest()
 
 
 def write_text_atomic(path: str, text: str):

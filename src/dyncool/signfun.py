@@ -58,7 +58,7 @@ SIGN_GRID_POINTS = 100_001
 
 _RESCALE = 1.0 - 1e-6
 _BOUND_SLACK = 1e-9
-_CHEB_BLOCK = 8192
+_CHEB_BLOCK = 16384
 
 
 @dataclass(frozen=True)
@@ -152,19 +152,25 @@ def _certify(grid, vals, band, degree: int, epsilon: float, delta: float) -> tup
 def _chebval(x: np.ndarray, c: np.ndarray) -> np.ndarray:
     """sum_j c_j T_j(x) by Clenshaw's recurrence (len(c) >= 2), with the
     operations of numpy's ``chebval`` in the same order, so the values are
-    the same to the bit without importing ``numpy.polynomial``."""
-    if x.ndim == 1 and x.size > _CHEB_BLOCK:  # blocks stay in cache; elementwise, same bits
-        out = np.empty(x.shape, np.result_type(x, c))
-        for i in range(0, x.size, _CHEB_BLOCK):
-            out[i : i + _CHEB_BLOCK] = _chebval(x[i : i + _CHEB_BLOCK], c)
-        return out
-    if len(c) == 2:
-        return c[0] + c[1] * x
-    x2 = 2 * x
-    c0, c1 = c[-2], c[-1]
-    for i in range(3, len(c) + 1):
-        c0, c1 = c[-i] - c1, c0 + c1 * x2
-    return c0 + c1 * x
+    the same to the bit without importing ``numpy.polynomial``. Each block of
+    ``_CHEB_BLOCK`` points is summed in place in three buffers that stay in cache;
+    the block's slice of the result holds 2x until the last step."""
+    out = np.empty(x.shape, np.result_type(x, c))
+    xs, outs = x.reshape(-1), out.reshape(-1)
+    c0, c1, t = (np.empty(min(xs.size, _CHEB_BLOCK), out.dtype) for _ in range(3))
+    for i in range(0, xs.size, _CHEB_BLOCK):
+        xb, x2 = xs[i : i + _CHEB_BLOCK], outs[i : i + _CHEB_BLOCK]
+        b0, b1, bt = c0[: xb.size], c1[: xb.size], t[: xb.size]
+        np.multiply(2, xb, out=x2)
+        b0[:], b1[:] = c[-2], c[-1]
+        for j in range(3, len(c) + 1):  # c0, c1 = c[-j] - c1, c0 + c1 * x2
+            np.multiply(b1, x2, out=bt)
+            np.add(b0, bt, out=bt)
+            np.subtract(c[-j], b1, out=b0)
+            b1, bt = bt, b1
+        np.multiply(b1, xb, out=x2)
+        np.add(b0, x2, out=x2)  # c0 + c1 * x
+    return out
 
 
 def eval_fourier(S: FourierPolynomial, x) -> np.ndarray:

@@ -476,7 +476,7 @@ class TestRunCommand:
     def test_overflowing_chain_exits_nonzero(self, tmp_path, capsys):
         chain = {"type": "tfim", "sites": 3, "coupling": 1e308, "field": 1e308}
         assert main(["run", "--config", write_config(tmp_path, hamiltonian=chain)]) == 1
-        assert capsys.readouterr().err == "error: matrix must be finite\n"
+        assert capsys.readouterr().err == "error: tfim chain must be finite\n"
 
     def test_chain_whose_norm_overflows_is_refused(self):
         # finite entries, but a norm past float64 would rescale the chain to zero

@@ -145,9 +145,9 @@ class TestValidation:
             H.entries[0, 0] = 5.0
 
     def test_subnormalized_check(self):
-        check_norm(hermitian_norm(np.diag([1.0, -0.5])), "operator")
+        check_norm(hermitian_norm(np.diag([1.0, -0.5]), "operator"), "operator")
         with pytest.raises(ValidationError):
-            check_norm(hermitian_norm(np.diag([1.2, 0.0])), "operator")
+            check_norm(hermitian_norm(np.diag([1.2, 0.0]), "operator"), "operator")
 
 
     def test_subnormalized_bound_is_unchanged(self):
@@ -155,8 +155,8 @@ class TestValidation:
         # and the message prints both numbers exactly
         match = r"^spectral norm of h = 1\.000001 is not <= 1\.0000000001$"
         with pytest.raises(ValidationError, match=match):
-            check_norm(hermitian_norm(np.diag([0.5, -(1.0 + 1e-6)])), "h")
-        assert check_norm(hermitian_norm(np.diag([0.5, -(1.0 + 1e-11)])), "h") == 1.0 + 1e-11
+            check_norm(hermitian_norm(np.diag([0.5, -(1.0 + 1e-6)]), "h"), "h")
+        assert check_norm(hermitian_norm(np.diag([0.5, -(1.0 + 1e-11)]), "h"), "h") == 1.0 + 1e-11
 
 class TestEig:
     def test_reconstruction_random_dims(self):
@@ -240,17 +240,17 @@ class TestSpectralNorm:
 
     def test_known_value(self):
         assert spectral_norm(np.diag([3.0, -4.0])) == pytest.approx(4.0, abs=1e-14)
-        assert hermitian_norm(np.diag([3.0, -4.0])) == pytest.approx(4.0, abs=1e-14)
+        assert hermitian_norm(np.diag([3.0, -4.0]), "matrix") == pytest.approx(4.0, abs=1e-14)
 
     @pytest.mark.parametrize("entry", [np.nan, np.inf])
     def test_hermitian_norm_refuses_a_non_finite_entry(self, entry):
         # eigvalsh alone returns 1.414 for a NaN on the diagonal
         with pytest.raises(ValidationError, match="^matrix must be finite$"):
-            hermitian_norm(np.array([[entry, 1.0], [1.0, 0.0]]))
+            hermitian_norm(np.array([[entry, 1.0], [1.0, 0.0]]), "matrix")
 
     def test_hermitian_norm_refuses_a_norm_past_float64(self):
         with pytest.raises(ValidationError, match="^spectral norm = inf is not <= "):
-            hermitian_norm(np.full((2, 2), 1e308))
+            hermitian_norm(np.full((2, 2), 1e308), "matrix")
 
 
 class TestShiftOperator:

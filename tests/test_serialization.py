@@ -287,9 +287,9 @@ class TestTrajectoryFormats:
             "# dyncool-trajectories v1 epsilon=0.25 delta=0.5 steps=2 mode=exact_spectral\n"
             "trial,step,energy_estimate,true_energy,ground_overlap,leakage_weight,"
             "queries_eiH,queries_UA,success\n"
-            "0,0,-0.5,-0.48320999999999997,0.90000000000000002,9.9999999999999995e-21,10,4,1\n"
-            "0,1,-0.5,0.33333333333333331,1.0,0.0,20,8,1\n"
-            "1,0,1.0,-0.0,2.5e-300,6.0221407599999999e+23,10,4,0\n"
+            "0,0,-0.5,-0.48321,0.9,1e-20,10,4,1\n"
+            "0,1,-0.5,0.3333333333333333,1.0,0.0,20,8,1\n"
+            "1,0,1.0,-0.0,2.5e-300,6.02214076e+23,10,4,0\n"
         )
 
     def test_csv_file_write(self, small_run, tmp_path):
@@ -408,3 +408,62 @@ class TestCsvTokens:
         cells = [line.split(",")[col] for line in text.splitlines()[2:2 + len(values)]]
         assert cells == ["1.0", "1.0", "1.0", "-0.5", "-0.5", "3.0",
                          "1.152921504606847e+18", "1.152921504606847e+18"]
+
+
+EDGE_FLOATS = (0.0, -0.0, 5e-324, 2.2250738585072014e-308,
+               1.7976931348623157e308, -1.7976931348623157e308)
+
+
+def with_edge_floats(test):
+    """``test`` with each of ``EDGE_FLOATS`` as an explicit hypothesis example."""
+    for x in EDGE_FLOATS:
+        test = example(x=x)(test)
+    return test
+
+
+class TestFloatRoundTrip:
+    """Every finite float64 that either writer emits parses back to the same bits."""
+
+    CONFIG = CoolingConfig(epsilon=0.25, steps=2, delta=0.5)
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=st.floats(allow_nan=False, allow_infinity=False))
+    @with_edge_floats
+    def test_to_json(self, x):
+        parsed = json.loads(to_json({"x": x, "np": np.float64(x), "v": np.array([x, -x])}))
+        values = [parsed["x"], parsed["np"], *parsed["v"]]
+        assert all(type(v) is float for v in values)
+        assert [bits(v) for v in values] == [bits(x), bits(x), bits(x), bits(-x)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=st.floats(allow_nan=False, allow_infinity=False))
+    @with_edge_floats
+    def test_every_csv_float_column(self, x):
+        rows = [dict.fromkeys(FLOAT_COLUMNS, x), dict.fromkeys(FLOAT_COLUMNS, -x)]
+        lines = trajectory_csv_text([rows_trajectory(rows)], self.CONFIG).splitlines()
+        for line, value in zip(lines[2:], (x, -x)):
+            cells = line.split(",")[2:2 + len(FLOAT_COLUMNS)]
+            assert [bits(float(cell)) for cell in cells] == [bits(value)] * len(FLOAT_COLUMNS)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_refused_by_both_writers(self, bad):
+        for doc in ({"x": bad}, [np.float64(bad)], np.array([0.5, bad]), np.float32(bad)):
+            with pytest.raises(ValidationError, match="^cannot serialize non-finite value"):
+                to_json(doc)
+            with pytest.raises(ValidationError, match="^cannot serialize non-finite value"):
+                canonical_hash({"doc": doc})
+        for column in FLOAT_COLUMNS:
+            with pytest.raises(ValidationError, match="^cannot serialize non-finite value"):
+                trajectory_csv_text([rows_trajectory([{column: bad}])], self.CONFIG)
+
+    def test_numpy_values_serialize_as_their_python_values(self):
+        doc = {"f32": np.float32(0.1), "i64": np.int64(-7), "bool": np.bool_(True),
+               "ints": np.arange(3), "f32s": np.eye(2, dtype=np.float32),
+               "bools": np.array([True, False])}
+        plain = {"f32": float(np.float32(0.1)), "i64": -7, "bool": True, "ints": [0, 1, 2],
+                 "f32s": [[1.0, 0.0], [0.0, 1.0]], "bools": [True, False]}
+        assert to_json(doc) == to_json(plain)
+        assert json.loads(to_json(doc)) == plain
+        assert canonical_hash(doc) == canonical_hash(plain)
+        with pytest.raises(ValidationError, match="^cannot serialize complex$"):
+            to_json({"z": np.complex128(1j)})

@@ -1,14 +1,16 @@
-"""Print one sha256 over every trajectory and CSV text of the benchmark's inputs.
+"""Print sha256 digests of the trajectories and of the CSV texts of the benchmark's inputs.
 
     python3 tools/trajectory_digest.py [CHECKOUT]
 
 For each of the 100 input sets of the ``trials_d16`` and ``circuit_d16``
 workloads in ``bench/workloads.py``, run one job's trajectories in the
-workload's own mode and in ``exact_reflection`` (400 jobs), and hash the
-``repr`` of every ``Trajectory`` and the CSV text of every job, in that
-order. Two checkouts whose digests are equal produce bit-identical outputs
-on all of them, so a refactor that keeps the arithmetic can be checked
-against its parent commit instead of against a rerun of itself.
+workload's own mode and in ``exact_reflection`` (400 jobs). The first
+digest hashes the ``repr`` of every ``Trajectory``, the second the CSV text
+of every job, both in job order; one line prints both and the job count.
+Two checkouts whose trajectory digests are equal compute bit-identical
+values on all of them, so a refactor that keeps the arithmetic can be
+checked against its parent commit instead of against a rerun of itself; a
+change to the file format alone moves the CSV digest and leaves the first.
 
 CHECKOUT defaults to the checkout holding this script; its ``src`` and
 ``bench`` directories are imported, and nothing in them is changed. BLAS
@@ -29,8 +31,9 @@ WORKLOADS = ("trials_d16", "circuit_d16")
 EXTRA_MODE = "exact_reflection"
 
 
-def digest(checkout: Path) -> tuple[str, int]:
-    """The sha256 hex digest over all jobs run from ``checkout``, and the job count."""
+def digest(checkout: Path) -> tuple[str, str, int]:
+    """The sha256 hex digests of the trajectories and of the CSV texts of all jobs run
+    from ``checkout``, and the job count."""
     sys.path[:0] = [str(checkout / "src"), str(checkout / "bench")]
     from run import BLAS_THREADS, THREAD_VARS
 
@@ -39,7 +42,7 @@ def digest(checkout: Path) -> tuple[str, int]:
     import workloads
     from dyncool import serialization
 
-    sha, jobs = hashlib.sha256(), 0
+    trajectory_sha, csv_sha, jobs = hashlib.sha256(), hashlib.sha256(), 0
     for name in WORKLOADS:
         base = workloads.SPECS[name]
         spec = dataclasses.replace(base, modes=(*base.modes, EXTRA_MODE))
@@ -49,11 +52,11 @@ def digest(checkout: Path) -> tuple[str, int]:
             for mode in spec.modes:
                 trajectories, _ = wl.trajectories(mode)
                 for traj in trajectories:
-                    sha.update(repr(traj).encode())
+                    trajectory_sha.update(repr(traj).encode())
                 text = serialization.trajectory_csv_text(trajectories, wl.configs[mode])
-                sha.update(text.encode())
+                csv_sha.update(text.encode())
                 jobs += 1
-    return sha.hexdigest(), jobs
+    return trajectory_sha.hexdigest(), csv_sha.hexdigest(), jobs
 
 
 def main() -> int:
@@ -61,8 +64,8 @@ def main() -> int:
     parser.add_argument("checkout", nargs="?", type=Path,
                         default=Path(__file__).resolve().parent.parent)
     args = parser.parse_args()
-    hexdigest, jobs = digest(args.checkout.resolve())
-    print(f"{hexdigest}  {jobs} jobs")
+    trajectories, csv, jobs = digest(args.checkout.resolve())
+    print(f"trajectories {trajectories}  csv {csv}  {jobs} jobs")
     return 0
 
 

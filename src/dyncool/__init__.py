@@ -54,23 +54,18 @@ from .gqsp import (
     complete,
     compute_angles,
     eval_angles,
-    rotation_matrix,
     synthesize_angles,
 )
 from .dyson import (
     MAX_EXPANSION_ORDER,
     DysonTerm,
-    PathWeight,
     cooling_probability,
     default_time,
-    dyson_partial_sum,
     dyson_term,
     dyson_term_bound,
     effective_error,
-    interaction_unitary,
     leakage,
     leakage_term_bound,
-    path_weight,
     per_term_leakage,
     sample_gue,
     sector_hamiltonian,

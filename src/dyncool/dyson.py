@@ -10,9 +10,8 @@ its time have their one home here. The claims this module makes checkable:
   rotation exp(-i kappa t P A P) up to a global phase, with O(delta) error.
 - `dyson_term` / `per_term_leakage`: orders of the interaction-picture
   expansion by cumulative Simpson quadrature with a step-halving error
-  estimate, checked against factorial bounds.
-- `path_weight`: the nested phase integrals that control each term; any path
-  with at least one oscillating slot loses a full power of t.
+  estimate, checked against factorial bounds (taken at |t|, so a negative
+  time is bounded too).
 - `transition_matrix` / `cooling_probability` / `sample_gue`: the second-order
   Markov picture of the step and the random-matrix ensemble that drives it.
 
@@ -22,8 +21,8 @@ once, where it enters: delta in ``_coupling`` (every kappa's one path) and in
 P of one shape in ``_sectors``; eigenvalues, one finite value per row of a Hermitian A,
 in ``_spectrum``; a time, which must be finite, by ``operators.check_real`` (in
 ``evolve`` where a time goes there first); a quadrature step count, an integer
-of at least 8, in ``_grid``; an expansion order, a slot frequency and a state
-index, each an integer, by ``operators.check_integer`` where they enter.
+of at least 8, in ``_grid``; an expansion order and a state index, each an
+integer, by ``operators.check_integer`` where they enter.
 """
 
 from __future__ import annotations
@@ -40,18 +39,14 @@ from .operators import check_real, evolve, matrix_entries, spectral_norm
 __all__ = [
     "MAX_EXPANSION_ORDER",
     "DysonTerm",
-    "PathWeight",
     "default_time",
     "sector_hamiltonian",
     "leakage",
     "effective_error",
-    "interaction_unitary",
     "dyson_term",
-    "dyson_partial_sum",
     "per_term_leakage",
     "dyson_term_bound",
     "leakage_term_bound",
-    "path_weight",
     "transition_matrix",
     "cooling_probability",
     "sample_gue",
@@ -133,13 +128,6 @@ def effective_error(A, P, delta: float) -> float:
     return spectral_norm(diff) ** 2
 
 
-def interaction_unitary(A, P, delta: float, t: float) -> np.ndarray:
-    """exp(iRt) exp(-iHt): the exact object the expansion approximates."""
-    a, p, _ = _sectors(A, P)
-    U = evolve(sector_hamiltonian(a, p, delta), t).entries
-    return evolve(HermitianOperator(np.eye(p.shape[0]) - 2.0 * p), -t).entries @ U
-
-
 def _interaction_frames(A, P, s: np.ndarray) -> np.ndarray:
     """exp(iRs) A exp(-iRs) stacked along axis 0. R has eigenvalues -1 (kept
     sector) and +1, so conjugation splits A into two static blocks plus two
@@ -166,17 +154,17 @@ def _expansion_stack(A, P, delta: float, order: int, t: float, n_steps: int):
 
 
 def dyson_term_bound(order: int, t: float, delta: float) -> float:
-    """Factorial bound (kappa t)^k / k! on the order-k term."""
+    """Factorial bound (kappa |t|)^k / k! on the order-k term."""
     check_integer(order, "expansion order", 0)
-    return (check_real(t, "time") * _coupling(delta)) ** order / factorial(order)
+    return (abs(check_real(t, "time")) * _coupling(delta)) ** order / factorial(order)
 
 
 def leakage_term_bound(order: int, t: float, delta: float) -> float:
     """Bound on the cross-sector block of the order-k term: one time
     integration is killed by the oscillating phase, trading a power of t for
-    a constant."""
+    a constant. Taken at |t|, as ``dyson_term_bound``."""
     check_integer(order, "expansion order", 0)
-    check_real(t, "time")
+    t = abs(check_real(t, "time"))
     check_delta(delta)
     if order < 1:
         return 0.0
@@ -198,16 +186,6 @@ class DysonTerm:
     def slack(self) -> float:
         """Tolerance to allow when comparing this term against bounds."""
         return max(1e-8, 2.0 * self.error_estimate)
-
-
-@dataclass(frozen=True)
-class PathWeight:
-    """Nested phase integral for one assignment of slot frequencies."""
-
-    phases: tuple
-    time: float
-    value: complex
-    bound: float
 
 
 def _expansion_time(order: int, delta: float, t: float | None) -> float:
@@ -233,47 +211,12 @@ def dyson_term(
     return DysonTerm(order, t, delta, fine, estimate, bound)
 
 
-def dyson_partial_sum(
-    A, P, delta: float, max_order: int, t: float | None = None, n_steps: int = 512
-) -> np.ndarray:
-    """Sum of expansion terms through max_order (order 0 is the identity)."""
-    t = _expansion_time(max_order, delta, t)
-    levels = _expansion_stack(A, P, delta, max_order, t, n_steps)
-    return np.sum([lvl[-1] for lvl in levels], axis=0)
-
-
 def per_term_leakage(
     A, P, delta: float, order: int, t: float | None = None, n_steps: int = 512
 ) -> float:
     """Norm of the cross-sector block of the order-k term."""
     a, p, comp = _sectors(A, P)
     return spectral_norm(comp @ dyson_term(a, p, delta, order, t, n_steps).matrix @ p)
-
-
-def path_weight(phases, t: float) -> PathWeight:
-    """Ordered integral of prod_j exp(i mu_j s_j) over 0 <= s_1 <= ... <= t.
-
-    ``phases`` lists the slot frequencies innermost first; each must be an
-    integer in {0, +2, -2} (the frequencies appearing in the conjugated perturbation).
-    The all-static path integrates to exactly t^k / k!; any oscillating slot
-    reduces the bound to t^(k-1)/(k-1)!. Quadrature runs on 2,048 steps.
-    """
-    listed = phases if np.iterable(phases) else [phases]
-    phases = tuple(int(check_integer(mu, "slot frequency")) for mu in listed)
-    if not phases:
-        raise ValidationError("need at least one slot")
-    if any(mu not in (0, 2, -2) for mu in phases):
-        raise ValidationError(f"slot frequencies must be 0 or +/-2, got {phases}")
-    s = _grid(check_real(t, "time"), 2048)
-    acc = np.ones_like(s, dtype=complex)
-    for mu in phases:
-        acc = _cumsimp(np.exp(1j * mu * s) * acc, s)
-    k = len(phases)
-    if all(mu == 0 for mu in phases):
-        bound = t**k / factorial(k)
-    else:
-        bound = t ** (k - 1) / factorial(k - 1)
-    return PathWeight(phases, t, complex(acc[-1]), float(bound))
 
 
 def _spectrum(eigenvalues, A) -> tuple[np.ndarray, np.ndarray]:

@@ -40,7 +40,6 @@ __all__ = [
     "AngleSequence",
     "CompletionPair",
     "AssembledBlock",
-    "rotation_matrix",
     "complete",
     "compute_angles",
     "assemble_and_extract",
@@ -59,15 +58,10 @@ _OUTER_TAIL = 1e-8
 _OUTER_MAX_POINTS = 1 << 21
 
 
-def rotation_matrix(theta: float, phi: float, lam: float = 0.0) -> np.ndarray:
-    """Single-qubit rotation [[e^{i(lam+phi)}c, e^{i phi}s], [e^{i lam}s, -c]] at
-    finite real angles."""
-    return _rotations(check_real(theta, "theta"), check_real(phi, "phi"), check_real(lam, "lam"))
-
-
 def _rotations(theta, phi, lam) -> np.ndarray:
-    """``rotation_matrix`` unchecked and elementwise: arrays of angles give the
-    2x2 rotations along the trailing axes."""
+    """The single-qubit rotations [[e^{i(lam+phi)}c, e^{i phi}s], [e^{i lam}s, -c]]
+    with c = cos(theta), s = sin(theta), elementwise and unchecked: arrays of
+    angles give the 2x2 rotations along the trailing axes."""
     c, s = np.cos(theta), np.sin(theta)
     return np.array(
         [

@@ -57,9 +57,8 @@ def test_import_loads_no_scipy():
     env = {**os.environ, "PYTHONPATH": src}
     probe = (
         "import sys, numpy as np, dyncool.cli; "
-        "from dyncool.dyson import dyson_term, path_weight; "
+        "from dyncool.dyson import dyson_term; "
         "dyson_term(0.5 * np.ones((2, 2)), np.diag([1.0, 0.0]), 0.25, 2); "
-        "path_weight((2, 0), 1.0); "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
         "or m.startswith('numpy.polynomial')))"
     )

@@ -29,7 +29,6 @@ from dyncool.gqsp import (
     complete,
     compute_angles,
     eval_angles,
-    rotation_matrix,
     synthesize_angles,
 )
 from dyncool.operators import MIN_MARGIN, SpectralDecomposition
@@ -43,6 +42,15 @@ from dyncool.signfun import (
 )
 
 from conftest import laurent_sum, random_unitary
+
+
+def rotation_matrix(theta, phi, lam=0.0):
+    """The rotation [[e^{i(lam+phi)}c, e^{i phi}s], [e^{i lam}s, -c]] for scalar
+    angles, as the phase diag(e^{i phi}, 1) after the reflection [[c, s], [s, -c]]
+    after the phase diag(e^{i lam}, 1); shares no code with ``gqsp._rotations``."""
+    c, s = np.cos(theta), np.sin(theta)
+    return np.diag([np.exp(1j * phi), 1.0]) @ np.array([[c, s], [s, -c]]) @ np.diag(
+        [np.exp(1j * lam), 1.0])
 
 
 def random_scaled_poly(rng, k, m, peak=0.9):
@@ -78,19 +86,32 @@ def full_product(angles, U):
 
 
 class TestRotationMatrix:
+    """``gqsp._rotations``, the walk's rotations, on scalars and on arrays of angles."""
+
     def test_zero_angles_is_diag_plus_minus(self):
-        assert np.allclose(rotation_matrix(0.0, 0.0, 0.0), np.diag([1.0, -1.0]))
+        assert np.allclose(gqsp._rotations(0.0, 0.0, 0.0), np.diag([1.0, -1.0]))
 
     def test_quarter_turn_swaps(self):
-        R = rotation_matrix(np.pi / 2, 0.0, 0.0)
+        R = gqsp._rotations(np.pi / 2, 0.0, 0.0)
         assert np.allclose(R, np.array([[0, 1], [1, 0]]), atol=1e-15)
 
     def test_unitary_for_random_angles(self):
         rng = np.random.default_rng(7)
         for _ in range(25):
             th, ph, la = rng.uniform(0, np.pi / 2), *rng.uniform(-np.pi, np.pi, 2)
-            R = rotation_matrix(th, ph, la)
+            R = gqsp._rotations(th, ph, la)
             assert np.allclose(R.conj().T @ R, np.eye(2), atol=1e-14)
+            assert np.allclose(R, rotation_matrix(th, ph, la), atol=1e-14)
+
+    def test_arrays_of_angles_give_one_rotation_each(self):
+        rng = np.random.default_rng(8)
+        theta = rng.uniform(0, np.pi / 2, 12)
+        phi, lam = rng.uniform(-np.pi, np.pi, (2, 12))
+        stacked = gqsp._rotations(theta, phi, lam)
+        assert stacked.shape == (2, 2, 12)
+        for j in range(12):
+            assert np.allclose(stacked[..., j], rotation_matrix(theta[j], phi[j], lam[j]),
+                               atol=1e-14)
 
 
 class TestComplete:

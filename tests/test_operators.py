@@ -30,11 +30,9 @@ from dyncool.cli import generate_perturbation
 from dyncool.cooling import query_costs, random_initial_state
 from dyncool.dyson import (
     cooling_probability,
-    dyson_partial_sum,
     dyson_term,
     dyson_term_bound,
     leakage_term_bound,
-    path_weight,
     per_term_leakage,
     sample_gue,
 )
@@ -491,18 +489,12 @@ class TestOneIntegerRule:
             lambda v: dyson_term(np.eye(2), np.diag([1.0, 0.0]), 0.1, 1, n_steps=v), 7,
             ValidationError,
         ),
-        "dyson_partial_sum.max_order": (
-            lambda v: dyson_partial_sum(np.eye(2), np.diag([1.0, 0.0]), 0.1, v), -1,
-            ValidationError,
-        ),
         "per_term_leakage.order": (
             lambda v: per_term_leakage(np.eye(2), np.diag([1.0, 0.0]), 0.1, v), -1,
             ValidationError,
         ),
         "dyson_term_bound": (lambda v: dyson_term_bound(v, 1.0, 0.1), -1, ValidationError),
         "leakage_term_bound": (lambda v: leakage_term_bound(v, 1.0, 0.1), -1, ValidationError),
-        # a slot frequency has no floor; 1 is the integer outside {0, +2, -2}
-        "path_weight.phases": (lambda v: path_weight((0, v), 1.0), 1, ValidationError),
         "cooling_probability": (
             lambda v: cooling_probability(np.array([0.0, 1.0]), np.eye(2), v), -1, RangeError,
         ),

@@ -16,8 +16,8 @@ parameter's valid value: a bool or a string put inside its array.
   that such a call raises, so no bad value is accepted silently.
 
 Every public name must also have a caller outside the unit tests
-(``test_every_export_has_a_caller``): a name only unit tests call is a test
-helper and lives in the tests.
+(``test_every_export_has_a_caller``, one case per name): a name only unit
+tests call is a test helper and lives in the tests.
 """
 
 import ast
@@ -263,14 +263,28 @@ def _used_names(path: Path) -> set:
     return names
 
 
-def test_every_export_has_a_caller():
-    """Each public non-exception name of ``dyncool`` (submodules aside) is named
-    in a caller file; a name only unit tests call belongs in the tests."""
-    used = set().union(*map(_used_names, CALLER_FILES))
-    exports = {name for name, obj in vars(dyncool).items()
-               if not name.startswith("_") and not inspect.ismodule(obj)
-               and not (isinstance(obj, type) and issubclass(obj, BaseException))}
-    assert exports - used == NO_CALLER
+# each public non-exception name of ``dyncool`` (submodules aside)
+EXPORTS = sorted(name for name, obj in vars(dyncool).items()
+                 if not name.startswith("_") and not inspect.ismodule(obj)
+                 and not (isinstance(obj, type) and issubclass(obj, BaseException)))
+
+
+@pytest.fixture(scope="module")
+def used():
+    return set().union(*map(_used_names, CALLER_FILES))
+
+
+@pytest.mark.parametrize("name", [name for name in EXPORTS if name not in NO_CALLER])
+def test_every_export_has_a_caller(name, used):
+    """The name is named in a caller file; a name only unit tests call belongs
+    in the tests."""
+    assert name in used
+
+
+def test_the_names_without_a_caller_are_exactly_the_listed_ones(used):
+    # a listed name that gains a caller, or leaves the namespace, comes off the list
+    assert NO_CALLER <= set(EXPORTS)
+    assert NO_CALLER.isdisjoint(used)
 
 
 @pytest.mark.parametrize("name", sorted(CALLABLES))
